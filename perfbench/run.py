@@ -2,11 +2,11 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload fkp_pipeline --seed 1 --seconds 40 --trace 0
-    python3 perfbench/run.py --workload cascade --seed 1 --seconds 40 --trace 1
+    python3 perfbench/run.py --workload fkp_pipeline --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload cascade --seed 1 --seconds 25 --trace 1
     python3 perfbench/run.py --workload growth --seed 1 --seconds 2 --trace 1 --smoke
 
-``--trace 0`` reports the end-to-end metrics (``setup_s``, ``wall_s``,
+``--trace 0`` reports the end-to-end metrics (``setup_s``, ``wall_ref_s``,
 ``peak_rss_mb``) with tracing off. ``--trace 1`` reports the per-layer
 metrics of ``layers.LAYER_METRICS`` from a run that alternates untraced and
 traced operations on the same instances. The last line of standard output is
@@ -14,19 +14,32 @@ one JSON object: ``{"correct", "attempted", "failed", "metrics"}``. See
 ``README.md`` beside this file for the metrics and workloads.
 """
 
+import os
+import sys
 import time
+
+#: Python salts string hashes per process unless PYTHONHASHSEED is set, and
+#: the salt reorders set and dict iteration inside the library: the same
+#: isp_design instances cost from 0.80 to 0.99 s (wall_ref_s) by the salt
+#: alone. Every run replaces itself with one that uses this fixed value, so
+#: runs differ by measurement noise, not by the salt they drew.
+HASH_SEED = "0"
+if __name__ == "__main__" and os.environ.get("PYTHONHASHSEED") != HASH_SEED:
+    os.execve(
+        sys.executable,
+        [sys.executable] + sys.argv,
+        {**os.environ, "PYTHONHASHSEED": HASH_SEED},
+    )
 
 _START = time.perf_counter()  # setup_s counts from here, imports included
 
 import argparse  # noqa: E402
 import gc  # noqa: E402
 import json  # noqa: E402
-import os  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
-import sys  # noqa: E402
 import traceback  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -41,10 +54,11 @@ import repro  # noqa: E402
 from repro.topology.compiled import DEFAULT_BACKEND, KERNEL_COUNTERS  # noqa: E402
 
 import layers  # noqa: E402
+import reference  # noqa: E402
 import workloads  # noqa: E402
 
 #: Set-up is measured this many times per run: in process, then in children.
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 9
 #: Untraced runs make at least this many passes, so every instance has
 #: three or more repeats, taken at different times.
 MIN_PASSES = 3
@@ -54,13 +68,13 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true", help="reduced sizes (tests)")
     parser.add_argument(
         "--setup-only",
         action="store_true",
-        help="build the inputs, print the set-up seconds and exit",
+        help="build the inputs, print the set-up and reference seconds and exit",
     )
     return parser.parse_args(argv)
 
@@ -68,12 +82,14 @@ def parse_args(argv=None) -> argparse.Namespace:
 def fingerprint() -> str:
     return (
         f"python {platform.python_version()} numpy {numpy.__version__} "
-        f"scipy {scipy.__version__} nproc {os.cpu_count()} backend {DEFAULT_BACKEND}"
+        f"scipy {scipy.__version__} nproc {os.cpu_count()} backend {DEFAULT_BACKEND} "
+        f"PYTHONHASHSEED {os.environ.get('PYTHONHASHSEED')}"
     )
 
 
-def setup_seconds_in_child(args: argparse.Namespace) -> float:
-    """Set-up time of a fresh process: interpreter imports + input build."""
+def setup_sample_in_child(args: argparse.Namespace):
+    """Set-up seconds of a fresh process (interpreter imports + input build)
+    and the seconds of one reference sample taken in it right after."""
     command = [
         sys.executable,
         str(Path(__file__).resolve()),
@@ -84,7 +100,8 @@ def setup_seconds_in_child(args: argparse.Namespace) -> float:
         "--setup-only",
     ] + (["--smoke"] if args.smoke else [])
     done = subprocess.run(command, capture_output=True, text=True, timeout=170, check=True)
-    return float(done.stdout.split()[-1])
+    setup, ref = done.stdout.split()[-2:]
+    return float(setup), float(ref)
 
 
 class Runner:
@@ -126,14 +143,22 @@ def passes(runner: Runner, seconds: float, at_least: int):
             return
 
 
-def run_untraced(runner: Runner, seconds: float) -> dict:
-    """Op seconds of every successful run, grouped by pool instance."""
-    per_instance = {}
+def run_untraced(runner: Runner, seconds: float, work: reference.Reference):
+    """Per pool instance, the wall seconds of every successful op, and each
+    one divided by the mean of the reference work timed before and after it."""
+    walls, ratios = {}, {}
+    gc.collect()
+    before = work.seconds()
     for i in passes(runner, seconds, MIN_PASSES):
         wall = runner.timed(i)
+        gc.collect()
+        after = work.seconds()
         if wall is not None:
-            per_instance.setdefault(runner.state.slot(i), []).append(wall)
-    return per_instance
+            slot = runner.state.slot(i)
+            walls.setdefault(slot, []).append(wall)
+            ratios.setdefault(slot, []).append(2.0 * wall / (before + after))
+        before = after
+    return walls, ratios
 
 
 def run_traced(runner: Runner, seconds: float) -> dict:
@@ -163,7 +188,7 @@ def run_traced(runner: Runner, seconds: float) -> dict:
 def measure(args: argparse.Namespace) -> dict:
     """One benchmark run; returns the result object printed as JSON."""
     state = workloads.make_state(args.workload, args.seed, args.smoke)
-    setup_samples = [time.perf_counter() - _START]
+    setup = time.perf_counter() - _START
     runner = Runner(args.workload, state)
     if args.trace:
         values = run_traced(runner, args.seconds)
@@ -172,26 +197,33 @@ def measure(args: argparse.Namespace) -> dict:
             name: {"value": values.get(name, 0.0), "unit": units[name]} for name in units
         }
     else:
+        work = reference.Reference()
+        # A fresh process's set-up speed follows the reference work timed in
+        # that same process, not one timed in its parent.
+        setup_samples = [(setup, work.seconds())]
         for _ in range(SETUP_SAMPLES - 1):
-            setup_samples.append(setup_seconds_in_child(args))
-        per_instance = run_untraced(runner, args.seconds)
-        # An instance's fastest repeat drops the slow phases of a shared
-        # machine (seconds to minutes long, up to ~1.6x); the mean over instances keeps
-        # every instance's cost.
-        fastest = [min(walls) for walls in per_instance.values()]
+            setup_samples.append(setup_sample_in_child(args))
+        setup_ref = reference.REFERENCE_S * statistics.median(s / r for s, r in setup_samples)
+        walls, ratios = run_untraced(runner, args.seconds, work)
+        # The median ratio of each instance, averaged over the pool so every
+        # instance's cost counts, in seconds at the reference speed.
+        medians = [statistics.median(r) for r in ratios.values()]
+        wall_ref = reference.REFERENCE_S * statistics.fmean(medians) if medians else 0.0
         peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         metrics = {
-            "setup_s": {"value": statistics.median(setup_samples), "unit": "s"},
-            "wall_s": {"value": statistics.fmean(fastest) if fastest else 0.0, "unit": "s"},
+            "setup_s": {"value": setup_ref, "unit": "s"},
+            "wall_ref_s": {"value": wall_ref, "unit": "s"},
             "peak_rss_mb": {"value": peak_kb / 1024.0, "unit": "MB"},
         }
-        all_walls = [wall for walls in per_instance.values() for wall in walls]
-        samples = len(all_walls)
+        all_walls = [wall for ws in walls.values() for wall in ws]
         print(
-            f"{args.workload}: wall_s {metrics['wall_s']['value']:.4f} s (mean over "
-            f"{len(fastest)} instances of their fastest repeat; {samples} ops; median op "
+            f"{args.workload}: wall_ref_s {wall_ref:.4f} s (mean over {len(medians)} "
+            f"instances of their median wall / reference ratio x {reference.REFERENCE_S} s; "
+            f"{len(all_walls)} ops; raw median op "
             f"{statistics.median(all_walls) if all_walls else 0.0:.4f} s); "
-            f"setup_s {metrics['setup_s']['value']:.4f} s (median of {len(setup_samples)}); "
+            f"setup_s {setup_ref:.4f} s (median of {len(setup_samples)} set-up / reference "
+            f"ratios x {reference.REFERENCE_S} s; raw median set-up "
+            f"{statistics.median(s for s, _ in setup_samples):.4f} s); "
             f"peak_rss_mb {metrics['peak_rss_mb']['value']:.1f} MB"
         )
     failed_frac = runner.failed / max(runner.attempted, 1)
@@ -212,7 +244,8 @@ def main(argv=None) -> int:
         return 2
     if args.setup_only:
         workloads.make_state(args.workload, args.seed, args.smoke)
-        print(time.perf_counter() - _START)
+        setup = time.perf_counter() - _START
+        print(setup, reference.Reference().seconds())
         return 0
     if DEFAULT_BACKEND != "numpy":
         print(f"the benchmark needs the numpy backend, got {DEFAULT_BACKEND}", file=sys.stderr)

@@ -127,7 +127,7 @@ def test_benchmark_json_matches_the_metrics_the_runs_print():
     assert [(m["name"], m["unit"], m["better"]) for m in BENCHMARK["per_layer"]] == [
         tuple(metric) for metric in layers.LAYER_METRICS
     ]
-    assert [m["name"] for m in BENCHMARK["end_to_end"]] == ["setup_s", "wall_s", "peak_rss_mb"]
+    assert [m["name"] for m in BENCHMARK["end_to_end"]] == ["setup_s", "wall_ref_s", "peak_rss_mb"]
 
 
 def test_untraced_command_line_prints_the_contract():
