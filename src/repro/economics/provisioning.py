@@ -11,7 +11,7 @@ the paper calls a topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from ..routing.utilization import _resolve_flow_loads
 from ..topology.graph import Topology
@@ -47,8 +47,6 @@ def provision_topology(
     utilization_target: float = 1.0,
     headroom: float = 0.0,
     flow: Any = None,
-    *,
-    loads: Optional[Sequence[float]] = None,
 ) -> ProvisioningReport:
     """Install cables on every loaded link of ``topology`` in place.
 
@@ -70,9 +68,6 @@ def provision_topology(
             flushes loads and installs cables in one sweep.  The result is
             validated against the topology's current compiled snapshot; a
             stale one raises :class:`~repro.topology.graph.TopologyError`.
-        loads: Deprecated — a bare per-edge load column aligned with
-            ``topology.compiled()``; pass the routing result as ``flow``
-            instead.
 
     Returns:
         A :class:`ProvisioningReport` with aggregate statistics.
@@ -82,15 +77,11 @@ def provision_topology(
     if headroom < 0:
         raise ValueError("headroom must be non-negative")
 
-    loads = _resolve_flow_loads(topology, flow, loads, "provision_topology")
+    loads = _resolve_flow_loads(topology, flow, "provision_topology")
     if loads is None:
         links = list(topology.links())
     else:
         links = topology.compiled().links
-        if len(loads) != len(links):
-            raise ValueError(
-                f"loads column has {len(loads)} entries for {len(links)} links"
-            )
         for link, load in zip(links, loads):
             link.load = load
 

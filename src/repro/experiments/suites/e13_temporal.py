@@ -22,9 +22,7 @@ payloads stay byte-identical across environments:
   point.  Gates: the fixed point is deterministic (two runs hash
   identically), backend-parity holds when scipy is available (per-round
   SHA-256 of load columns and identical trip sequences), ``cascade_trips``
-  counts exactly the links tripped, ``reachability_rebuilds`` stays at zero
-  (every trip is an incremental deletion on the dynamic-connectivity
-  engine, never a full sweep), round-1 trips are monotone non-
+  counts exactly the links tripped, round-1 trips are monotone non-
   increasing in headroom (higher slack can only shrink the first trip set —
   round-1 loads are headroom-independent), and a trip-free cascade sheds
   nothing.  *Total* shed is deliberately **not** gated monotone: a slightly
@@ -133,10 +131,6 @@ def expand(smoke: bool) -> List[Task]:
                 "kind": "cascade",
                 "surge": params["cascade_surge"],
                 "headroom": headroom,
-                # Keys task digests to the dynamic-connectivity engine so
-                # sweep-era cached payloads (which lack the
-                # ``reachability_rebuilds`` field gated below) miss cleanly.
-                "engine": "dynconn",
                 **shared,
             }
         )
@@ -287,8 +281,6 @@ def _run_cascade(point: Mapping[str, object]) -> Dict[str, object]:
         "total_trips": cascade.total_trips,
         "round1_trips": len(cascade.rounds[0].tripped),
         "trip_counter": after["cascade_trips"] - before["cascade_trips"],
-        "reachability_rebuilds": after["reachability_rebuilds"]
-        - before["reachability_rebuilds"],
         "served_fraction": round(cascade.served_fraction, 6),
         "shed_volume": round(final.unrouted_volume, 6),
         "fixed_point": cascade.fixed_point,
@@ -358,10 +350,6 @@ def check(tables: Tables, smoke: bool) -> None:
             assert row["parity_ok"], row
         # cascade_trips counts exactly the tripped links of the (first) run.
         assert row["trip_counter"] == row["total_trips"], row
-        # Every trip is an incremental deletion on the dynamic-connectivity
-        # engine — a bounded replacement-edge search, never a full
-        # reachability sweep.
-        assert row["reachability_rebuilds"] == 0, row
         assert 0.0 <= row["served_fraction"] <= 1.0, row
         if row["total_trips"] == 0:
             assert row["served_fraction"] == 1.0, row

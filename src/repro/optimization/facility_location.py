@@ -9,21 +9,12 @@ k-median problem; this module provides the standard greedy and local-search
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..geography.points import euclidean
-from ..geography.regions import bounding_region
-from ..geography.spatial_index import SpatialGridIndex
-
-#: Open-facility count above which ``_assign_clients`` switches from the
-#: linear scan to a grid-backed nearest-facility query.  Both paths return
-#: identical assignments (the grid's argmin is exact and breaks ties by
-#: insertion order, like the scan); the threshold only avoids paying the
-#: grid-build overhead for the tiny facility sets typical of early greedy
-#: iterations.
-SPATIAL_INDEX_THRESHOLD = 9
 
 
 @dataclass
@@ -52,23 +43,29 @@ class FacilitySolution:
         return [client for client, assigned in self.assignment.items() if assigned == facility]
 
 
+def _client_weights(weights: Optional[Sequence[float]], num_clients: int) -> List[float]:
+    """Per-client weights (default 1 each), rejected unless finite and >= 0."""
+    if weights is None:
+        return [1.0] * num_clients
+    weights = list(weights)
+    if len(weights) != num_clients:
+        raise ValueError("weights must match clients in length")
+    for weight in weights:
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ValueError(f"weights must be finite and non-negative, got {weight!r}")
+    return weights
+
+
 def _assign_clients(
     clients: Sequence[Tuple[float, float]],
     weights: Sequence[float],
     candidates: Sequence[Tuple[float, float]],
     open_facilities: Sequence[int],
-    use_spatial_index: Optional[bool] = None,
 ) -> Tuple[Dict[int, int], float]:
     """Assign every client to its nearest open facility; return cost too.
 
-    ``use_spatial_index`` forces one path (the equivalence tests exercise
-    both); by default the grid is used once the open set is large enough to
-    amortize its construction.
+    Equidistant facilities go to the one listed first in ``open_facilities``.
     """
-    if use_spatial_index is None:
-        use_spatial_index = len(open_facilities) >= SPATIAL_INDEX_THRESHOLD
-    if use_spatial_index:
-        return _assign_clients_grid(clients, weights, candidates, open_facilities)
     assignment: Dict[int, int] = {}
     connection_cost = 0.0
     for client_index, client in enumerate(clients):
@@ -81,33 +78,6 @@ def _assign_clients(
                 best_facility = facility_index
         assignment[client_index] = best_facility
         connection_cost += weights[client_index] * best_distance
-    return assignment, connection_cost
-
-
-def _assign_clients_grid(
-    clients: Sequence[Tuple[float, float]],
-    weights: Sequence[float],
-    candidates: Sequence[Tuple[float, float]],
-    open_facilities: Sequence[int],
-) -> Tuple[Dict[int, int], float]:
-    """Grid-backed nearest-facility assignment (identical output to the scan).
-
-    Facilities are indexed under their position in ``open_facilities``, so
-    the grid's lowest-id tie-break reproduces the scan's first-minimum rule
-    exactly; the bounding region covers clients and facilities, which is the
-    grid's exactness precondition.
-    """
-    facility_points = [candidates[f] for f in open_facilities]
-    region = bounding_region(list(clients) + facility_points, name="facility-assignment")
-    index = SpatialGridIndex(region, expected_points=len(facility_points))
-    for position, point in enumerate(facility_points):
-        index.insert(position, point)
-    assignment: Dict[int, int] = {}
-    connection_cost = 0.0
-    for client_index, client in enumerate(clients):
-        position, distance = index.argmin(client, alpha=1.0)
-        assignment[client_index] = open_facilities[position]
-        connection_cost += weights[client_index] * distance
     return assignment, connection_cost
 
 
@@ -127,17 +97,16 @@ def greedy_facility_location(
         clients: Client locations.
         candidates: Candidate facility locations.
         opening_cost: Cost of opening any one facility.
-        weights: Per-client demand weights (defaults to 1 each).
+        weights: Per-client demand weights (defaults to 1 each); each must
+            be finite and non-negative.
     """
     if not clients:
         raise ValueError("at least one client is required")
     if not candidates:
         raise ValueError("at least one candidate facility is required")
-    if opening_cost < 0:
-        raise ValueError("opening_cost must be non-negative")
-    weights = list(weights) if weights is not None else [1.0] * len(clients)
-    if len(weights) != len(clients):
-        raise ValueError("weights must match clients in length")
+    if not (math.isfinite(opening_cost) and opening_cost >= 0):
+        raise ValueError(f"opening_cost must be finite and non-negative, got {opening_cost!r}")
+    weights = _client_weights(weights, len(clients))
 
     open_facilities: List[int] = []
     # Always open at least the single best facility so every client is served.
@@ -194,7 +163,8 @@ def k_median(
     distance.  Starts from a greedy farthest-point seeding and applies
     single-facility swaps until no swap improves the cost (or
     ``max_iterations`` is reached); single-swap local search is a 5-
-    approximation for metric k-median.
+    approximation for metric k-median.  ``weights`` (default 1 per client)
+    must be finite and non-negative.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -202,9 +172,7 @@ def k_median(
         raise ValueError(f"k={k} exceeds the number of candidate facilities {len(candidates)}")
     if not clients:
         raise ValueError("at least one client is required")
-    weights = list(weights) if weights is not None else [1.0] * len(clients)
-    if len(weights) != len(clients):
-        raise ValueError("weights must match clients in length")
+    weights = _client_weights(weights, len(clients))
     rng = rng or random.Random(0)
 
     # Farthest-point seeding for a spread-out initial solution.

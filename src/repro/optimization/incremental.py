@@ -46,17 +46,9 @@ When the engine falls back to full recomputation
   call :meth:`IncrementalState.rebuild`, which is exactly one canonical full
   evaluation.
 
-Deletions used to be on this list: a union-find cannot split, so every
-``RemoveLink``, the removal half of a ``Rewire``, and each ``RemoveLinks``
-cascade batch paid a full O(V+E) component sweep plus an O(V) union-find
-snapshot for its undo.  With the dynamic-connectivity engine that fallback
-is gone — deletions and their undos are polylogarithmic like additions, and
-``KERNEL_COUNTERS.reachability_rebuilds`` (incremented only by the guarded
-legacy sweep) stays at zero, which the E10 and E13 gates assert on
-deletion-bearing move sequences.  Construct with ``use_dynconn=False`` (or
-set ``REPRO_DYNCONN=0``) to fall back to the legacy rollback union-find plus
-per-deletion sweeps — kept as the guarded comparison baseline for the
-``bench_dynamic_connectivity`` trajectory-identity and speedup gates.
+Deletions are not on this list: ``RemoveLink``, the removal half of a
+``Rewire`` and each ``RemoveLinks`` batch are polylogarithmic dynamic-forest
+deletions, and their undos replay the forest's exact-undo tokens.
 
 ``KERNEL_COUNTERS.objective_full_evals`` counts canonical evaluations (and
 rebuilds); ``KERNEL_COUNTERS.objective_delta_evals`` counts applied moves.
@@ -65,11 +57,10 @@ The E10 benchmark gate asserts delta evaluations dominate.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..topology.compiled import KERNEL_COUNTERS, components_indices
+from ..topology.compiled import KERNEL_COUNTERS
 from ..topology.dynconn import DynamicConnectivity
 from ..topology.graph import Topology, TopologyError
 from ..topology.link import Link, edge_key
@@ -142,7 +133,13 @@ class AddLink(Move):
 
 @dataclass(frozen=True)
 class RemoveLink(Move):
-    """Tear out the link between ``u`` and ``v`` (the deletion fallback path)."""
+    """Tear out the link between ``u`` and ``v``.
+
+    One polylog dynamic-forest deletion; the revert re-inserts the original
+    :class:`~repro.topology.link.Link` object and restores the topology's
+    link and adjacency iteration order, so compiled edge order and
+    order-dependent float sums are unchanged by a remove → revert round trip.
+    """
 
     u: Any
     v: Any
@@ -155,14 +152,11 @@ class RemoveLink(Move):
 
 @dataclass(frozen=True)
 class RemoveLinks(Move):
-    """Tear out a batch of links as **one** move with one reachability rebuild.
+    """Tear out a batch of links as **one** move with one undo record.
 
-    Link removal is the one move whose undo bookkeeping is super-constant: a
-    union-find cannot split, so every removal pays a full O(V+E) reachability
-    rebuild plus an O(V) snapshot.  Failure cascades
-    (:func:`repro.routing.temporal.failure_cascade`) trip many links per
-    round; batching them shares a single rebuild/snapshot across the whole
-    round instead of paying it per link.  Removal order follows ``links``
+    Failure cascades (:func:`repro.routing.temporal.failure_cascade`) trip
+    many links per round; batching them puts the whole round on one undo
+    record and one link-order snapshot.  Removal order follows ``links``
     order, one :meth:`IncrementalState.revert` restores the entire batch, and
     a missing or duplicated key raises
     :class:`~repro.topology.graph.TopologyError` before anything mutates.
@@ -202,24 +196,13 @@ class AddNode(Move):
         state._node_equipment += equipment
         is_customer = self.role == NodeRole.CUSTOMER
         revenue = state._revenue_of(node) if is_customer else 0.0
-        if state._dyn is not None:
-            state._dyn.add_vertex(
-                self.node_id,
-                is_core=self.role == NodeRole.CORE,
-                demand=self.demand if is_customer else 0.0,
-                revenue=revenue,
-            )
-            record.structure_undo.append(
-                lambda: state._dyn.remove_vertex(self.node_id)
-            )
-        else:
-            state._reach.add(
-                self.node_id,
-                is_core=self.role == NodeRole.CORE,
-                demand=self.demand if is_customer else 0.0,
-                revenue=revenue,
-            )
-            record.structure_undo.append(lambda: state._reach.discard(self.node_id))
+        state._dyn.add_vertex(
+            self.node_id,
+            is_core=self.role == NodeRole.CORE,
+            demand=self.demand if is_customer else 0.0,
+            revenue=revenue,
+        )
+        record.structure_undo.append(lambda: state._dyn.remove_vertex(self.node_id))
         if is_customer:
             state._total_customer_demand += self.demand
             state._total_customer_revenue += revenue
@@ -278,8 +261,8 @@ class Rewire(Move):
     The replacement link carries the old link's cable/capacity/load with its
     install and usage costs rescaled by the length ratio (a cable run moved to
     a different street), so rewiring toward a closer attachment point
-    genuinely reduces cost.  Composite: one deletion (fallback sweep) plus one
-    addition.
+    genuinely reduces cost.  Composite: one :class:`RemoveLink`-style
+    deletion plus one addition.
     """
 
     node: Any
@@ -323,106 +306,6 @@ class Rewire(Move):
         return record
 
 
-# ----------------------------------------------------------------------
-# Rollback union-find with per-component service aggregates
-# ----------------------------------------------------------------------
-class _ReachabilityIndex:
-    """Union-find over node ids tracking core reachability aggregates.
-
-    Union by size without path compression, so unions are undoable in O(1)
-    from an exact token (old parent/size/aggregate values are stored, never
-    re-derived by inverse arithmetic).  Find is O(log n) amortized, which is
-    the right trade for a structure that must rewind thousands of rejected
-    moves bit-exactly.
-    """
-
-    __slots__ = ("parent", "size", "has_core", "demand", "revenue")
-
-    def __init__(self) -> None:
-        self.parent: Dict[Any, Any] = {}
-        self.size: Dict[Any, int] = {}
-        self.has_core: Dict[Any, bool] = {}
-        self.demand: Dict[Any, float] = {}
-        self.revenue: Dict[Any, float] = {}
-
-    def clear(self) -> None:
-        self.parent.clear()
-        self.size.clear()
-        self.has_core.clear()
-        self.demand.clear()
-        self.revenue.clear()
-
-    def add(self, node_id: Any, is_core: bool, demand: float, revenue: float) -> None:
-        self.parent[node_id] = node_id
-        self.size[node_id] = 1
-        self.has_core[node_id] = is_core
-        self.demand[node_id] = demand
-        self.revenue[node_id] = revenue
-
-    def discard(self, node_id: Any) -> None:
-        """Remove a node that is currently a singleton (AddNode undo)."""
-        del self.parent[node_id]
-        del self.size[node_id]
-        del self.has_core[node_id]
-        del self.demand[node_id]
-        del self.revenue[node_id]
-
-    def find(self, node_id: Any) -> Any:
-        parent = self.parent
-        while parent[node_id] != node_id:
-            node_id = parent[node_id]
-        return node_id
-
-    def union(self, a: Any, b: Any) -> Optional[Tuple]:
-        """Merge the components of ``a`` and ``b``; returns an undo token.
-
-        Returns ``None`` when they are already one component.
-        """
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return None
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        token = (
-            rb,
-            ra,
-            self.has_core[ra],
-            self.size[ra],
-            self.demand[ra],
-            self.revenue[ra],
-        )
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.demand[ra] += self.demand[rb]
-        self.revenue[ra] += self.revenue[rb]
-        self.has_core[ra] = self.has_core[ra] or self.has_core[rb]
-        return token
-
-    def undo_union(self, token: Tuple) -> None:
-        rb, ra, core, size, demand, revenue = token
-        self.parent[rb] = rb
-        self.has_core[ra] = core
-        self.size[ra] = size
-        self.demand[ra] = demand
-        self.revenue[ra] = revenue
-
-    def snapshot(self) -> Tuple[Dict, Dict, Dict, Dict, Dict]:
-        return (
-            dict(self.parent),
-            dict(self.size),
-            dict(self.has_core),
-            dict(self.demand),
-            dict(self.revenue),
-        )
-
-    def restore(self, snap: Tuple[Dict, Dict, Dict, Dict, Dict]) -> None:
-        self.parent = dict(snap[0])
-        self.size = dict(snap[1])
-        self.has_core = dict(snap[2])
-        self.demand = dict(snap[3])
-        self.revenue = dict(snap[4])
-
-
 @dataclass
 class _UndoRecord:
     """Everything needed to rewind one applied move bit-exactly."""
@@ -444,12 +327,10 @@ class IncrementalState:
         objective: A :class:`~repro.core.objectives.CostObjective`,
             :class:`~repro.core.objectives.ProfitObjective`, or
             :class:`~repro.core.objectives.PerformanceCostObjective`.
-        use_dynconn: ``True`` (default) maintains reachability with the
-            fully-dynamic connectivity engine (polylog deletions, no sweeps);
-            ``False`` selects the legacy rollback union-find whose deletions
-            pay a full component sweep plus an O(V) snapshot.  ``None`` reads
-            the ``REPRO_DYNCONN`` environment variable (``0``/``off``/
-            ``false`` disable).
+
+    Reachability lives in one fully-dynamic connectivity forest
+    (:class:`~repro.topology.dynconn.DynamicConnectivity`), so additions and
+    deletions alike are polylogarithmic with exact undo.
 
     The state assumes it is the only mutator while a search session runs:
     node demands, roles, and link annotations changed behind its back require
@@ -457,19 +338,9 @@ class IncrementalState:
     float accumulation order (property-tested to 1e-9 relative tolerance).
     """
 
-    def __init__(
-        self, topology: Topology, objective: Any, *, use_dynconn: Optional[bool] = None
-    ) -> None:
+    def __init__(self, topology: Topology, objective: Any) -> None:
         self.topology = topology
         self.objective = objective
-        if use_dynconn is None:
-            use_dynconn = os.environ.get("REPRO_DYNCONN", "1").strip().lower() not in (
-                "0",
-                "off",
-                "false",
-            )
-        self._use_dynconn = bool(use_dynconn)
-        self._dyn: Optional[DynamicConnectivity] = None
         (
             self._cost_model,
             self._demand_penalty,
@@ -501,23 +372,19 @@ class IncrementalState:
             if node.role == NodeRole.CUSTOMER:
                 self._total_customer_demand += node.demand
                 self._total_customer_revenue += self._revenue_of(node)
-        if self._use_dynconn:
-            self._rebuild_dynconn()
-        else:
-            self._dyn = None
-            self._rebuild_reachability()
+        self._rebuild_dynconn()
         self._hops_cache: Optional[Tuple[int, float]] = None
         self._undo.clear()
 
     def _rebuild_dynconn(self) -> None:
         """Bulk-build the dynamic-connectivity engine — O(V + E), no sweep.
 
-        The initial served aggregates are accumulated in the *canonical*
-        order of the legacy sweep (per-component naive float sums over nodes
-        in insertion order, components summed in first-node order), so the
-        two reachability engines start from bit-identical scalars and any
-        trajectory whose moves never change connectivity stays bitwise
-        engine-independent.
+        The initial served aggregates are accumulated in a fixed canonical
+        order (per-component naive float sums over nodes in insertion order,
+        components summed in first-node order) instead of being read from the
+        forest's correctly rounded component sums.  Pinned scores and
+        trajectory hashes depend on these exact bits, so the order must not
+        change.
         """
         topology = self.topology
         nodes = topology._nodes  # same-package structural access
@@ -554,70 +421,6 @@ class IncrementalState:
             if has_core:
                 served_demand += comp_demand[root]
                 served_revenue += comp_revenue[root]
-        self._served_demand = served_demand
-        self._served_revenue = served_revenue
-
-    def _rebuild_reachability(self) -> None:
-        """One compiled-graph component sweep → fresh union-find + aggregates.
-
-        Legacy fallback path (``use_dynconn=False``): the dynamic-connectivity
-        engine never calls this.  Counted as
-        ``KERNEL_COUNTERS.reachability_rebuilds`` — the E10/E13 gates assert
-        the count stays at zero on the default engine.
-
-        Refills the state's single long-lived :class:`_ReachabilityIndex`
-        **in place**: undo closures from earlier moves hold a reference to
-        that object, so its identity must survive deletion rebuilds.
-
-        ``components_indices`` (like the cached multi-source BFS behind
-        ``_mean_customer_hops``) dispatches to the scipy batch kernel on
-        large graphs; labels are canonicalized to first-node-index order, so
-        rebuild results are backend-identical and the incremental trajectory
-        does not depend on whether scipy is installed.
-        """
-        KERNEL_COUNTERS.reachability_rebuilds += 1
-        topology = self.topology
-        graph = topology.compiled()
-        labels, count = components_indices(graph)
-        reach = getattr(self, "_reach", None)
-        if reach is None:
-            reach = _ReachabilityIndex()
-            self._reach = reach
-        else:
-            reach.clear()
-        roots: List[Any] = [None] * count
-        ids = graph.ids
-        nodes = topology._nodes  # same-package structural access
-        for index, label in enumerate(labels):
-            node_id = ids[index]
-            node = nodes[node_id]
-            is_customer = node.role == NodeRole.CUSTOMER
-            if roots[label] is None:
-                roots[label] = node_id
-                reach.add(
-                    node_id,
-                    is_core=node.role == NodeRole.CORE,
-                    demand=node.demand if is_customer else 0.0,
-                    revenue=self._revenue_of(node) if is_customer else 0.0,
-                )
-            else:
-                root = roots[label]
-                reach.parent[node_id] = root
-                reach.size[node_id] = 1
-                reach.has_core[node_id] = False
-                reach.demand[node_id] = 0.0
-                reach.revenue[node_id] = 0.0
-                reach.size[root] += 1
-                reach.has_core[root] = reach.has_core[root] or node.role == NodeRole.CORE
-                if is_customer:
-                    reach.demand[root] += node.demand
-                    reach.revenue[root] += self._revenue_of(node)
-        served_demand = 0.0
-        served_revenue = 0.0
-        for root in roots:
-            if root is not None and reach.has_core[root]:
-                served_demand += reach.demand[root]
-                served_revenue += reach.revenue[root]
         self._served_demand = served_demand
         self._served_revenue = served_revenue
 
@@ -668,9 +471,7 @@ class IncrementalState:
 
     def is_served(self, node_id: Any) -> bool:
         """Whether ``node_id``'s component contains a core node."""
-        if self._dyn is not None:
-            return self._dyn.has_core_component(node_id)
-        return self._reach.has_core[self._reach.find(node_id)]
+        return self._dyn.has_core_component(node_id)
 
     def _mean_customer_hops(self) -> float:
         version = self.topology.version
@@ -781,31 +582,17 @@ class IncrementalState:
         self._link_install += install
         self._link_usage += usage
         dyn = self._dyn
-        if dyn is not None:
-            if not dyn.connected(u, v):
-                side_u = dyn.summary(u)
-                side_v = dyn.summary(v)
-                if side_u.has_core and not side_v.has_core:
-                    self._served_demand += side_v.demand
-                    self._served_revenue += side_v.revenue
-                elif side_v.has_core and not side_u.has_core:
-                    self._served_demand += side_u.demand
-                    self._served_revenue += side_u.revenue
-            token = dyn.insert(u, v)
-            record.structure_undo.append(lambda: dyn.undo(token))
-            return
-        reach = self._reach
-        ra, rb = reach.find(u), reach.find(v)
-        if ra != rb:
-            core_a, core_b = reach.has_core[ra], reach.has_core[rb]
-            if core_a and not core_b:
-                self._served_demand += reach.demand[rb]
-                self._served_revenue += reach.revenue[rb]
-            elif core_b and not core_a:
-                self._served_demand += reach.demand[ra]
-                self._served_revenue += reach.revenue[ra]
-            token = reach.union(ra, rb)
-            record.structure_undo.append(lambda: reach.undo_union(token))
+        if not dyn.connected(u, v):
+            side_u = dyn.summary(u)
+            side_v = dyn.summary(v)
+            if side_u.has_core and not side_v.has_core:
+                self._served_demand += side_v.demand
+                self._served_revenue += side_v.revenue
+            elif side_v.has_core and not side_u.has_core:
+                self._served_demand += side_u.demand
+                self._served_revenue += side_u.revenue
+        token = dyn.insert(u, v)
+        record.structure_undo.append(lambda: dyn.undo(token))
 
     def _remove_links_inner(
         self, record: _UndoRecord, pairs: Sequence[Tuple[Any, Any]]
@@ -833,6 +620,7 @@ class IncrementalState:
         record.structure_undo.append(
             lambda: topology._restore_link_order(links_order, adjacency_order)
         )
+        dyn = self._dyn
         for link in links:
             topology.remove_link(link.source, link.target)
             # Re-insert the *original* Link object on revert: earlier undo
@@ -849,40 +637,27 @@ class IncrementalState:
             record.structure_undo.append(
                 lambda key=key, old=old_contrib: self._restore_contrib(key, old)
             )
-            dyn = self._dyn
-            if dyn is not None:
-                # Polylog deletion: query the doomed edge's component before
-                # the cut, delete (non-tree: O(log n); tree: bounded
-                # replacement search), and re-aggregate only when the
-                # component actually split.  The undo token replays inverse
-                # tree ops, so a rejected deletion reverts in O(log n) — no
-                # sweep, no O(V) snapshot.
-                u, v = link.source, link.target
-                before = dyn.summary(u)
-                token = dyn.delete(u, v)
-                record.structure_undo.append(lambda token=token: dyn.undo(token))
-                if not dyn.connected(u, v):
-                    side_u = dyn.summary(u)
-                    side_v = dyn.summary(v)
-                    if before.has_core:
-                        self._served_demand -= before.demand
-                        self._served_revenue -= before.revenue
-                        if side_u.has_core:
-                            self._served_demand += side_u.demand
-                            self._served_revenue += side_u.revenue
-                        if side_v.has_core:
-                            self._served_demand += side_v.demand
-                            self._served_revenue += side_v.revenue
-        if self._dyn is not None:
-            return
-        # Legacy fallback: a union-find cannot split, so rebuild reachability
-        # with one compiled-graph sweep — shared by the whole batch — and keep
-        # the old structure for an O(V) exact revert.  The restore goes
-        # through ``self._reach`` so it lands on whichever index object is
-        # current after the rebuild.
-        snap = self._reach.snapshot()
-        record.structure_undo.append(lambda: self._reach.restore(snap))
-        self._rebuild_reachability()
+            # Polylog deletion: query the doomed edge's component before the
+            # cut, delete (non-tree: O(log n); tree: bounded replacement
+            # search), and re-aggregate only when the component actually
+            # split.  The undo token replays inverse tree ops, so a rejected
+            # deletion reverts in O(log n) — no sweep, no O(V) snapshot.
+            u, v = link.source, link.target
+            before = dyn.summary(u)
+            token = dyn.delete(u, v)
+            record.structure_undo.append(lambda token=token: dyn.undo(token))
+            if not dyn.connected(u, v):
+                side_u = dyn.summary(u)
+                side_v = dyn.summary(v)
+                if before.has_core:
+                    self._served_demand -= before.demand
+                    self._served_revenue -= before.revenue
+                    if side_u.has_core:
+                        self._served_demand += side_u.demand
+                        self._served_revenue += side_u.revenue
+                    if side_v.has_core:
+                        self._served_demand += side_v.demand
+                        self._served_revenue += side_v.revenue
 
     def _restore_contrib(
         self, key: Tuple[Any, Any], old: Optional[Tuple[float, float]]

@@ -950,9 +950,8 @@ def failure_cascade(
     link whose load exceeds ``capacity * (1 + headroom)`` in ascending edge
     order, removes the batch through one
     :class:`~repro.optimization.incremental.RemoveLinks` move (incremental
-    deletions on the dynamic-connectivity engine — no reachability sweep,
-    ``KERNEL_COUNTERS.reachability_rebuilds`` stays at zero), and recompiles
-    the degraded graph.
+    deletions on the dynamic-connectivity engine, no reachability sweep),
+    and recompiles the degraded graph.
     Links without a finite installed capacity (``link.capacity is None``)
     never trip — run :func:`~repro.economics.provisioning.provision_topology`
     first to install capacities.  The cascade terminates because every

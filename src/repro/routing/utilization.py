@@ -5,49 +5,35 @@ The analysis entry points consume routing results uniformly: pass the
 the edge-load column is validated against the topology's *current* compiled
 snapshot (a stale result — the topology mutated since routing — raises
 :class:`~repro.topology.graph.TopologyError` instead of silently repricing
-against a different graph).  The legacy ``loads=`` column kwarg still works
-but raises :class:`DeprecationWarning`.
+against a different graph).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..topology.graph import Topology
 
 
-def _resolve_flow_loads(
-    topology: Topology,
-    flow: Any,
-    loads: Optional[Sequence[float]],
-    caller: str,
-) -> Optional[Sequence[float]]:
-    """Normalize the ``flow=`` / deprecated ``loads=`` arguments to a column.
+def _resolve_flow_loads(topology: Topology, flow: Any, caller: str) -> Optional[Sequence[float]]:
+    """The edge-load column of ``flow`` validated against ``topology``.
 
     ``flow`` is anything with a ``loads_for(topology)`` method (a
     :class:`~repro.routing.engine.FlowResult` or a temporal step result) —
-    the method validates the snapshot version and returns the edge column.
-    A bare sequence passed as ``flow`` is treated as a legacy positional
-    ``loads`` column, with the same :class:`DeprecationWarning` as the
-    ``loads=`` kwarg.  Returns ``None`` when neither was given (callers then
-    read the annotated ``Link.load`` values).
+    the method validates the snapshot version and returns the edge column,
+    aligned with ``topology.compiled().links``.  Returns ``None`` for
+    ``flow=None`` (callers then read the annotated ``Link.load`` values);
+    anything else, such as a bare load column, raises :class:`TypeError`.
     """
-    if flow is not None and loads is not None:
-        raise TypeError(f"{caller}() takes flow= or loads=, not both")
-    if flow is not None:
-        if hasattr(flow, "loads_for"):
-            return flow.loads_for(topology)
-        loads = flow  # legacy positional loads column
-    if loads is not None:
-        warnings.warn(
-            f"{caller}(loads=...) is deprecated; pass the FlowResult itself "
-            f"({caller}(topology, flow))",
-            DeprecationWarning,
-            stacklevel=3,
+    if flow is None:
+        return None
+    if not hasattr(flow, "loads_for"):
+        raise TypeError(
+            f"{caller}() takes a routing result with loads_for() as flow, "
+            f"got {type(flow).__name__}"
         )
-    return loads
+    return flow.loads_for(topology)
 
 
 def utilization_bin(utilization: float) -> float:
@@ -88,12 +74,7 @@ class UtilizationReport:
     utilization_histogram: Dict[float, int]
 
 
-def utilization_report(
-    topology: Topology,
-    flow: Any = None,
-    *,
-    loads: Optional[Sequence[float]] = None,
-) -> UtilizationReport:
+def utilization_report(topology: Topology, flow: Any = None) -> UtilizationReport:
     """Compute utilization statistics over all capacity-annotated links.
 
     Args:
@@ -105,11 +86,8 @@ def utilization_report(
             The result is validated against the topology's current snapshot;
             a stale result raises
             :class:`~repro.topology.graph.TopologyError`.
-        loads: Deprecated — a bare per-edge load column aligned with
-            ``topology.compiled()``; pass the routing result as ``flow``
-            instead.
     """
-    loads = _resolve_flow_loads(topology, flow, loads, "utilization_report")
+    loads = _resolve_flow_loads(topology, flow, "utilization_report")
     utilizations = []
     overloaded = []
     total_load = 0.0
@@ -120,10 +98,6 @@ def utilization_report(
         loads = [link.load for link in links]
     else:
         links = topology.compiled().links
-        if len(loads) != len(links):
-            raise ValueError(
-                f"loads column has {len(loads)} entries for {len(links)} links"
-            )
     for link, load in zip(links, loads):
         total_load += load
         capacity = link.capacity
@@ -169,8 +143,6 @@ def load_concentration(
     topology: Topology,
     top_fraction: float = 0.1,
     flow: Any = None,
-    *,
-    loads: Optional[Sequence[float]] = None,
 ) -> float:
     """Fraction of total traffic carried by the top ``top_fraction`` of links.
 
@@ -178,11 +150,11 @@ def load_concentration(
     (values near 1); uniform meshes spread it out.  ``flow`` optionally
     supplies a routing result (validated against the current snapshot, like
     :func:`utilization_report`) instead of the annotated ``Link.load``
-    values; ``loads`` (deprecated) accepts a bare column in any order.
+    values.
     """
     if not 0 < top_fraction <= 1:
         raise ValueError("top_fraction must be in (0, 1]")
-    loads = _resolve_flow_loads(topology, flow, loads, "load_concentration")
+    loads = _resolve_flow_loads(topology, flow, "load_concentration")
     if loads is None:
         loads = [link.load for link in topology.links()]
     ranked = sorted(loads, reverse=True)

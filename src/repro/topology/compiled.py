@@ -197,10 +197,10 @@ class KernelCounters:
     tripped by a failure cascade as ``cascade_trips``.  The dynamic
     connectivity engine (:mod:`repro.topology.dynconn`) records every
     Euler-tour link/cut as ``dynconn_tree_ops`` and every tree-edge
-    deletion's replacement hunt as ``dynconn_replacement_searches``, while
-    the move engine's guarded fallback records each full O(V+E) component
-    sweep as ``reachability_rebuilds`` — the E10/E13 gates assert the latter
-    stays at zero on deletion-bearing move sequences.
+    deletion's replacement hunt as ``dynconn_replacement_searches``.
+    Nothing increments ``reachability_rebuilds``, so it always reads 0; it
+    stays only because the repository benchmark (``perfbench/``) reads it by
+    key.
 
     Algorithm-count counters (``single_source``/``multi_source``/``bfs``/
     ``components``) are **backend-independent**: a batch scipy call records

@@ -1,15 +1,14 @@
 """Fully-dynamic connectivity with exact per-component service aggregates.
 
 The move engine (:mod:`repro.optimization.incremental`) answers "what does
-this change cost?" in O(Δ) for additions, but before this module every
-deletion — ``RemoveLink``, the removal half of ``Rewire``, each
-``RemoveLinks`` cascade batch — paid a full O(V+E) component sweep plus an
-O(V) union-find snapshot, because a union-find cannot split.  This module is
-the structure that can: a Holm–de Lichtenberg–Thorup (HDT) level-structured
-spanning forest over Euler-tour trees, giving amortized O(log² n) edge
-insertion/deletion, O(log n) connectivity queries, O(log n) per-component
-aggregate queries, and exact-undo tokens matching the move engine's LIFO
-rollback discipline.
+this change cost?" in O(Δ) for additions and deletions alike — ``AddLink``,
+``RemoveLink``, both halves of ``Rewire``, each ``RemoveLinks`` cascade
+batch — so its reachability structure must split components as cheaply as
+it joins them, which a union-find cannot.  This module is that structure: a
+Holm–de Lichtenberg–Thorup (HDT) level-structured spanning forest over
+Euler-tour trees, giving amortized O(log² n) edge insertion/deletion,
+O(log n) connectivity queries, O(log n) per-component aggregate queries, and
+exact-undo tokens matching the move engine's LIFO rollback discipline.
 
 Level structure
 ---------------

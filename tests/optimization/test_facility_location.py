@@ -6,6 +6,7 @@ import pytest
 
 from repro.geography.points import random_points
 from repro.optimization.facility_location import (
+    _assign_clients,
     choose_concentrator_count,
     greedy_facility_location,
     k_median,
@@ -95,6 +96,33 @@ class TestKMedian:
         with pytest.raises(ValueError):
             k_median([(0, 0)], [(0, 0)], k=2)
 
+    def test_pinned_solution_with_many_facilities(self):
+        # Facilities and cost bits as a grid-backed assignment also produced
+        # them at k >= 9: any faster assignment path must reproduce them.
+        rng = random.Random(9)
+        clients = [(rng.random(), rng.random()) for _ in range(50)]
+        weights = [float(rng.randint(1, 8)) for _ in range(50)]
+        solution = k_median(clients, clients, k=9, weights=weights, rng=random.Random(1))
+        assert solution.facilities == [0, 3, 4, 8, 20, 27, 33, 45, 49]
+        assert solution.connection_cost.hex() == "0x1.4a0d3e0092079p+4"
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -50.0])
+    def test_bad_weights_rejected(self, bad):
+        clients = two_clusters()
+        weights = [1.0] * len(clients)
+        weights[3] = bad
+        with pytest.raises(ValueError, match="weights"):
+            greedy_facility_location(clients, clients, 0.05, weights=weights)
+        with pytest.raises(ValueError, match="weights"):
+            k_median(clients, clients, k=2, weights=weights)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_opening_cost_rejected(self, bad):
+        with pytest.raises(ValueError, match="opening_cost"):
+            greedy_facility_location(two_clusters(), two_clusters(), bad)
+
 
 class TestConcentratorCount:
     def test_rounding_up(self):
@@ -111,54 +139,13 @@ class TestConcentratorCount:
             choose_concentrator_count(5, clients_per_concentrator=0)
 
 
-class TestAssignClientsSpatialIndex:
-    """Grid-backed nearest-facility assignment matches the brute-force scan."""
-
-    def test_equivalent_on_random_instances(self):
-        from repro.optimization.facility_location import _assign_clients
-
-        rng = random.Random(7)
-        for _ in range(20):
-            n = rng.randrange(4, 80)
-            clients = [(rng.random() * 40.0, rng.random() * 40.0) for _ in range(n)]
-            weights = [rng.uniform(0.5, 4.0) for _ in range(n)]
-            k = rng.randrange(1, min(n, 20))
-            open_facilities = rng.sample(range(n), k)
-            grid = _assign_clients(
-                clients, weights, clients, open_facilities, use_spatial_index=True
-            )
-            scan = _assign_clients(
-                clients, weights, clients, open_facilities, use_spatial_index=False
-            )
-            assert grid[0] == scan[0]
-            assert grid[1] == scan[1]
-
+class TestAssignClients:
     def test_tie_breaks_toward_scan_order(self):
-        from repro.optimization.facility_location import _assign_clients
-
-        # Two facilities equidistant from the client; the scan keeps the first
-        # entry of ``open_facilities`` — the grid must do the same.
+        # Two facilities equidistant from the client: the first entry of
+        # ``open_facilities`` wins.
         clients = [(0.0, 0.0)]
         candidates = [(1.0, 0.0), (-1.0, 0.0)]
         for order in ([1, 0], [0, 1]):
-            grid = _assign_clients(clients, [1.0], candidates, order, use_spatial_index=True)
-            scan = _assign_clients(clients, [1.0], candidates, order, use_spatial_index=False)
-            assert grid[0] == scan[0] == {0: order[0]}
-
-    def test_k_median_unchanged_by_grid_threshold(self):
-        # End-to-end: k_median over enough facilities to cross the grid
-        # threshold gives the same solution as with the scan forced.
-        from repro.optimization import facility_location as fl
-
-        rng_points = random.Random(9)
-        clients = [(rng_points.random(), rng_points.random()) for _ in range(120)]
-        baseline = k_median(clients, clients, k=12, rng=random.Random(1))
-        original = fl.SPATIAL_INDEX_THRESHOLD
-        try:
-            fl.SPATIAL_INDEX_THRESHOLD = 10**9  # force the linear scan
-            scan = k_median(clients, clients, k=12, rng=random.Random(1))
-        finally:
-            fl.SPATIAL_INDEX_THRESHOLD = original
-        assert baseline.facilities == scan.facilities
-        assert baseline.assignment == scan.assignment
-        assert baseline.connection_cost == scan.connection_cost
+            assignment, cost = _assign_clients(clients, [1.0], candidates, order)
+            assert assignment == {0: order[0]}
+            assert cost == 1.0

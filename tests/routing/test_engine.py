@@ -212,9 +212,7 @@ class TestArrayBoundary:
         endpoint_map = {str(i): i for i in range(n)}
         flow = route_demand(compile_demand(topo, demand, endpoint_map))
 
-        column_report = provision_topology(
-            topo, default_catalog(), loads=flow.edge_loads
-        )
+        column_report = provision_topology(topo, default_catalog(), flow=flow)
         column_state = [
             (link.load, link.capacity, link.cable, link.install_cost)
             for link in topo.links()
@@ -234,14 +232,7 @@ class TestArrayBoundary:
         demand = DemandMatrix(endpoints=["x", "z"])
         demand.set_demand("x", "z", 6.0)
         flow = route_demand(compile_demand(topo, demand))
-        provision_topology(topo, default_catalog(), loads=flow.edge_loads)
-        from_column = utilization_report(topo, loads=flow.edge_loads)
+        provision_topology(topo, default_catalog(), flow=flow)
+        from_column = utilization_report(topo, flow=flow)
         from_links = utilization_report(topo)
         assert from_column == from_links
-
-    def test_loads_column_length_mismatch_rejected(self):
-        topo = line_topology()
-        with pytest.raises(ValueError):
-            provision_topology(topo, default_catalog(), loads=[1.0])
-        with pytest.raises(ValueError):
-            utilization_report(topo, loads=[1.0, 2.0, 3.0])

@@ -2,8 +2,8 @@
 
 Covers the API-redesign contract of the routing package: every public
 routing symbol is importable from ``repro.routing``, analysis entry points
-consume :class:`~repro.routing.engine.FlowResult` uniformly (the legacy
-``loads=`` column kwarg warns), stale results raise
+consume :class:`~repro.routing.engine.FlowResult` uniformly (a bare load
+column is rejected), stale results raise
 :class:`~repro.topology.graph.TopologyError` instead of silently repricing,
 and :class:`~repro.routing.options.RoutingOptions` validation names the bad
 field.
@@ -110,29 +110,15 @@ class TestFlowResultConsumers:
         assert report.total_load == pytest.approx(sum(flow.loads_list()))
         assert not report.overloaded_links
 
-    def test_legacy_loads_kwarg_warns_and_matches(self):
+    def test_bare_loads_column_rejected(self):
         topo, demand = small_instance()
-        flow = route_demand(topo, demand)
-        provision_topology(topo, default_catalog(), flow=flow)
-        via_flow = utilization_report(topo, flow)
-        with pytest.warns(DeprecationWarning, match="utilization_report"):
-            via_loads = utilization_report(topo, loads=flow.loads_list())
-        assert via_loads == via_flow
-        with pytest.warns(DeprecationWarning, match="load_concentration"):
-            concentration = load_concentration(topo, loads=flow.loads_list())
-        assert concentration == load_concentration(topo, flow=flow)
-
-    def test_provision_topology_legacy_loads_warns(self):
-        topo, demand = small_instance()
-        flow = route_demand(topo, demand)
-        with pytest.warns(DeprecationWarning, match="provision_topology"):
-            provision_topology(topo, default_catalog(), loads=flow.loads_list())
-
-    def test_flow_and_loads_together_rejected(self):
-        topo, demand = small_instance()
-        flow = route_demand(topo, demand)
-        with pytest.raises(TypeError, match="not both"):
-            utilization_report(topo, flow, loads=flow.loads_list())
+        column = route_demand(topo, demand).loads_list()
+        with pytest.raises(TypeError, match="utilization_report"):
+            utilization_report(topo, column)
+        with pytest.raises(TypeError, match="load_concentration"):
+            load_concentration(topo, 0.1, column)
+        with pytest.raises(TypeError, match="provision_topology"):
+            provision_topology(topo, default_catalog(), 1.0, 0.0, column)
 
     def test_stale_flow_result_rejected(self):
         topo, demand = small_instance()
