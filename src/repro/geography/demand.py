@@ -11,6 +11,7 @@ uniform model used as an ablation baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .points import euclidean
@@ -55,7 +56,9 @@ class DemandMatrix:
         array-native builders (:func:`gravity_demand`, :func:`uniform_demand`
         and the :mod:`repro.workloads.matrices` constructors).  Validation
         runs once over the columns instead of once per ``set_demand`` call,
-        and no intermediate pair-keyed dictionary is built.
+        and no intermediate pair-keyed dictionary is built: an index outside
+        ``endpoints`` (negative ones included) and a NaN, infinite or
+        negative volume raise :class:`ValueError` naming the column entry.
         """
         names = list(endpoints)
         matrix = cls(endpoints=names)
@@ -63,11 +66,16 @@ class DemandMatrix:
             raise ValueError("sources, targets, and volumes must align")
         key = cls._key
         demands = matrix._demands
-        for i, j, volume in zip(sources, targets, volumes):
+        n = len(names)
+        for k, (i, j, volume) in enumerate(zip(sources, targets, volumes)):
+            if not 0 <= i < n:
+                raise ValueError(f"sources[{k}] = {i} is not an index into {n} endpoints")
+            if not 0 <= j < n:
+                raise ValueError(f"targets[{k}] = {j} is not an index into {n} endpoints")
             if i == j:
                 raise ValueError("self-demand is not allowed")
-            if volume < 0:
-                raise ValueError(f"demand must be non-negative, got {volume}")
+            if not 0 <= volume < inf:
+                raise ValueError(f"volumes[{k}] must be finite and non-negative, got {volume}")
             demands[key(names[i], names[j])] = volume
         return matrix
 
@@ -83,13 +91,18 @@ class DemandMatrix:
         return compile_demand(topology, self, endpoint_map)
 
     def set_demand(self, a: str, b: str, volume: float) -> None:
-        """Set the demand between two distinct endpoints."""
+        """Set the demand between two distinct endpoints.
+
+        ``volume`` must be finite and non-negative: a NaN would be stored and
+        then silently dropped by :meth:`pairs`, and an infinite one would
+        load every edge of its path with ``inf``.
+        """
         if a == b:
             raise ValueError("self-demand is not allowed")
         if a not in self._index or b not in self._index:
             raise KeyError(f"unknown endpoint in pair ({a!r}, {b!r})")
-        if volume < 0:
-            raise ValueError(f"demand must be non-negative, got {volume}")
+        if not 0 <= volume < inf:
+            raise ValueError(f"volume must be finite and non-negative, got {volume}")
         self._demands[self._key(a, b)] = volume
 
     def demand(self, a: str, b: str) -> float:
@@ -120,9 +133,9 @@ class DemandMatrix:
         return ranked[:k]
 
     def scaled(self, factor: float) -> "DemandMatrix":
-        """Return a copy with every demand multiplied by ``factor``."""
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
+        """Return a copy with every demand multiplied by a finite ``factor >= 0``."""
+        if not 0 <= factor < inf:
+            raise ValueError(f"factor must be finite and non-negative, got {factor}")
         scaled = DemandMatrix(endpoints=list(self.endpoints))
         for a, b, volume in self.pairs():
             scaled.set_demand(a, b, volume * factor)
@@ -203,9 +216,7 @@ def uniform_demand(names: Sequence[str], total_volume: float = 1000.0) -> Demand
     return DemandMatrix.from_arrays(names, sources, targets, [per_pair] * num_pairs)
 
 
-def access_demands(
-    populations: Sequence[float], per_capita: float = 0.001
-) -> List[float]:
+def access_demands(populations: Sequence[float], per_capita: float = 0.001) -> List[float]:
     """Access-link demand of customer sites proportional to served population."""
     if per_capita < 0:
         raise ValueError("per_capita must be non-negative")

@@ -159,17 +159,13 @@ def route_customer_demand_to_core(
             link.load = 0.0
     result = AssignmentResult()
     if not cores:
-        result.unrouted_pairs = [
-            (str(c.node_id), "<no-core>", c.demand) for c in customers
-        ]
+        result.unrouted_pairs = [(str(c.node_id), "<no-core>", c.demand) for c in customers]
         return result
 
     graph = topology.compiled()
     weights = graph.edge_weights(resolve_weight(weight))
     core_indices = [graph.index_of[core] for core in cores]
-    dist, pred, pred_edge, origin = multi_source_dijkstra_indices(
-        graph, core_indices, weights
-    )
+    dist, pred, pred_edge, origin = multi_source_dijkstra_indices(graph, core_indices, weights)
     ids = graph.ids
     edge_keys = graph.edge_keys
     edge_links = graph.links
@@ -177,9 +173,7 @@ def route_customer_demand_to_core(
     for customer in customers:
         customer_index = graph.index_of[customer.node_id]
         if dist[customer_index] == inf:
-            result.unrouted_pairs.append(
-                (str(customer.node_id), "<unreachable>", customer.demand)
-            )
+            result.unrouted_pairs.append((str(customer.node_id), "<unreachable>", customer.demand))
             continue
         # The predecessor tree is rooted at the cores, so walking it from the
         # customer yields the customer→core path directly, links included.

@@ -32,11 +32,16 @@ Backends
 --------
 
 ``route_demand`` takes the library-wide ``backend=`` switch (see
-:mod:`repro.topology.compiled`).  The ``"python"`` path is the canonical
-reference: one heapq Dijkstra per unique source, predecessor-tree scatter in
-reverse tree-BFS order.  The ``"numpy"`` path batches sources through
-``scipy.sparse.csgraph.dijkstra`` (many sources per call over the cached CSR
-matrix) and replaces the per-node Python loops with array programs:
+:mod:`repro.topology.compiled`).  Both backends run one per-source loop, the
+same one that :mod:`repro.routing.temporal` re-resolves sources through: per
+source, sum its positive pair volumes onto their reachable targets, then
+scatter that flow down the shortest-path tree (or DAG).  Only the search and
+the scatter kernels differ.  The ``"python"`` path is the canonical
+reference: one heapq Dijkstra per source in first-appearance order,
+predecessor-tree scatter in reverse tree-BFS order.  The ``"numpy"`` path
+searches sources in sorted order, many per ``scipy.sparse.csgraph.dijkstra``
+call over the cached CSR matrix, and replaces the per-node Python loops with
+array programs:
 
 * **Single-path scatter**: tree depths are computed from the predecessor
   array by pointer doubling (O(V log depth)), giving a topological order of
@@ -55,17 +60,19 @@ nonpositive weight columns fall back to the Python path, while an explicit
 ``backend="numpy"`` raises instead of silently falling back.
 
 Backend equivalence: distances are backend-identical, so *which* pairs route
-and the per-source search plan agree exactly; counters
-(``traffic_batched_sources``/``traffic_assigned_pairs``/
-``traffic_ecmp_splits``) are backend-independent.  Edge loads agree
-bit-for-bit on integral volumes, and to float-accumulation tolerance
-otherwise (sources are processed in sorted rather than first-appearance
-order, and subtree sums associate differently).  In single-path mode under
-*tied* shortest paths (e.g. hop weights), scipy's predecessor tree may pick
-a different — equally shortest — tied optimum than the canonical Python
-tree; callers whose outputs depend on that choice pin ``backend="python"``
-(the E11 suite does) or use ECMP mode, where tie handling is explicit and
-backend-independent.
+and the per-source search plan agree exactly.  Each source's routed volume is
+summed in pair order and the sources are tallied in first-appearance order
+on both backends, so ``routed_volume`` (to the bit), ``routed_pairs`` and
+the ``unrouted`` list (order included) are backend-identical; so are the
+counters (``traffic_batched_sources``/``traffic_assigned_pairs``/
+``traffic_ecmp_splits``).  Edge loads agree bit-for-bit on integral volumes,
+and to float-accumulation tolerance otherwise (the numpy path scatters
+sources in sorted rather than first-appearance order, and its subtree sums
+associate differently).  In single-path mode under *tied* shortest paths
+(e.g. hop weights), scipy's predecessor tree may pick a different — equally
+shortest — tied optimum than the canonical Python tree; callers whose outputs
+depend on that choice pin ``backend="python"`` (the E11 suite does) or use
+ECMP mode, where tie handling is explicit and backend-independent.
 
 Equivalence contract with the per-pair reference
 (:func:`repro.routing.assignment.assign_demand` with ``method="per-pair"``),
@@ -92,7 +99,18 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from math import inf
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from ..topology.compiled import (
     BATCH_CHUNK_CELLS,
@@ -152,18 +170,6 @@ class CompiledDemand:
     def total_volume(self) -> float:
         """Total compiled volume (excludes unmatched pairs)."""
         return sum(self.volumes)
-
-    def pair_positions_by_source(self) -> Iterator[Tuple[int, List[int]]]:
-        """Yield ``(source_index, pair_positions)`` groups.
-
-        Sources come in first-appearance order and positions preserve pair
-        order, so per-source processing visits every pair exactly once in a
-        deterministic order.
-        """
-        groups: Dict[int, List[int]] = {}
-        for position, source in enumerate(self.sources):
-            groups.setdefault(source, []).append(position)
-        yield from groups.items()
 
 
 def compile_demand(
@@ -248,6 +254,9 @@ class FlowResult:
     unrouted: List[Tuple[str, str, float]]
     mode: str
 
+    #: How :meth:`loads_for` names a stale result of this class.
+    _stale_name: ClassVar[str] = "FlowResult"
+
     @property
     def unrouted_volume(self) -> float:
         """Total volume that could not be routed."""
@@ -260,11 +269,7 @@ class FlowResult:
     def link_loads(self) -> Dict[Tuple[Any, Any], float]:
         """Boundary conversion: loaded edges as a canonical-key dictionary."""
         edge_keys = self.graph.edge_keys
-        return {
-            edge_keys[e]: load
-            for e, load in enumerate(self.loads_list())
-            if load != 0.0
-        }
+        return {edge_keys[e]: load for e, load in enumerate(self.loads_list()) if load != 0.0}
 
     def flush(self, reset: bool = True) -> None:
         """Write the edge load column back onto the live ``Link`` objects.
@@ -306,7 +311,7 @@ class FlowResult:
         graph = topology.compiled()
         if graph is not self.graph:
             raise TopologyError(
-                f"stale FlowResult: routed against snapshot version "
+                f"stale {self._stale_name}: routed against snapshot version "
                 f"{self.graph.version}, but topology {topology.name!r} now "
                 f"compiles to version {graph.version} — re-route the demand "
                 f"instead of repricing a stale load column"
@@ -370,69 +375,77 @@ def route_demand(
     opts = RoutingOptions.normalize(
         options, weight=weight, mode=mode, method=method, backend=backend
     )
-    return _route_compiled(_resolve_demand(topology, demand, endpoint_map), opts)
+    compiled = _resolve_compiled(
+        "route_demand", topology, demand, endpoint_map, compile_demand, CompiledDemand
+    )
+    return _route_compiled(compiled, opts)
 
 
-def _resolve_demand(
-    topology: Any, demand: Any, endpoint_map: Optional[Dict[str, Any]]
-) -> CompiledDemand:
-    """Normalize the façade's two calling forms to one ``CompiledDemand``."""
-    if isinstance(topology, CompiledDemand):
+def _resolve_compiled(
+    entry: str,
+    topology: Any,
+    demand: Any,
+    endpoint_map: Optional[Dict[str, Any]],
+    compile_fn: Callable[..., Any],
+    compiled_type: type,
+    raw_type: Optional[type] = None,
+    compiled_first: bool = True,
+) -> Any:
+    """Normalize a routing entry point's calling forms to one compiled input.
+
+    Shared by ``route_demand``, ``route_series`` and ``failure_cascade``:
+    ``entry(compiled)`` (only when ``compiled_first``), ``entry(topology,
+    compiled)``, checked against the topology's current snapshot, and
+    ``entry(topology, raw)``, compiled with ``compile_fn``.  A raw input is a
+    ``raw_type`` instance, or anything with ``pairs()`` (a demand matrix)
+    when ``raw_type`` is None.
+    """
+    compiled_name = compiled_type.__name__
+    raw_name = raw_type.__name__ if raw_type else "DemandMatrix"
+    if compiled_first and isinstance(topology, compiled_type):
         if demand is not None:
             raise TypeError(
-                "route_demand(compiled_demand) takes no second demand "
-                "argument; use route_demand(topology, demand) to compile "
-                "and route in one call"
+                f"{entry}({compiled_name}) takes no second argument; use "
+                f"{entry}(topology, {raw_name}) to compile and route in one call"
             )
-        if endpoint_map is not None:
-            raise TypeError(
-                "endpoint_map only applies when route_demand compiles a "
-                "DemandMatrix; this demand is already compiled"
-            )
-        return topology
-    if isinstance(topology, Topology):
-        if isinstance(demand, CompiledDemand):
-            if endpoint_map is not None:
-                raise TypeError(
-                    "endpoint_map only applies when route_demand compiles a "
-                    "DemandMatrix; this demand is already compiled"
-                )
-            graph = topology.compiled()
-            if demand.graph is not graph:
-                raise TopologyError(
-                    f"stale CompiledDemand: compiled against snapshot version "
-                    f"{demand.graph.version}, but topology {topology.name!r} "
-                    f"now compiles to version {graph.version} — recompile "
-                    f"with compile_demand()"
-                )
-            return demand
-        if demand is None or not hasattr(demand, "pairs"):
-            raise TypeError(
-                f"route_demand(topology, demand) needs a DemandMatrix or "
-                f"CompiledDemand, got {type(demand).__name__}"
-            )
-        return compile_demand(topology, demand, endpoint_map)
-    raise TypeError(
-        f"route_demand expects a Topology or CompiledDemand first, "
-        f"got {type(topology).__name__}"
-    )
+        compiled = topology
+    elif not isinstance(topology, Topology):
+        accepted = f"a Topology or {compiled_name}" if compiled_first else "a Topology"
+        raise TypeError(f"{entry} expects {accepted} first, got {type(topology).__name__}")
+    elif isinstance(demand, compiled_type):
+        compiled = demand
+    elif isinstance(demand, raw_type) if raw_type else hasattr(demand, "pairs"):
+        return compile_fn(topology, demand, endpoint_map)
+    else:
+        raise TypeError(
+            f"{entry}(topology, ...) needs a {raw_name} or {compiled_name}, "
+            f"got {type(demand).__name__}"
+        )
+    if endpoint_map is not None:
+        raise TypeError(
+            f"endpoint_map only applies when {entry} compiles a {raw_name}; "
+            f"this {compiled_name} is already compiled"
+        )
+    if isinstance(topology, Topology) and compiled.graph is not topology.compiled():
+        raise TopologyError(
+            f"stale {compiled_name}: compiled against snapshot version "
+            f"{compiled.graph.version}, but topology {topology.name!r} now compiles "
+            f"to version {topology.compiled().version} — recompile with "
+            f"{compile_fn.__name__}()"
+        )
+    return compiled
 
 
 def _route_compiled(demand: CompiledDemand, opts: RoutingOptions) -> FlowResult:
     """Route a compiled demand under validated options (the engine proper)."""
     weight, mode, method, backend = opts.weight, opts.mode, opts.method, opts.backend
-    graph = demand.graph
-    weights = graph.edge_weight_column(weight, resolve_weight(weight))
-    positive = graph.num_edges == 0 or _column_min(weights) > 0
-    if mode == "ecmp" and not positive:
-        raise ValueError("ECMP routing requires strictly positive weights")
     if method == "hierarchical":
         from .hierarchical import route_demand_hierarchical
 
-        return route_demand_hierarchical(
-            demand, weight=weight, mode=mode, backend=backend
-        )
-    if method == "auto" and mode == "single" and positive and _auto_hierarchical(demand):
+        return route_demand_hierarchical(demand, weight=weight, mode=mode, backend=backend)
+    graph = demand.graph
+    weights = graph.edge_weight_column(weight, resolve_weight(weight))
+    if method == "auto" and mode == "single" and _auto_hierarchical(demand, weights):
         from .hierarchical import (
             AUTO_MESH_CELLS,
             OverlayTooLarge,
@@ -449,71 +462,22 @@ def _route_compiled(demand: CompiledDemand, opts: RoutingOptions) -> FlowResult:
             )
         except OverlayTooLarge:
             pass  # mesh over budget: flat batched routing wins this shape
-    if resolve_backend(backend) == "numpy" and graph.num_edges > 0:
-        if positive:
-            return _route_demand_numpy(demand, weights, mode)
-        if backend == "numpy":
-            raise ValueError(
-                "backend='numpy' routing requires strictly positive weights"
-            )
-    return _route_demand_python(demand, weights, mode)
-
-
-def _auto_hierarchical(demand: CompiledDemand) -> bool:
-    """Whether ``method="auto"`` should even consider the overlay path.
-
-    Hierarchical routing pays an overlay build; it wins when many unique
-    sources would each cost a full-graph search on a large graph.  Thresholds
-    live in :mod:`repro.routing.hierarchical` (imported lazily — the engine
-    is also the overlay's scatter substrate).
-    """
-    graph = demand.graph
-    if graph.num_edges == 0:
-        return False
-    from .hierarchical import AUTO_MIN_NODES, AUTO_MIN_UNIQUE_SOURCES
-
-    if graph.num_nodes < AUTO_MIN_NODES:
-        return False
-    return len(set(demand.sources)) >= AUTO_MIN_UNIQUE_SOURCES
-
-
-def _route_demand_python(
-    demand: CompiledDemand, weights: Any, mode: str
-) -> FlowResult:
-    """The canonical per-source loop: heapq Dijkstra + predecessor scatter."""
-    graph = demand.graph
-    edge_loads = array("d", [0.0]) * graph.num_edges
-    unrouted = list(demand.unmatched)
-    routed_volume = 0.0
-    routed_pairs = 0
-    volumes = demand.volumes
-    targets = demand.targets
-    labels = demand.labels
-    n = graph.num_nodes
-    for source, positions in demand.pair_positions_by_source():
-        dist, pred, pred_edge = dijkstra_indices(graph, source, weights)
-        KERNEL_COUNTERS.traffic_batched_sources += 1
-        node_flow = array("d", [0.0]) * n
-        group_volume = 0.0
-        group_pairs = 0
-        for position in positions:
-            target = targets[position]
-            volume = volumes[position]
-            if dist[target] == inf:
-                unrouted.append((*labels[position], volume))
-                continue
-            node_flow[target] += volume
-            group_volume += volume
-            group_pairs += 1
-        KERNEL_COUNTERS.traffic_assigned_pairs += group_pairs
-        routed_pairs += group_pairs
-        routed_volume += group_volume
-        if group_volume == 0.0:
-            continue
-        if mode == "single":
-            _scatter_tree(graph, source, pred, pred_edge, node_flow, edge_loads)
-        else:
-            _scatter_ecmp(graph, source, dist, weights, node_flow, edge_loads)
+    use_numpy = _select_backend(graph, weights, opts)
+    edge_loads = _zero_column(graph.num_edges, use_numpy)
+    groups = _source_groups(demand.sources)
+    flows = _route_sources(
+        graph,
+        weights,
+        mode,
+        use_numpy,
+        groups,
+        groups,
+        demand.targets,
+        demand.volumes,
+        demand.labels,
+        edge_loads,
+    )
+    routed_volume, routed_pairs, unrouted = _tally(groups, flows, demand.unmatched)
     return FlowResult(
         graph=graph,
         edge_loads=edge_loads,
@@ -524,11 +488,201 @@ def _route_demand_python(
     )
 
 
+def _auto_hierarchical(demand: CompiledDemand, weights: Any) -> bool:
+    """Whether ``method="auto"`` should even consider the overlay path.
+
+    Hierarchical routing pays an overlay build; it wins when many unique
+    sources would each cost a full-graph search on a large graph with
+    strictly positive weights.  Thresholds live in
+    :mod:`repro.routing.hierarchical` (imported lazily — the engine is also
+    the overlay's scatter substrate).
+    """
+    graph = demand.graph
+    if graph.num_edges == 0:
+        return False
+    from .hierarchical import AUTO_MIN_NODES, AUTO_MIN_UNIQUE_SOURCES
+
+    if graph.num_nodes < AUTO_MIN_NODES or _column_min(weights) <= 0:
+        return False
+    return len(set(demand.sources)) >= AUTO_MIN_UNIQUE_SOURCES
+
+
+def _select_backend(graph: CompiledGraph, weights: Any, opts: RoutingOptions) -> bool:
+    """The flat engine's backend dispatch: True for the numpy path.
+
+    ECMP and the numpy path require strictly positive weights;
+    ``backend="auto"`` falls back to Python on a nonpositive column while an
+    explicit ``backend="numpy"`` raises.
+    """
+    positive = graph.num_edges == 0 or _column_min(weights) > 0
+    if opts.mode == "ecmp" and not positive:
+        raise ValueError("ECMP routing requires strictly positive weights")
+    if resolve_backend(opts.backend) == "numpy" and graph.num_edges > 0:
+        if positive:
+            return True
+        if opts.backend == "numpy":
+            raise ValueError("backend='numpy' routing requires strictly positive weights")
+    return False
+
+
+# ----------------------------------------------------------------------
+# The per-source loop shared by route_demand, route_series and
+# failure_cascade
+# ----------------------------------------------------------------------
+class _SourceFlow(NamedTuple):
+    """One source's share of a routing pass.
+
+    Attributes:
+        volume: Volume routed from this source (summed in pair order).
+        pairs: Pairs routed from this source.
+        unrouted: ``(a, b, volume)`` of its pairs with unreachable targets.
+        column: The load column its flow was scattered into; ``None`` when
+            the source carried no flow.
+    """
+
+    volume: float
+    pairs: int
+    unrouted: List[Tuple[str, str, float]]
+    column: Any
+
+
+def _source_groups(sources: array) -> Dict[int, List[int]]:
+    """Pair positions grouped by source, sources in first-appearance order."""
+    groups: Dict[int, List[int]] = {}
+    for position, source in enumerate(sources):
+        groups.setdefault(source, []).append(position)
+    return groups
+
+
+def _zero_column(length: int, use_numpy: bool) -> Any:
+    """A zeroed float column in the chosen backend's array type."""
+    if use_numpy:
+        return _np.zeros(length, dtype=_np.float64)
+    return array("d", [0.0]) * length
+
+
+def _tally(
+    groups: Dict[int, List[int]],
+    flows: Dict[int, _SourceFlow],
+    unmatched: List[Tuple[str, str, float]],
+) -> Tuple[float, int, List[Tuple[str, str, float]]]:
+    """Routed volume, routed pairs and unrouted pairs, in source-group order."""
+    routed_volume = 0.0
+    routed_pairs = 0
+    unrouted = list(unmatched)
+    for source in groups:
+        flow = flows[source]
+        routed_volume += flow.volume
+        routed_pairs += flow.pairs
+        unrouted.extend(flow.unrouted)
+    return routed_volume, routed_pairs, unrouted
+
+
+def _route_sources(
+    graph: CompiledGraph,
+    weights: Any,
+    mode: str,
+    use_numpy: bool,
+    sources: Iterable[int],
+    groups: Dict[int, List[int]],
+    targets: array,
+    volumes: array,
+    labels: List[Tuple[str, str]],
+    column: Any = None,
+) -> Dict[int, _SourceFlow]:
+    """Search each source, gather its pair volumes, and scatter its flow.
+
+    Sources whose ``groups`` positions carry no positive volume are not
+    searched.  For every other source, one search (:func:`_searches`) finds
+    which targets are reachable; their positive volumes are summed onto the
+    target nodes in pair order and scattered down the shortest-path tree
+    (single) or DAG (ECMP) into ``column``, or into a fresh column per
+    source when ``column`` is None (the temporal engine retains those).
+    Returns each source's :class:`_SourceFlow`.
+    """
+    flows: Dict[int, _SourceFlow] = {}
+    active = []
+    for source in sources:
+        if any(volumes[p] > 0.0 for p in groups[source]):
+            active.append(source)
+        else:
+            flows[source] = _SourceFlow(0.0, 0, [], None)
+    scatter_tree = _scatter_tree_numpy if use_numpy else _scatter_tree
+    scatter_ecmp = _scatter_ecmp_numpy if use_numpy else _scatter_ecmp
+    for source, dist, tree in _searches(graph, weights, mode, use_numpy, active):
+        node_flow = _zero_column(graph.num_nodes, use_numpy)
+        routed_volume = 0.0
+        routed_pairs = 0
+        unrouted: List[Tuple[str, str, float]] = []
+        for p in groups[source]:
+            volume = volumes[p]
+            if volume <= 0.0:
+                continue
+            target = targets[p]
+            if dist[target] == inf:
+                unrouted.append((*labels[p], volume))
+                continue
+            node_flow[target] += volume
+            routed_volume += volume
+            routed_pairs += 1
+        KERNEL_COUNTERS.traffic_assigned_pairs += routed_pairs
+        into = None
+        if routed_pairs:
+            into = _zero_column(graph.num_edges, use_numpy) if column is None else column
+            if mode == "single":
+                scatter_tree(graph, source, tree, node_flow, into)
+            else:
+                scatter_ecmp(graph, source, dist, weights, node_flow, into)
+        flows[source] = _SourceFlow(routed_volume, routed_pairs, unrouted, into)
+    return flows
+
+
+def _searches(
+    graph: CompiledGraph, weights: Any, mode: str, use_numpy: bool, sources: List[int]
+) -> Iterator[Tuple[int, Any, Any]]:
+    """One shortest-path search per source, yielded as ``(source, dist, tree)``.
+
+    ``tree`` is what the single-path scatter reads.  The Python path runs one
+    heapq Dijkstra per source in the given order and yields ``(pred,
+    pred_edge)``.  The numpy path searches the sources in sorted order, many
+    per ``csgraph`` call (chunked to
+    :data:`~repro.topology.compiled.BATCH_CHUNK_CELLS`), and yields the
+    predecessor row (``None`` in ECMP mode, which reads distances only).
+    Counter accounting is backend-independent: one
+    ``traffic_batched_sources`` and one ``single_source`` per source; the
+    batches additionally land in ``batch_dijkstra_calls``/
+    ``batch_sources_total``.
+    """
+    if not use_numpy:
+        for source in sources:
+            dist, pred, pred_edge = dijkstra_indices(graph, source, weights)
+            KERNEL_COUNTERS.traffic_batched_sources += 1
+            yield source, dist, (pred, pred_edge)
+        return
+    matrix = graph.scipy_csr(weights)
+    need_pred = mode == "single"
+    order = sorted(sources)
+    chunk = max(1, BATCH_CHUNK_CELLS // max(1, graph.num_nodes))
+    for start in range(0, len(order), chunk):
+        batch = order[start : start + chunk]
+        KERNEL_COUNTERS.batch_dijkstra_calls += 1
+        KERNEL_COUNTERS.batch_sources_total += len(batch)
+        KERNEL_COUNTERS.traffic_batched_sources += len(batch)
+        KERNEL_COUNTERS.single_source += len(batch)
+        if need_pred:
+            dist_rows, pred_rows = _scipy_dijkstra(
+                matrix, directed=False, indices=batch, return_predecessors=True
+            )
+        else:
+            dist_rows = _scipy_dijkstra(matrix, directed=False, indices=batch)
+            pred_rows = [None] * len(batch)
+        yield from zip(batch, dist_rows, pred_rows)
+
+
 def _scatter_tree(
     graph: CompiledGraph,
     source: int,
-    pred: List[int],
-    pred_edge: List[int],
+    tree: Tuple[List[int], List[int]],
     node_flow: array,
     edge_loads: array,
 ) -> None:
@@ -538,6 +692,7 @@ def _scatter_tree(
     every node is visited after all of its tree children, so each edge
     receives its whole subtree flow with a single addition.
     """
+    pred, pred_edge = tree
     children: List[List[int]] = [[] for _ in range(graph.num_nodes)]
     for v, parent in enumerate(pred):
         if parent != -1:
@@ -583,9 +738,7 @@ def _scatter_ecmp(
         if v == source:
             continue
         preds = [
-            (e, u)
-            for u, e in rows[v]
-            if dist[u] != inf and dist[u] + weight_values[e] == dist[v]
+            (e, u) for u, e in rows[v] if dist[u] != inf and dist[u] + weight_values[e] == dist[v]
         ]
         preds.sort()
         dag_preds[v] = preds
@@ -607,92 +760,8 @@ def _scatter_ecmp(
             node_flow[u] += share
 
 
-def _route_demand_numpy(
-    demand: CompiledDemand, weights: Any, mode: str
-) -> FlowResult:
-    """Batched route: chunked ``csgraph.dijkstra`` + vectorized scatter.
-
-    Sources are deduplicated and searched in sorted order, many per scipy
-    call (chunked to :data:`~repro.topology.compiled.BATCH_CHUNK_CELLS`).
-    Counter accounting matches the Python path: one
-    ``traffic_batched_sources`` per unique source, every routed pair as
-    ``traffic_assigned_pairs``; the batch dispatches additionally land in
-    ``batch_dijkstra_calls``/``batch_sources_total``.
-    """
-    graph = demand.graph
-    n = graph.num_nodes
-    sources = _np.asarray(demand.sources, dtype=_np.int64)
-    targets = _np.asarray(demand.targets, dtype=_np.int64)
-    volumes = _np.asarray(demand.volumes, dtype=_np.float64)
-    edge_loads = _np.zeros(graph.num_edges, dtype=_np.float64)
-    unrouted = list(demand.unmatched)
-    routed_volume = 0.0
-    routed_pairs = 0
-    unique_sources, group_of_pair = _np.unique(sources, return_inverse=True)
-    matrix = graph.scipy_csr(weights)
-    need_pred = mode == "single"
-    chunk = max(1, BATCH_CHUNK_CELLS // max(1, n))
-    for start in range(0, len(unique_sources), chunk):
-        batch = unique_sources[start : start + chunk]
-        KERNEL_COUNTERS.batch_dijkstra_calls += 1
-        KERNEL_COUNTERS.batch_sources_total += len(batch)
-        KERNEL_COUNTERS.traffic_batched_sources += len(batch)
-        KERNEL_COUNTERS.single_source += len(batch)  # backend-independent count
-        if need_pred:
-            dist_rows, pred_rows = _scipy_dijkstra(
-                matrix, directed=False, indices=batch, return_predecessors=True
-            )
-        else:
-            dist_rows = _scipy_dijkstra(matrix, directed=False, indices=batch)
-            pred_rows = None
-        if dist_rows.ndim == 1:
-            dist_rows = dist_rows[_np.newaxis, :]
-            if pred_rows is not None:
-                pred_rows = pred_rows[_np.newaxis, :]
-        for k in range(len(batch)):
-            source = int(batch[k])
-            dist = dist_rows[k]
-            positions = _np.nonzero(group_of_pair == start + k)[0]
-            pair_targets = targets[positions]
-            pair_volumes = volumes[positions]
-            reachable = _np.isfinite(dist[pair_targets])
-            if not reachable.all():
-                labels = demand.labels
-                for position in positions[~reachable].tolist():
-                    unrouted.append((*labels[position], float(volumes[position])))
-            node_flow = _np.zeros(n, dtype=_np.float64)
-            _np.add.at(
-                node_flow, pair_targets[reachable], pair_volumes[reachable]
-            )
-            group_pairs = int(reachable.sum())
-            KERNEL_COUNTERS.traffic_assigned_pairs += group_pairs
-            routed_pairs += group_pairs
-            routed_volume += float(pair_volumes[reachable].sum())
-            if not node_flow.any():
-                continue
-            if mode == "single":
-                _scatter_tree_numpy(
-                    graph, source, dist, pred_rows[k], node_flow, edge_loads
-                )
-            else:
-                _scatter_ecmp_numpy(graph, source, dist, weights, node_flow, edge_loads)
-    return FlowResult(
-        graph=graph,
-        edge_loads=edge_loads,
-        routed_volume=routed_volume,
-        routed_pairs=routed_pairs,
-        unrouted=unrouted,
-        mode=mode,
-    )
-
-
 def _scatter_tree_numpy(
-    graph: CompiledGraph,
-    source: int,
-    dist: Any,
-    pred: Any,
-    node_flow: Any,
-    edge_loads: Any,
+    graph: CompiledGraph, source: int, pred: Any, node_flow: Any, edge_loads: Any
 ) -> None:
     """Vectorized subtree scatter: pointer-doubled depths + level cascade.
 
@@ -791,9 +860,7 @@ def _scatter_ecmp_numpy(
         if not active.any():
             continue
         level_nodes = _np.unique(h[active])
-        KERNEL_COUNTERS.traffic_ecmp_splits += int(
-            (pred_count[level_nodes] > 1).sum()
-        )
+        KERNEL_COUNTERS.traffic_ecmp_splits += int((pred_count[level_nodes] > 1).sum())
         shares = flows[active] * sigma[dag_tails[lo:hi]][active] / sigma[h][active]
         _np.add.at(edge_loads, dag_edges[lo:hi][active], shares)
         _np.add.at(node_flow, dag_tails[lo:hi][active], shares)

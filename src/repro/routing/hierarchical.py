@@ -238,8 +238,7 @@ class HierarchicalOverlay:
         tables = self.regions[cell]
         local = self.region_local[node]
         return [
-            (tables.borders[row], tables.dist[row][local])
-            for row in range(len(tables.borders))
+            (tables.borders[row], tables.dist[row][local]) for row in range(len(tables.borders))
         ]
 
     def stats(self) -> Dict[str, Any]:
@@ -317,9 +316,7 @@ def _partition_cells(
             cell[grouped], _np.arange(1, num_regions + 2)
         )
         for r in range(1, num_regions + 1):
-            region_nodes[r] = grouped[
-                int(boundaries[r - 1]) : int(boundaries[r])
-            ].tolist()
+            region_nodes[r] = grouped[int(boundaries[r - 1]) : int(boundaries[r])].tolist()
         return cell_of, num_regions, region_nodes
     rows = graph.adjacency_rows()
     cell_of = [0] * n
@@ -356,9 +353,7 @@ def _trivial_tables(tables: RegionTables) -> None:
         tables.order.append([0])
 
 
-def _sweep_regions_python(
-    overlay: HierarchicalOverlay, swept: List[RegionTables]
-) -> None:
+def _sweep_regions_python(overlay: HierarchicalOverlay, swept: List[RegionTables]) -> None:
     """Restricted heap-Dijkstra sweeps, one per (region, border) pair."""
     graph = overlay.graph
     rows = graph.adjacency_rows()
@@ -398,9 +393,7 @@ def _sweep_regions_python(
             tables.dist.append(dist)
             tables.pred.append(pred)
             tables.pred_edge.append(pred_edge)
-            tables.order.append(
-                sorted(range(size), key=lambda i: -dist[i])
-            )
+            tables.order.append(sorted(range(size), key=lambda i: -dist[i]))
 
 
 def _punctured_matrix(overlay: HierarchicalOverlay):
@@ -424,9 +417,7 @@ def _punctured_matrix(overlay: HierarchicalOverlay):
         counts = _np.bincount(tails[keep], minlength=n)
         pindptr = _np.zeros(n + 1, dtype=_np.int64)
         _np.cumsum(counts, out=pindptr[1:])
-        matrix = _csr_matrix(
-            (weights[half_edges[keep]], heads[keep], pindptr), shape=(n, n)
-        )
+        matrix = _csr_matrix((weights[half_edges[keep]], heads[keep], pindptr), shape=(n, n))
         overlay._punctured = matrix
     return matrix
 
@@ -477,11 +468,7 @@ def _grouped_region_dijkstra(overlay, jobs, consume, with_pred_edges=True) -> No
             shape=(size_g, size_g),
         )
         sources = _np.fromiter(
-            (
-                local_scratch[source]
-                for tables, job_sources in group
-                for source in job_sources
-            ),
+            (local_scratch[source] for tables, job_sources in group for source in job_sources),
             dtype=_np.int64,
         )
         KERNEL_COUNTERS.hier_region_sweeps += len(sources)
@@ -525,9 +512,7 @@ def _grouped_region_dijkstra(overlay, jobs, consume, with_pred_edges=True) -> No
             offset += size
 
 
-def _sweep_regions_numpy(
-    overlay: HierarchicalOverlay, swept: List[RegionTables]
-) -> None:
+def _sweep_regions_numpy(overlay: HierarchicalOverlay, swept: List[RegionTables]) -> None:
     """Build-time border tables via the packed block-diagonal sweeps."""
 
     def consume(tables, source, dist, pred_local, pred_edge):
@@ -537,9 +522,7 @@ def _sweep_regions_numpy(
         tables.pred_edge.append(pred_edge.tolist())
         tables.order.append(order.tolist())
 
-    _grouped_region_dijkstra(
-        overlay, [(tables, tables.border_nodes) for tables in swept], consume
-    )
+    _grouped_region_dijkstra(overlay, [(tables, tables.border_nodes) for tables in swept], consume)
 
 
 # ----------------------------------------------------------------------
@@ -590,9 +573,7 @@ def _build_mesh(
             else _np.zeros((0, 0), dtype=_np.float64)
         )
         overlay.mesh_pred = (
-            _np.concatenate(pred_rows, axis=0)
-            if pred_rows
-            else _np.zeros((0, 0), dtype=_np.int64)
+            _np.concatenate(pred_rows, axis=0) if pred_rows else _np.zeros((0, 0), dtype=_np.int64)
         )
         return
     adjacency: List[List[Tuple[float, int]]] = [[] for _ in range(count)]
@@ -688,14 +669,12 @@ def build_overlay(
                 border_sets[cell_of[u]].add(u)
 
     overlay_nodes = sorted(
-        [i for i in range(n) if core[i]]
-        + [node for borders in border_sets[1:] for node in borders]
+        [i for i in range(n) if core[i]] + [node for borders in border_sets[1:] for node in borders]
     )
     overlay.ov_nodes = overlay_nodes
     if mesh_cap is not None and len(overlay_nodes) * len(overlay_nodes) > mesh_cap:
         raise OverlayTooLarge(
-            f"overlay mesh {len(overlay_nodes)}^2 exceeds the "
-            f"{mesh_cap}-cell budget"
+            f"overlay mesh {len(overlay_nodes)}^2 exceeds the {mesh_cap}-cell budget"
         )
     ov_of_node = [-1] * n
     for ov, node in enumerate(overlay_nodes):
@@ -844,9 +823,7 @@ def route_demand_hierarchical(
     (cached per snapshot and weight name); ``mesh_cap`` bounds the mesh for
     automatic callers (:class:`OverlayTooLarge` on excess).
     """
-    opts = RoutingOptions.normalize(
-        options, weight=weight, mode=mode, backend=backend
-    )
+    opts = RoutingOptions.normalize(options, weight=weight, mode=mode, backend=backend)
     weight, mode, backend = opts.weight, opts.mode, opts.backend
     if mode != "single":
         raise ValueError("hierarchical routing supports single-path mode only")

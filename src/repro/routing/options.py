@@ -55,8 +55,7 @@ class RoutingOptions:
     def __post_init__(self) -> None:
         if self.weight is not None and not isinstance(self.weight, str):
             raise ValueError(
-                f"RoutingOptions.weight must be a weight name or None, "
-                f"got {self.weight!r}"
+                f"RoutingOptions.weight must be a weight name or None, got {self.weight!r}"
             )
         if self.mode not in ROUTING_MODES:
             raise ValueError(
@@ -93,9 +92,7 @@ class RoutingOptions:
         """
         if options is not None:
             if not isinstance(options, cls):
-                raise TypeError(
-                    f"options must be a RoutingOptions, got {type(options).__name__}"
-                )
+                raise TypeError(f"options must be a RoutingOptions, got {type(options).__name__}")
             extras = [
                 name
                 for name, value in (

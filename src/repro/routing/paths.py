@@ -134,9 +134,7 @@ def resolve_weight(weight: Optional[str]) -> Callable[[Link], float]:
     if weight is None:
         return WEIGHT_FUNCTIONS["length"]
     if weight not in WEIGHT_FUNCTIONS:
-        raise KeyError(
-            f"unknown weight {weight!r}; available: {sorted(WEIGHT_FUNCTIONS)}"
-        )
+        raise KeyError(f"unknown weight {weight!r}; available: {sorted(WEIGHT_FUNCTIONS)}")
     return WEIGHT_FUNCTIONS[weight]
 
 

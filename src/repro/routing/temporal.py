@@ -9,6 +9,12 @@ batched engine of :mod:`repro.routing.engine`, and :func:`failure_cascade`
 iterates route → overload → trip → re-route to a fixed point on a
 capacity-provisioned topology.
 
+Both re-resolve sources through the engine's own per-source loop — the
+search and scatter behind :func:`~repro.routing.engine.route_demand`, on
+either backend — asking it for a fresh load column per source instead of
+one shared column.  What this module adds is the bookkeeping around it: the
+per-source diff, the fresh summation, and the trip rule.
+
 The diff contract
 -----------------
 
@@ -72,36 +78,33 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass, field
-from math import inf, pi, sin
+from math import pi, sin
 from random import Random
+from types import SimpleNamespace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..geography.demand import DemandMatrix
-from ..topology.compiled import (
-    BATCH_CHUNK_CELLS,
-    CompiledGraph,
-    KERNEL_COUNTERS,
-    _column_min,
-    dijkstra_indices,
-    have_numpy_backend,
-    resolve_backend,
-)
-from ..topology.graph import Topology, TopologyError
+from ..topology.compiled import CompiledGraph, KERNEL_COUNTERS, have_numpy_backend
+from ..topology.graph import Topology
 from .engine import (
     CompiledDemand,
+    FlowResult,
+    _resolve_compiled,
+    _route_sources,
+    _select_backend,
+    _source_groups,
+    _SourceFlow,
+    _tally,
+    _zero_column,
     compile_demand,
-    _scatter_ecmp,
-    _scatter_tree,
 )
 from .options import RoutingOptions
 from .paths import resolve_weight
 
 if have_numpy_backend():
     import numpy as _np
-    from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 else:  # pragma: no cover - exercised by the no-scipy CI leg
     _np = None
-    _scipy_dijkstra = None
 
 __all__ = [
     "CascadeResult",
@@ -146,8 +149,7 @@ class DemandSeries:
             self.labels = [f"t{t:02d}" for t in range(len(self.steps))]
         elif len(self.labels) != len(self.steps):
             raise ValueError(
-                f"DemandSeries has {len(self.steps)} steps but "
-                f"{len(self.labels)} labels"
+                f"DemandSeries has {len(self.steps)} steps but {len(self.labels)} labels"
             )
 
     def __len__(self) -> int:
@@ -184,9 +186,7 @@ def diurnal_series(
     if num_steps < 1:
         raise ValueError(f"diurnal_series needs num_steps >= 1, got {num_steps}")
     if not 0.0 <= amplitude < 1.0:
-        raise ValueError(
-            f"diurnal_series needs 0 <= amplitude < 1, got {amplitude}"
-        )
+        raise ValueError(f"diurnal_series needs 0 <= amplitude < 1, got {amplitude}")
     steps = [
         base.scaled(1.0 + amplitude * sin(2.0 * pi * (t + phase) / num_steps))
         for t in range(num_steps)
@@ -216,9 +216,7 @@ def flash_crowd(
     if num_steps < 1:
         raise ValueError(f"flash_crowd needs num_steps >= 1, got {num_steps}")
     if not 1 <= duration <= num_steps:
-        raise ValueError(
-            f"flash_crowd needs 1 <= duration <= num_steps, got {duration}"
-        )
+        raise ValueError(f"flash_crowd needs 1 <= duration <= num_steps, got {duration}")
     if spike <= 0:
         raise ValueError(f"flash_crowd needs spike > 0, got {spike}")
     candidates = sorted({name for a, b, _v in base.pairs() for name in (a, b)})
@@ -231,9 +229,7 @@ def flash_crowd(
         )
     rng = Random(seed)
     hotspots = rng.sample(candidates, num_hotspots)
-    windows = {
-        hotspot: rng.randrange(0, num_steps - duration + 1) for hotspot in hotspots
-    }
+    windows = {hotspot: rng.randrange(0, num_steps - duration + 1) for hotspot in hotspots}
     steps: List[DemandMatrix] = []
     for t in range(num_steps):
         hot = {h for h, start in windows.items() if start <= t < start + duration}
@@ -256,11 +252,12 @@ class CompiledSeries:
     """A demand series compiled against one compiled-graph snapshot.
 
     The pair list is the **union** of every step's pairs, in first-appearance
-    order across steps, oriented once (toward the endpoint shared by more
-    union pairs — the :func:`~repro.routing.engine.compile_demand` rule
-    applied to the union).  One shared orientation is what makes per-source
-    columns retainable across steps: a pair that flipped orientation between
-    steps would silently move between source groups.
+    order across steps, compiled once through
+    :func:`~repro.routing.engine.compile_demand` — so it is oriented once,
+    toward the endpoint shared by more union pairs.  One shared orientation
+    is what makes per-source columns retainable across steps: a pair that
+    flipped orientation between steps would silently move between source
+    groups.
 
     Attributes:
         graph: The compiled topology snapshot the indices refer to.
@@ -309,53 +306,23 @@ def compile_series(
     ``unmatched`` lists instead of raising, mirroring
     :func:`~repro.routing.engine.compile_demand`.
     """
-    endpoint_map = endpoint_map or {}
-    graph = topology.compiled()
-    index_of = graph.index_of
-    union: Dict[Tuple[str, str], Tuple[Optional[int], Optional[int]]] = {}
-    for matrix in series.steps:
-        for a, b, _volume in matrix.pairs():
-            if (a, b) not in union:
-                union[(a, b)] = (
-                    index_of.get(endpoint_map.get(a, a)),
-                    index_of.get(endpoint_map.get(b, b)),
-                )
-    matched: List[Tuple[int, int, Tuple[str, str]]] = []
-    unmatched_labels: List[Tuple[str, str]] = []
-    frequency: Dict[int, int] = {}
-    for label, (source, target) in union.items():
-        if source is None or target is None:
-            unmatched_labels.append(label)
-            continue
-        matched.append((source, target, label))
-        frequency[source] = frequency.get(source, 0) + 1
-        frequency[target] = frequency.get(target, 0) + 1
-    sources = array("q")
-    targets = array("q")
-    labels: List[Tuple[str, str]] = []
-    for source, target, label in matched:
-        if frequency[target] > frequency[source]:
-            source, target = target, source
-        sources.append(source)
-        targets.append(target)
-        labels.append(label)
+    union = dict.fromkeys((a, b) for matrix in series.steps for a, b, _v in matrix.pairs())
+    # compile_demand only iterates pairs(); the union's volumes are
+    # placeholders, since each step keeps its own volume column.
+    pairs = SimpleNamespace(pairs=lambda: ((a, b, 1.0) for a, b in union))
+    compiled = compile_demand(topology, pairs, endpoint_map)
     step_volumes = [
-        array("d", (matrix.demand(a, b) for a, b in labels))
-        for matrix in series.steps
+        array("d", (matrix.demand(a, b) for a, b in compiled.labels)) for matrix in series.steps
     ]
     unmatched = [
-        [
-            (a, b, matrix.demand(a, b))
-            for a, b in unmatched_labels
-            if matrix.demand(a, b) > 0
-        ]
+        [(a, b, matrix.demand(a, b)) for a, b, _v in compiled.unmatched if matrix.demand(a, b) > 0]
         for matrix in series.steps
     ]
     return CompiledSeries(
-        graph=graph,
-        sources=sources,
-        targets=targets,
-        labels=labels,
+        graph=compiled.graph,
+        sources=compiled.sources,
+        targets=compiled.targets,
+        labels=compiled.labels,
         step_volumes=step_volumes,
         unmatched=unmatched,
     )
@@ -365,38 +332,24 @@ def compile_series(
 # Results
 # ----------------------------------------------------------------------
 @dataclass
-class TemporalStepResult:
-    """Edge-indexed routing result of one time step (or cascade round).
+class TemporalStepResult(FlowResult):
+    """The :class:`~repro.routing.engine.FlowResult` of one time step (or cascade round).
 
-    Mirrors :class:`~repro.routing.engine.FlowResult` — including the
-    :meth:`loads_for` consumer contract, so a step result feeds
-    ``utilization_report`` / ``load_concentration`` / ``provision_topology``
-    directly — plus the diff accounting of the temporal engine.
+    Everything of a flat routing result — the load column, the routed and
+    unrouted accounting, and the :meth:`loads_for` consumer contract, so a
+    step result feeds ``utilization_report`` / ``load_concentration`` /
+    ``provision_topology`` directly — plus the diff accounting of the
+    temporal engine.
 
     Attributes:
-        graph: The compiled snapshot the loads are aligned with.
         step: Time-step (or cascade-round) index.
-        edge_loads: Load per undirected edge index.
-        routed_volume: Volume that found a path at this step.
-        routed_pairs: Pairs (with positive volume) that found a path.
-        unrouted: ``(a, b, volume)`` for unmatched or disconnected pairs.
         resolved_sources: Sources re-resolved at this step (the diff size).
-        mode: ``"single"`` or ``"ecmp"``.
     """
 
-    graph: CompiledGraph
     step: int
-    edge_loads: Any
-    routed_volume: float
-    routed_pairs: int
-    unrouted: List[Tuple[str, str, float]]
     resolved_sources: int
-    mode: str
 
-    @property
-    def unrouted_volume(self) -> float:
-        """Total volume that could not be routed (shed demand included)."""
-        return sum(volume for _, _, volume in self.unrouted)
+    _stale_name = "step result"
 
     @property
     def served_fraction(self) -> float:
@@ -405,27 +358,6 @@ class TemporalStepResult:
         if offered <= 0:
             return 1.0
         return self.routed_volume / offered
-
-    def loads_list(self) -> List[float]:
-        """The edge load column as a plain Python float list."""
-        return self.edge_loads.tolist()
-
-    def link_loads(self) -> Dict[Tuple[Any, Any], float]:
-        """Boundary conversion: loaded edges as a canonical-key dictionary."""
-        edge_keys = self.graph.edge_keys
-        return {
-            edge_keys[e]: load
-            for e, load in enumerate(self.loads_list())
-            if load != 0.0
-        }
-
-    def max_load(self) -> float:
-        """Largest per-edge load (0.0 on an edgeless graph)."""
-        if not len(self.edge_loads):
-            return 0.0
-        if _np is not None and isinstance(self.edge_loads, _np.ndarray):
-            return float(self.edge_loads.max())
-        return max(self.edge_loads)
 
     def load_hash(self) -> str:
         """SHA-256 of the load column bytes — the determinism fingerprint.
@@ -445,31 +377,13 @@ class TemporalStepResult:
         loads = self.edge_loads
         if len(capacities) != len(loads):
             raise ValueError(
-                f"capacities column has {len(capacities)} entries for "
-                f"{len(loads)} edges"
+                f"capacities column has {len(capacities)} entries for {len(loads)} edges"
             )
         return [
             e
             for e, capacity in enumerate(capacities)
             if capacity is not None and loads[e] > capacity + TRIP_TOLERANCE
         ]
-
-    def loads_for(self, topology: Topology) -> Any:
-        """The load column, validated against ``topology``'s current snapshot.
-
-        Same contract as :meth:`repro.routing.engine.FlowResult.loads_for`:
-        a stale snapshot raises :class:`~repro.topology.graph.TopologyError`
-        instead of silently repricing against a reindexed graph.
-        """
-        graph = topology.compiled()
-        if graph is not self.graph:
-            raise TopologyError(
-                f"stale step result: routed against snapshot version "
-                f"{self.graph.version}, but topology {topology.name!r} now "
-                f"compiles to version {graph.version} — re-route the series "
-                f"instead of repricing a stale load column"
-            )
-        return self.edge_loads
 
 
 @dataclass
@@ -598,303 +512,74 @@ def route_series(
     (see the module docstring), which is exactly what the benchmark and the
     property tests gate.
     """
-    opts = RoutingOptions.normalize(
-        options, weight=weight, mode=mode, method=None, backend=backend
+    opts = _flat_options("route_series", options, weight, mode, backend)
+    compiled = _resolve_compiled(
+        "route_series", topology, series, endpoint_map, compile_series, CompiledSeries, DemandSeries
     )
-    if opts.method not in ("auto", "flat"):
-        raise ValueError(
-            f"temporal routing supports method='flat' only (the per-source "
-            f"diff needs per-source scatter), got method={opts.method!r}"
-        )
-    compiled = _resolve_series(topology, series, endpoint_map)
-    return _route_series_compiled(compiled, opts, reuse)
-
-
-def _resolve_series(
-    topology: Any, series: Any, endpoint_map: Optional[Dict[str, Any]]
-) -> CompiledSeries:
-    """Normalize ``route_series``'s two calling forms to a CompiledSeries."""
-    if isinstance(topology, CompiledSeries):
-        if series is not None:
-            raise TypeError(
-                "route_series(compiled_series) takes no second series "
-                "argument; use route_series(topology, series) to compile "
-                "and route in one call"
-            )
-        if endpoint_map is not None:
-            raise TypeError(
-                "endpoint_map only applies when route_series compiles a "
-                "DemandSeries; this series is already compiled"
-            )
-        return topology
-    if isinstance(topology, Topology):
-        if isinstance(series, CompiledSeries):
-            if endpoint_map is not None:
-                raise TypeError(
-                    "endpoint_map only applies when route_series compiles a "
-                    "DemandSeries; this series is already compiled"
-                )
-            graph = topology.compiled()
-            if series.graph is not graph:
-                raise TopologyError(
-                    f"stale CompiledSeries: compiled against snapshot version "
-                    f"{series.graph.version}, but topology {topology.name!r} "
-                    f"now compiles to version {graph.version} — recompile "
-                    f"with compile_series()"
-                )
-            return series
-        if isinstance(series, DemandSeries):
-            return compile_series(topology, series, endpoint_map)
-        raise TypeError(
-            f"route_series(topology, series) needs a DemandSeries or "
-            f"CompiledSeries, got {type(series).__name__}"
-        )
-    raise TypeError(
-        f"route_series expects a Topology or CompiledSeries first, "
-        f"got {type(topology).__name__}"
-    )
-
-
-def _route_series_compiled(
-    compiled: CompiledSeries, opts: RoutingOptions, reuse: bool
-) -> TemporalFlowResult:
     graph = compiled.graph
     weights = graph.edge_weight_column(opts.weight, resolve_weight(opts.weight))
     use_numpy = _select_backend(graph, weights, opts)
-    groups = _pair_groups(compiled.sources)
-    columns: Dict[int, Any] = {}
-    stats: Dict[int, Tuple[float, int, List[Tuple[str, str, float]]]] = {}
+    sources = compiled.sources
+    groups = _source_groups(sources)
+    flows: Dict[int, _SourceFlow] = {}
     steps: List[TemporalStepResult] = []
     previous: Optional[array] = None
-    sources = compiled.sources
     for t, volumes in enumerate(compiled.step_volumes):
         if previous is None or not reuse:
             changed = list(groups)
         else:
-            moved = {
-                sources[p]
-                for p in range(len(volumes))
-                if volumes[p] != previous[p]
-            }
+            moved = {sources[p] for p in range(len(volumes)) if volumes[p] != previous[p]}
             changed = [source for source in groups if source in moved]
         KERNEL_COUNTERS.temporal_steps += 1
         KERNEL_COUNTERS.temporal_resolved_sources += len(changed)
-        _resolve_sources(
-            graph,
-            weights,
-            opts.mode,
-            use_numpy,
-            groups,
-            compiled.targets,
-            volumes,
-            compiled.labels,
-            changed,
-            columns,
-            stats,
-        )
-        total, routed_volume, routed_pairs, unrouted = _combine(
-            graph, use_numpy, groups, columns, stats, compiled.unmatched[t]
-        )
-        steps.append(
-            TemporalStepResult(
-                graph=graph,
-                step=t,
-                edge_loads=total,
-                routed_volume=routed_volume,
-                routed_pairs=routed_pairs,
-                unrouted=unrouted,
-                resolved_sources=len(changed),
-                mode=opts.mode,
+        flows.update(
+            _route_sources(
+                graph,
+                weights,
+                opts.mode,
+                use_numpy,
+                changed,
+                groups,
+                compiled.targets,
+                volumes,
+                compiled.labels,
             )
+        )
+        unmatched = compiled.unmatched[t]
+        steps.append(
+            _combine(graph, use_numpy, opts.mode, groups, flows, unmatched, t, len(changed))
         )
         previous = volumes
     return TemporalFlowResult(graph=graph, mode=opts.mode, steps=steps)
 
 
-def _select_backend(
-    graph: CompiledGraph, weights: Any, opts: RoutingOptions
-) -> bool:
-    """Shared backend dispatch: True for the numpy path, False for Python.
-
-    Same rules as the flat engine: ECMP and the numpy path require strictly
-    positive weights; ``backend="auto"`` falls back to Python on nonpositive
-    columns while an explicit ``backend="numpy"`` raises.
-    """
-    positive = graph.num_edges == 0 or _column_min(weights) > 0
-    if opts.mode == "ecmp" and not positive:
-        raise ValueError("ECMP routing requires strictly positive weights")
-    if resolve_backend(opts.backend) == "numpy" and graph.num_edges > 0:
-        if positive:
-            return True
-        if opts.backend == "numpy":
-            raise ValueError(
-                "backend='numpy' routing requires strictly positive weights"
-            )
-    return False
-
-
-def _pair_groups(sources: array) -> Dict[int, List[int]]:
-    """Group union-pair positions by oriented source, first-appearance order."""
-    groups: Dict[int, List[int]] = {}
-    for position, source in enumerate(sources):
-        groups.setdefault(source, []).append(position)
-    return groups
-
-
-def _resolve_sources(
-    graph: CompiledGraph,
-    weights: Any,
-    mode: str,
-    use_numpy: bool,
-    groups: Dict[int, List[int]],
-    targets: array,
-    volumes: array,
-    labels: List[Tuple[str, str]],
-    changed: List[int],
-    columns: Dict[int, Any],
-    stats: Dict[int, Tuple[float, int, List[Tuple[str, str, float]]]],
-) -> None:
-    """Re-route every source in ``changed``; update its retained column.
-
-    A source's column is ``None`` when it carries no flow (all volumes zero,
-    or every positive-volume target unreachable) — the combine step treats
-    ``None`` as an all-zero column without paying the addition.
-    """
-    if use_numpy:
-        _resolve_sources_numpy(
-            graph, weights, mode, groups, targets, volumes, labels, changed,
-            columns, stats,
+def _flat_options(
+    entry: str,
+    options: Optional[RoutingOptions],
+    weight: Optional[str],
+    mode: Optional[str],
+    backend: Optional[str],
+) -> RoutingOptions:
+    """Normalize the switches of a temporal entry point (flat method only)."""
+    opts = RoutingOptions.normalize(options, weight=weight, mode=mode, backend=backend)
+    if opts.method not in ("auto", "flat"):
+        raise ValueError(
+            f"{entry} supports method='flat' only (the per-source diff needs "
+            f"per-source scatter), got method={opts.method!r}"
         )
-        return
-    n = graph.num_nodes
-    for source in changed:
-        positions = groups[source]
-        active = [p for p in positions if volumes[p] > 0.0]
-        if not active:
-            columns[source] = None
-            stats[source] = (0.0, 0, [])
-            continue
-        dist, pred, pred_edge = dijkstra_indices(graph, source, weights)
-        KERNEL_COUNTERS.traffic_batched_sources += 1
-        node_flow = array("d", [0.0]) * n
-        group_volume = 0.0
-        group_pairs = 0
-        unrouted: List[Tuple[str, str, float]] = []
-        for p in active:
-            target = targets[p]
-            volume = volumes[p]
-            if dist[target] == inf:
-                unrouted.append((*labels[p], volume))
-                continue
-            node_flow[target] += volume
-            group_volume += volume
-            group_pairs += 1
-        KERNEL_COUNTERS.traffic_assigned_pairs += group_pairs
-        if group_volume > 0.0:
-            column = array("d", [0.0]) * graph.num_edges
-            if mode == "single":
-                _scatter_tree(graph, source, pred, pred_edge, node_flow, column)
-            else:
-                _scatter_ecmp(graph, source, dist, weights, node_flow, column)
-            columns[source] = column
-        else:
-            columns[source] = None
-        stats[source] = (group_volume, group_pairs, unrouted)
-
-
-def _resolve_sources_numpy(
-    graph: CompiledGraph,
-    weights: Any,
-    mode: str,
-    groups: Dict[int, List[int]],
-    targets: array,
-    volumes: array,
-    labels: List[Tuple[str, str]],
-    changed: List[int],
-    columns: Dict[int, Any],
-    stats: Dict[int, Tuple[float, int, List[Tuple[str, str, float]]]],
-) -> None:
-    """Numpy variant: batched ``csgraph`` searches, per-source scatter.
-
-    Searches batch many sources per scipy call (the E12 chunking rule);
-    scatter stays per-source because the diff engine retains per-source
-    columns.  Counter accounting matches the flat engine's numpy path.
-    """
-    from .engine import _scatter_ecmp_numpy, _scatter_tree_numpy
-
-    need = []
-    for source in changed:
-        if any(volumes[p] > 0.0 for p in groups[source]):
-            need.append(source)
-        else:
-            columns[source] = None
-            stats[source] = (0.0, 0, [])
-    if not need:
-        return
-    n = graph.num_nodes
-    matrix = graph.scipy_csr(weights)
-    need_pred = mode == "single"
-    chunk = max(1, BATCH_CHUNK_CELLS // max(1, n))
-    order = sorted(need)
-    for start in range(0, len(order), chunk):
-        batch = order[start : start + chunk]
-        KERNEL_COUNTERS.batch_dijkstra_calls += 1
-        KERNEL_COUNTERS.batch_sources_total += len(batch)
-        KERNEL_COUNTERS.traffic_batched_sources += len(batch)
-        KERNEL_COUNTERS.single_source += len(batch)  # backend-independent count
-        if need_pred:
-            dist_rows, pred_rows = _scipy_dijkstra(
-                matrix, directed=False, indices=batch, return_predecessors=True
-            )
-        else:
-            dist_rows = _scipy_dijkstra(matrix, directed=False, indices=batch)
-            pred_rows = None
-        if dist_rows.ndim == 1:
-            dist_rows = dist_rows[_np.newaxis, :]
-            if pred_rows is not None:
-                pred_rows = pred_rows[_np.newaxis, :]
-        for k, source in enumerate(batch):
-            dist = dist_rows[k]
-            node_flow = _np.zeros(n, dtype=_np.float64)
-            group_volume = 0.0
-            group_pairs = 0
-            unrouted: List[Tuple[str, str, float]] = []
-            for p in groups[source]:
-                volume = volumes[p]
-                if volume <= 0.0:
-                    continue
-                target = targets[p]
-                if not _np.isfinite(dist[target]):
-                    unrouted.append((*labels[p], volume))
-                    continue
-                node_flow[target] += volume
-                group_volume += volume
-                group_pairs += 1
-            KERNEL_COUNTERS.traffic_assigned_pairs += group_pairs
-            if group_volume > 0.0:
-                column = _np.zeros(graph.num_edges, dtype=_np.float64)
-                if mode == "single":
-                    _scatter_tree_numpy(
-                        graph, source, dist, pred_rows[k], node_flow, column
-                    )
-                else:
-                    _scatter_ecmp_numpy(
-                        graph, source, dist, weights, node_flow, column
-                    )
-                columns[source] = column
-            else:
-                columns[source] = None
-            stats[source] = (group_volume, group_pairs, unrouted)
+    return opts
 
 
 def _combine(
     graph: CompiledGraph,
     use_numpy: bool,
+    mode: str,
     groups: Dict[int, List[int]],
-    columns: Dict[int, Any],
-    stats: Dict[int, Tuple[float, int, List[Tuple[str, str, float]]]],
+    flows: Dict[int, _SourceFlow],
     unmatched: List[Tuple[str, str, float]],
-) -> Tuple[Any, float, int, List[Tuple[str, str, float]]]:
+    step: int,
+    resolved_sources: int,
+) -> TemporalStepResult:
     """Sum retained per-source columns into one fresh total, in group order.
 
     The fixed summation order (compile-time first-appearance source order) is
@@ -904,19 +589,9 @@ def _combine(
     so backend parity reduces to per-source column parity.
     """
     num_edges = graph.num_edges
-    if use_numpy:
-        total = _np.zeros(num_edges, dtype=_np.float64)
-    else:
-        total = array("d", [0.0]) * num_edges
-    routed_volume = 0.0
-    routed_pairs = 0
-    unrouted = list(unmatched)
+    total = _zero_column(num_edges, use_numpy)
     for source in groups:
-        group_volume, group_pairs, group_unrouted = stats[source]
-        routed_volume += group_volume
-        routed_pairs += group_pairs
-        unrouted.extend(group_unrouted)
-        column = columns[source]
+        column = flows[source].column
         if column is None:
             continue
         if use_numpy:
@@ -924,7 +599,17 @@ def _combine(
         else:
             for e in range(num_edges):
                 total[e] += column[e]
-    return total, routed_volume, routed_pairs, unrouted
+    routed_volume, routed_pairs, unrouted = _tally(groups, flows, unmatched)
+    return TemporalStepResult(
+        graph=graph,
+        edge_loads=total,
+        routed_volume=routed_volume,
+        routed_pairs=routed_pairs,
+        unrouted=unrouted,
+        mode=mode,
+        step=step,
+        resolved_sources=resolved_sources,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -976,44 +661,20 @@ def failure_cascade(
         A :class:`CascadeResult`; ``rounds[-1].flow`` is the fixed-point
         flow and ``served_fraction`` the survivability summary.
     """
-    opts = RoutingOptions.normalize(
-        options, weight=weight, mode=mode, method=None, backend=backend
-    )
-    if opts.method not in ("auto", "flat"):
-        raise ValueError(
-            f"failure_cascade supports method='flat' only (the per-source "
-            f"diff needs per-source scatter), got method={opts.method!r}"
-        )
+    opts = _flat_options("failure_cascade", options, weight, mode, backend)
     if headroom < 0:
         raise ValueError(f"headroom must be non-negative, got {headroom}")
     if max_rounds is not None and max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    if not isinstance(topology, Topology):
-        raise TypeError(
-            f"failure_cascade expects a Topology first, "
-            f"got {type(topology).__name__}"
-        )
-    if isinstance(demand, CompiledDemand):
-        if endpoint_map is not None:
-            raise TypeError(
-                "endpoint_map only applies when failure_cascade compiles a "
-                "DemandMatrix; this demand is already compiled"
-            )
-        if demand.graph is not topology.compiled():
-            raise TopologyError(
-                f"stale CompiledDemand: compiled against snapshot version "
-                f"{demand.graph.version}, but topology {topology.name!r} now "
-                f"compiles to version {topology.compiled().version} — "
-                f"recompile with compile_demand()"
-            )
-        compiled = demand
-    elif hasattr(demand, "pairs"):
-        compiled = compile_demand(topology, demand, endpoint_map)
-    else:
-        raise TypeError(
-            f"failure_cascade(topology, demand) needs a DemandMatrix or "
-            f"CompiledDemand, got {type(demand).__name__}"
-        )
+    compiled = _resolve_compiled(
+        "failure_cascade",
+        topology,
+        demand,
+        endpoint_map,
+        compile_demand,
+        CompiledDemand,
+        compiled_first=False,
+    )
 
     # Lazy imports: optimization consumes routing results elsewhere, so the
     # move vocabulary is pulled in at call time to keep imports acyclic.
@@ -1023,59 +684,42 @@ def failure_cascade(
     state = IncrementalState(topology, CostObjective())
     base_depth = state.undo_depth
     graph = compiled.graph
-    groups = _pair_groups(compiled.sources)
-    columns: Dict[int, Any] = {}
-    stats: Dict[int, Tuple[float, int, List[Tuple[str, str, float]]]] = {}
-    unmatched = [
-        (a, b, volume)
-        for a, b, volume in compiled.unmatched
-        if volume > 0
-    ]
+    groups = _source_groups(compiled.sources)
+    flows: Dict[int, _SourceFlow] = {}
+    unmatched = [(a, b, volume) for a, b, volume in compiled.unmatched if volume > 0]
     to_resolve = list(groups)
     rounds: List[CascadeRound] = []
     fixed_point = True
     try:
         while True:
-            weights = graph.edge_weight_column(
-                opts.weight, resolve_weight(opts.weight)
-            )
+            weights = graph.edge_weight_column(opts.weight, resolve_weight(opts.weight))
             use_numpy = _select_backend(graph, weights, opts)
             KERNEL_COUNTERS.temporal_steps += 1
             KERNEL_COUNTERS.temporal_resolved_sources += len(to_resolve)
-            _resolve_sources(
-                graph,
-                weights,
-                opts.mode,
-                use_numpy,
-                groups,
-                compiled.targets,
-                compiled.volumes,
-                compiled.labels,
-                to_resolve,
-                columns,
-                stats,
+            flows.update(
+                _route_sources(
+                    graph,
+                    weights,
+                    opts.mode,
+                    use_numpy,
+                    to_resolve,
+                    groups,
+                    compiled.targets,
+                    compiled.volumes,
+                    compiled.labels,
+                )
             )
-            total, routed_volume, routed_pairs, unrouted = _combine(
-                graph, use_numpy, groups, columns, stats, unmatched
+            flow = _combine(
+                graph, use_numpy, opts.mode, groups, flows, unmatched, len(rounds), len(to_resolve)
             )
+            loads = flow.edge_loads
             capacities = [link.capacity for link in graph.links]
             tripped_edges = [
                 e
                 for e, capacity in enumerate(capacities)
-                if capacity is not None
-                and total[e] > capacity * (1.0 + headroom) + TRIP_TOLERANCE
+                if capacity is not None and loads[e] > capacity * (1.0 + headroom) + TRIP_TOLERANCE
             ]
             tripped_keys = [graph.edge_keys[e] for e in tripped_edges]
-            flow = TemporalStepResult(
-                graph=graph,
-                step=len(rounds),
-                edge_loads=total,
-                routed_volume=routed_volume,
-                routed_pairs=routed_pairs,
-                unrouted=unrouted,
-                resolved_sources=len(to_resolve),
-                mode=opts.mode,
-            )
             rounds.append(CascadeRound(flow=flow, tripped=tripped_keys))
             if not tripped_edges:
                 break
@@ -1088,9 +732,9 @@ def failure_cascade(
             # re-route; everyone else's column survives the removals (exact
             # on tie-free instances; exact in ECMP mode because the column
             # covers all tied paths).
-            to_resolve = _affected_sources(groups, columns, tripped_edges)
+            to_resolve = _affected_sources(groups, flows, tripped_edges)
             new_graph = topology.compiled()
-            _remap_columns(columns, graph, new_graph, skip=set(to_resolve))
+            _remap_columns(flows, graph, new_graph, skip=set(to_resolve))
             graph = new_graph
     finally:
         if restore:
@@ -1105,22 +749,20 @@ def failure_cascade(
 
 def _affected_sources(
     groups: Dict[int, List[int]],
-    columns: Dict[int, Any],
+    flows: Dict[int, _SourceFlow],
     tripped_edges: List[int],
 ) -> List[int]:
     """Sources with nonzero retained flow on any tripped edge, group order."""
     affected = []
     for source in groups:
-        column = columns[source]
-        if column is None:
-            continue
-        if any(column[e] != 0.0 for e in tripped_edges):
+        column = flows[source].column
+        if column is not None and any(column[e] != 0.0 for e in tripped_edges):
             affected.append(source)
     return affected
 
 
 def _remap_columns(
-    columns: Dict[int, Any],
+    flows: Dict[int, _SourceFlow],
     old_graph: CompiledGraph,
     new_graph: CompiledGraph,
     skip: set,
@@ -1133,16 +775,14 @@ def _remap_columns(
     be re-resolved and need no remap.
     """
     old_index = {key: e for e, key in enumerate(old_graph.edge_keys)}
-    new_keys = new_graph.edge_keys
-    gather = [old_index[key] for key in new_keys]
-    use_numpy_gather = _np is not None
-    gather_array = (
-        _np.asarray(gather, dtype=_np.int64) if use_numpy_gather else None
-    )
-    for source, column in columns.items():
+    gather = [old_index[key] for key in new_graph.edge_keys]
+    gather_array = _np.asarray(gather, dtype=_np.int64) if _np is not None else None
+    for source, flow in flows.items():
+        column = flow.column
         if column is None or source in skip:
             continue
-        if use_numpy_gather and isinstance(column, _np.ndarray):
-            columns[source] = column[gather_array]
+        if isinstance(column, array):
+            column = array("d", (column[e] for e in gather))
         else:
-            columns[source] = array("d", (column[e] for e in gather))
+            column = column[gather_array]
+        flows[source] = flow._replace(column=column)

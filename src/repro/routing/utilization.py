@@ -30,8 +30,7 @@ def _resolve_flow_loads(topology: Topology, flow: Any, caller: str) -> Optional[
         return None
     if not hasattr(flow, "loads_for"):
         raise TypeError(
-            f"{caller}() takes a routing result with loads_for() as flow, "
-            f"got {type(flow).__name__}"
+            f"{caller}() takes a routing result with loads_for() as flow, got {type(flow).__name__}"
         )
     return flow.loads_for(topology)
 

@@ -94,6 +94,43 @@ class TestFromArrays:
             DemandMatrix.from_arrays(["a", "a"], [0], [1], [1.0])
 
 
+class TestBoundaryValidation:
+    """Every non-finite, negative or out-of-range input is rejected where it enters."""
+
+    NAMES = ["a", "b", "c", "d"]
+
+    @pytest.mark.parametrize("volume", [float("nan"), float("inf"), float("-inf")])
+    def test_set_demand_rejects_non_finite_volume(self, volume):
+        matrix = DemandMatrix(endpoints=self.NAMES)
+        with pytest.raises(ValueError, match="volume must be finite"):
+            matrix.set_demand("a", "d", volume)
+        assert matrix.total() == 0.0
+
+    @pytest.mark.parametrize("volume", [float("nan"), float("inf")])
+    def test_from_arrays_rejects_non_finite_volume(self, volume):
+        with pytest.raises(ValueError, match=r"volumes\[1\] must be finite"):
+            DemandMatrix.from_arrays(self.NAMES, [0, 1], [3, 2], [1.0, volume])
+
+    def test_from_arrays_rejects_negative_index(self):
+        # A negative index would wrap around to the last endpoint.
+        with pytest.raises(ValueError, match=r"sources\[0\] = -1"):
+            DemandMatrix.from_arrays(self.NAMES, [-1], [0], [1.0])
+        with pytest.raises(ValueError, match=r"targets\[0\] = -1"):
+            DemandMatrix.from_arrays(self.NAMES, [0], [-1], [1.0])
+
+    def test_from_arrays_rejects_index_past_the_end(self):
+        with pytest.raises(ValueError, match=r"targets\[0\] = 4"):
+            DemandMatrix.from_arrays(self.NAMES, [0], [4], [1.0])
+        with pytest.raises(ValueError, match=r"sources\[0\] = 4"):
+            DemandMatrix.from_arrays(self.NAMES, [4], [0], [1.0])
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -1.0])
+    def test_scaled_rejects_bad_factor(self, factor):
+        matrix = DemandMatrix.from_arrays(self.NAMES, [0], [3], [2.0])
+        with pytest.raises(ValueError, match="factor must be finite"):
+            matrix.scaled(factor)
+
+
 class TestGravityDemand:
     def test_total_volume_normalized(self):
         matrix = gravity_demand(sample_cities(), total_volume=100.0)

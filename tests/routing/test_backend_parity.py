@@ -13,13 +13,20 @@ The ``route_demand`` contract (see the ``repro.routing.engine`` docstring):
   predecessor tree may pick a different (equally shortest) tied optimum
   than the canonical Python kernel, so per-edge loads may differ while
   conserved totals still match — the reason E11 pins ``backend="python"``;
+* the routed/unrouted accounting is backend-identical on any volumes:
+  ``routed_volume`` to the bit, ``routed_pairs``, and the ``unrouted`` list
+  in order (both backends run one per-source loop and tally sources in
+  first-appearance order);
 * traffic counters are backend-independent; the batch counters additionally
   record the numpy dispatches (and stay zero under python);
 * explicit ``backend="numpy"`` never falls back silently: nonpositive
   weights raise :class:`ValueError`.
 """
 
+import hashlib
 import random
+import struct
+from array import array
 
 import pytest
 
@@ -99,6 +106,73 @@ class TestLoadParity:
         total_python = sum(python_flow.loads_list())
         total_numpy = sum(numpy_flow.loads_list())
         assert abs(total_python - total_numpy) <= 1e-9 * max(1.0, total_python)
+
+
+def accounting_instance():
+    """Non-integral volumes, several sources per hub, and unreachable pairs.
+
+    Nodes 40-42 form an island, so pairs touching it stay unrouted.  The
+    hubs come in descending index order, so first-appearance and sorted
+    source order disagree.
+    """
+    rng = random.Random(2024)
+    topo = Topology(name="accounting")
+    for i in range(43):
+        topo.add_node(i, location=(rng.random(), rng.random()))
+    for i in range(1, 40):
+        topo.add_link(i, rng.randrange(i))
+    topo.add_link(40, 41)
+    topo.add_link(41, 42)
+    added = 0
+    while added < 20:
+        u, v = rng.randrange(40), rng.randrange(40)
+        if u != v and not topo.has_link(u, v):
+            topo.add_link(u, v)
+            added += 1
+    sources, targets, volumes = [], [], []
+    for hub in (37, 23, 11, 5):
+        for other in rng.sample(range(43), 18):
+            if other != hub:
+                sources.append(hub)
+                targets.append(other)
+                volumes.append(rng.uniform(0.1, 10.0))
+    demand = DemandMatrix.from_arrays(list(range(43)), sources, targets, volumes)
+    return topo, compile_demand(topo, demand)
+
+
+def load_hash(flow) -> str:
+    return hashlib.sha256(array("d", flow.edge_loads).tobytes()).hexdigest()
+
+
+#: SHA-256 of each backend's flat ``edge_loads`` on ``accounting_instance``.
+#: The numpy path scatters sources in sorted order, so on non-integral
+#: volumes its column differs from the python one in the last bits.
+PINNED_ACCOUNTING_LOADS = {
+    "python": "e156aea6a2b12f2c4d46ac414fe75eaa5575add1b4d2ea856abd6fc7c64f2356",
+    "numpy": "2ca6535a6c8eb7ec2e80431aa881dc1f14656cdfe74ecd4cd0d6d83f79e22263",
+}
+
+
+class TestFlatAccounting:
+    @requires_numpy
+    def test_tally_identical_across_backends(self):
+        _, compiled = accounting_instance()
+        python_flow = route_demand(compiled, backend="python")
+        numpy_flow = route_demand(compiled, backend="numpy")
+        assert python_flow.unrouted, "the instance must strand some pairs"
+        assert struct.pack("<d", numpy_flow.routed_volume) == struct.pack(
+            "<d", python_flow.routed_volume
+        )
+        assert numpy_flow.routed_pairs == python_flow.routed_pairs
+        assert numpy_flow.unrouted == python_flow.unrouted
+
+    @pytest.mark.parametrize(
+        "backend", ["python", pytest.param("numpy", marks=requires_numpy)]
+    )
+    def test_load_columns_pinned(self, backend):
+        _, compiled = accounting_instance()
+        flow = route_demand(compiled, backend=backend)
+        assert load_hash(flow) == PINNED_ACCOUNTING_LOADS[backend]
 
 
 @requires_numpy

@@ -1,6 +1,8 @@
 """Tests for repro.routing.temporal — series routing, diffs, and cascades."""
 
 import random
+import struct
+from array import array
 
 import pytest
 
@@ -222,6 +224,45 @@ class TestRouteSeries:
         assert step.served_fraction == 0.0
         assert step.unrouted_volume == 5.0
         assert step.unrouted
+
+
+class TestOneKernel:
+    """route_demand, route_series and failure_cascade share one per-source loop."""
+
+    @pytest.mark.parametrize("mode", ["single", "ecmp"])
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "python",
+            pytest.param(
+                "numpy",
+                marks=pytest.mark.skipif(not have_numpy_backend(), reason="scipy not available"),
+            ),
+        ],
+    )
+    def test_series_step_and_cascade_round_match_route_demand(self, backend, mode):
+        topo, demand, emap = random_instance(30, 40, 19)
+        # A two-node island strands the pairs that touch it.
+        topo.add_node("isle", location=(5.0, 5.0))
+        topo.add_node("islet", location=(5.5, 5.0))
+        topo.add_link("isle", "islet")
+        matrix = DemandMatrix(endpoints=[*demand.endpoints, "isle"])
+        for a, b, volume in demand.pairs():
+            matrix.set_demand(a, b, volume)
+        matrix.set_demand("3", "isle", 4.0)
+        matrix.set_demand("isle", "17", 2.0)
+        emap = dict(emap, isle="isle")
+        options = RoutingOptions(mode=mode, method="flat", backend=backend)
+        flat = route_demand(topo, matrix, endpoint_map=emap, options=options)
+        step = route_series(topo, DemandSeries([matrix]), endpoint_map=emap, options=options)
+        provision_topology(topo, default_catalog(), flow=flat)
+        cascade = failure_cascade(topo, matrix, endpoint_map=emap, options=options)
+        assert len(flat.unrouted) == 2
+        for result in (step.steps[0], cascade.rounds[0].flow):
+            assert array("d", result.edge_loads).tobytes() == array("d", flat.edge_loads).tobytes()
+            assert struct.pack("<d", result.routed_volume) == struct.pack("<d", flat.routed_volume)
+            assert result.routed_pairs == flat.routed_pairs
+            assert result.unrouted == flat.unrouted
 
 
 class TestFailureCascade:
