@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,6 +57,13 @@ def _client_weights(weights: Optional[Sequence[float]], num_clients: int) -> Lis
     return weights
 
 
+def _check_points(name: str, points: Sequence[Tuple[float, float]]) -> None:
+    """Reject any point with a NaN or infinite coordinate, naming the argument."""
+    for point in points:
+        if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+            raise ValueError(f"{name} must have finite coordinates, got {point!r}")
+
+
 def _assign_clients(
     clients: Sequence[Tuple[float, float]],
     weights: Sequence[float],
@@ -99,6 +107,8 @@ def greedy_facility_location(
         opening_cost: Cost of opening any one facility.
         weights: Per-client demand weights (defaults to 1 each); each must
             be finite and non-negative.
+
+    Client and candidate coordinates must be finite.
     """
     if not clients:
         raise ValueError("at least one client is required")
@@ -106,6 +116,8 @@ def greedy_facility_location(
         raise ValueError("at least one candidate facility is required")
     if not (math.isfinite(opening_cost) and opening_cost >= 0):
         raise ValueError(f"opening_cost must be finite and non-negative, got {opening_cost!r}")
+    _check_points("clients", clients)
+    _check_points("candidates", candidates)
     weights = _client_weights(weights, len(clients))
 
     open_facilities: List[int] = []
@@ -162,9 +174,25 @@ def k_median(
     Opens exactly ``k`` facilities minimizing the total weighted connection
     distance.  Starts from a greedy farthest-point seeding and applies
     single-facility swaps until no swap improves the cost (or
-    ``max_iterations`` is reached); single-swap local search is a 5-
-    approximation for metric k-median.  ``weights`` (default 1 per client)
-    must be finite and non-negative.
+    ``max_iterations`` swaps are accepted); single-swap local search is a 5-
+    approximation for metric k-median.  Each pass tries ``out`` in
+    open-facility order and ``in`` in ascending order, and accepts the first
+    swap that lowers the cost by more than ``1e-12``.
+
+    Swaps are priced by the fast swap of Resende & Werneck (2007): every
+    client-to-candidate distance is computed once into one ``array('d')``
+    column per candidate, and a table holds each client's nearest open
+    facility with its distance and the second-nearest distance, rebuilt only
+    when a swap is accepted.  Closing ``out`` leaves a client the second
+    distance if ``out`` was its nearest and the first otherwise; opening
+    ``in`` offers ``column[in]``.  A trial is then O(n): the smaller of the
+    two, times the weight, added from ``0.0`` in client order, which is the
+    same sequence of float operations a full reassignment performs, so the
+    facilities, assignment and cost bits are those of reassigning every
+    client per trial.
+
+    Coordinates must be finite, ``weights`` (default 1 per client) finite
+    and non-negative, and ``max_iterations`` non-negative.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -172,6 +200,10 @@ def k_median(
         raise ValueError(f"k={k} exceeds the number of candidate facilities {len(candidates)}")
     if not clients:
         raise ValueError("at least one client is required")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be non-negative, got {max_iterations!r}")
+    _check_points("clients", clients)
+    _check_points("candidates", candidates)
     weights = _client_weights(weights, len(clients))
     rng = rng or random.Random(0)
 
@@ -189,23 +221,16 @@ def k_median(
 
     _, current_cost = _assign_clients(clients, weights, candidates, open_facilities)
 
+    columns = [
+        array("d", [euclidean(client, candidate) for client in clients])
+        for candidate in candidates
+    ]
     for _ in range(max_iterations):
-        improved = False
-        for out_index in list(open_facilities):
-            for in_index in range(len(candidates)):
-                if in_index in open_facilities:
-                    continue
-                trial = [f for f in open_facilities if f != out_index] + [in_index]
-                _, trial_cost = _assign_clients(clients, weights, candidates, trial)
-                if trial_cost < current_cost - 1e-12:
-                    open_facilities = trial
-                    current_cost = trial_cost
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
+        swap = _first_improving_swap(columns, weights, open_facilities, current_cost - 1e-12)
+        if swap is None:
             break
+        out_index, in_index, current_cost = swap
+        open_facilities = [f for f in open_facilities if f != out_index] + [in_index]
 
     assignment, connection_cost = _assign_clients(clients, weights, candidates, open_facilities)
     return FacilitySolution(
@@ -214,6 +239,46 @@ def k_median(
         opening_cost=0.0,
         connection_cost=connection_cost,
     )
+
+
+def _first_improving_swap(
+    columns: Sequence[array],
+    weights: Sequence[float],
+    open_facilities: Sequence[int],
+    limit: float,
+) -> Optional[Tuple[int, int, float]]:
+    """The first swap ``(out, in, cost)`` whose connection cost is below ``limit``.
+
+    ``out`` runs over ``open_facilities`` in order and ``in`` over the closed
+    candidates in ascending order; ``None`` when no swap gets below ``limit``.
+    """
+    # Each client's nearest open facility, its distance, and the distance to
+    # the next one (equal on a tie, inf when only one facility is open).
+    num_clients = len(weights)
+    nearest: List[Optional[int]] = [None] * num_clients
+    first = [math.inf] * num_clients
+    second = [math.inf] * num_clients
+    for facility in open_facilities:
+        for client, distance in enumerate(columns[facility]):
+            if distance < first[client]:
+                second[client] = first[client]
+                first[client] = distance
+                nearest[client] = facility
+            elif distance < second[client]:
+                second[client] = distance
+
+    for out_index in open_facilities:
+        # What each client keeps once ``out_index`` closes.
+        kept = [s if f == out_index else d for f, d, s in zip(nearest, first, second)]
+        for in_index, column in enumerate(columns):
+            if in_index in open_facilities:
+                continue
+            cost = 0.0
+            for weight, distance, added in zip(weights, kept, column):
+                cost += weight * (added if added < distance else distance)
+            if cost < limit:
+                return out_index, in_index, cost
+    return None
 
 
 def choose_concentrator_count(

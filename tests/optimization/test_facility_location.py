@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.geography.points import random_points
+from repro.geography.points import euclidean, random_points
+from repro.geography.regions import Region
 from repro.optimization.facility_location import (
     _assign_clients,
     choose_concentrator_count,
@@ -18,6 +19,63 @@ def two_clusters(rng_seed: int = 0, per_cluster: int = 10):
     left = [(rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.1)) for _ in range(per_cluster)]
     right = [(rng.uniform(0.9, 1.0), rng.uniform(0.9, 1.0)) for _ in range(per_cluster)]
     return left + right
+
+
+def _reference_k_median(clients, candidates, k, weights, rng, max_iterations):
+    """The swap loop that reassigns every client per trial: the oracle for ``k_median``."""
+    open_facilities = [rng.randrange(len(candidates))]
+    while len(open_facilities) < k:
+        def distance_to_open(index):
+            return min(euclidean(candidates[index], candidates[f]) for f in open_facilities)
+
+        farthest = max(
+            (i for i in range(len(candidates)) if i not in open_facilities),
+            key=distance_to_open,
+        )
+        open_facilities.append(farthest)
+
+    _, current_cost = _assign_clients(clients, weights, candidates, open_facilities)
+
+    for _ in range(max_iterations):
+        improved = False
+        for out_index in list(open_facilities):
+            for in_index in range(len(candidates)):
+                if in_index in open_facilities:
+                    continue
+                trial = [f for f in open_facilities if f != out_index] + [in_index]
+                _, trial_cost = _assign_clients(clients, weights, candidates, trial)
+                if trial_cost < current_cost - 1e-12:
+                    open_facilities = trial
+                    current_cost = trial_cost
+                    improved = True
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+
+    assignment, connection_cost = _assign_clients(clients, weights, candidates, open_facilities)
+    return sorted(open_facilities), assignment, connection_cost
+
+
+def random_point(rng, on_grid):
+    if on_grid:
+        return (float(rng.randint(0, 4)), float(rng.randint(0, 4)))
+    return (rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
+
+
+def uniform_instance():
+    rng = random.Random(9)
+    clients = [(rng.random(), rng.random()) for _ in range(50)]
+    weights = [float(rng.randint(1, 8)) for _ in range(50)]
+    return clients, weights, 9, random.Random(1)
+
+
+def metro_instance():
+    # Shaped like the largest k-median call of an ISP design: one metro's customers.
+    region = Region(name="m", width=40.0, height=40.0, origin=(0.0, 0.0))
+    clients = region.sample_clustered(144, 7, random.Random(144))
+    return clients, [2.0] * 144, 6, random.Random(3)
 
 
 class TestGreedyFacilityLocation:
@@ -96,15 +154,64 @@ class TestKMedian:
         with pytest.raises(ValueError):
             k_median([(0, 0)], [(0, 0)], k=2)
 
-    def test_pinned_solution_with_many_facilities(self):
-        # Facilities and cost bits as a grid-backed assignment also produced
-        # them at k >= 9: any faster assignment path must reproduce them.
-        rng = random.Random(9)
-        clients = [(rng.random(), rng.random()) for _ in range(50)]
-        weights = [float(rng.randint(1, 8)) for _ in range(50)]
-        solution = k_median(clients, clients, k=9, weights=weights, rng=random.Random(1))
-        assert solution.facilities == [0, 3, 4, 8, 20, 27, 33, 45, 49]
-        assert solution.connection_cost.hex() == "0x1.4a0d3e0092079p+4"
+    @pytest.mark.parametrize(
+        "instance, facilities, cost_hex",
+        [
+            pytest.param(
+                uniform_instance,
+                [0, 3, 4, 8, 20, 27, 33, 45, 49],
+                "0x1.4a0d3e0092079p+4",
+                id="k9",
+            ),
+            pytest.param(
+                metro_instance,
+                [1, 7, 70, 117, 133, 139],
+                "0x1.58857b4d950bbp+9",
+                id="metro",
+            ),
+        ],
+    )
+    def test_pinned_solution_with_many_facilities(self, instance, facilities, cost_hex):
+        # Facilities and cost bits as reassigning every client per swap trial
+        # produced them: any faster swap pricing must reproduce them.
+        clients, weights, k, rng = instance()
+        solution = k_median(clients, clients, k=k, weights=weights, rng=rng)
+        assert solution.facilities == facilities
+        assert solution.connection_cost.hex() == cost_hex
+
+    def test_matches_full_reassignment_oracle(self):
+        rng = random.Random(2007)
+        for case in range(200):
+            # Every third instance lies on a 5x5 integer grid, so distances
+            # tie and points repeat.
+            on_grid = case % 3 == 0
+            clients = [random_point(rng, on_grid) for _ in range(rng.randint(1, 24))]
+            if case % 2:
+                candidates = clients
+            else:
+                candidates = [random_point(rng, on_grid) for _ in range(rng.randint(1, 24))]
+            if case % 4 < 2:
+                weights = [float(rng.randint(0, 5)) for _ in clients]
+            else:
+                weights = [rng.choice([0.0, rng.uniform(0.0, 3.0)]) for _ in clients]
+            k = rng.randint(1, len(candidates))
+            max_iterations = rng.choice([0, 1, 2, 100])
+            seed = rng.randrange(1 << 30)
+
+            solution = k_median(
+                clients,
+                candidates,
+                k,
+                weights=weights,
+                rng=random.Random(seed),
+                max_iterations=max_iterations,
+            )
+            facilities, assignment, cost = _reference_k_median(
+                clients, candidates, k, weights, random.Random(seed), max_iterations
+            )
+            assert solution.facilities == facilities, case
+            assert solution.assignment == assignment, case
+            assert solution.connection_cost.hex() == cost.hex(), case
 
 
 class TestInputValidation:
@@ -122,6 +229,24 @@ class TestInputValidation:
     def test_bad_opening_cost_rejected(self, bad):
         with pytest.raises(ValueError, match="opening_cost"):
             greedy_facility_location(two_clusters(), two_clusters(), bad)
+
+    @pytest.mark.parametrize("role", ["clients", "candidates"])
+    @pytest.mark.parametrize(
+        "bad",
+        [(float("nan"), 0.0), (float("inf"), 0.0), (0.0, float("-inf"))],
+        ids=["nan_x", "inf_x", "neg_inf_y"],
+    )
+    def test_non_finite_coordinates_rejected(self, role, bad):
+        points = {"clients": two_clusters(), "candidates": two_clusters()}
+        points[role][3] = bad
+        with pytest.raises(ValueError, match=role):
+            greedy_facility_location(points["clients"], points["candidates"], 0.05)
+        with pytest.raises(ValueError, match=role):
+            k_median(points["clients"], points["candidates"], k=2)
+
+    def test_negative_max_iterations_rejected(self):
+        with pytest.raises(ValueError, match="max_iterations"):
+            k_median(two_clusters(), two_clusters(), k=2, max_iterations=-3)
 
 
 class TestConcentratorCount:
