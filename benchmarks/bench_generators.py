@@ -3,10 +3,10 @@
 Times the rewritten generators (Fenwick dynamic weighted sampling,
 spatial-grid attachment, grid-bucketed skip/rejection sampling) against the
 seed implementations they replaced — inlined below verbatim for GLP, INET,
-and PLRG; selected via ``use_spatial_index=False`` for FKP and
-``method="naive"`` for Waxman, both of which preserve the seed algorithm
-exactly.  Also records the sampler/spatial operation counts from
-``KERNEL_COUNTERS`` that back the O(log n)-per-draw claim.
+and PLRG; ``scan_fkp`` and ``naive_waxman`` from ``tests/oracles.py`` for
+FKP and Waxman, both of which preserve the seed algorithm exactly.  Also
+records the sampler/spatial operation counts from ``KERNEL_COUNTERS`` that
+back the O(log n)-per-draw claim.
 
 Run directly (``python benchmarks/bench_generators.py``) for the full sweep
 (n in {2000, 10000, 50000}; legacy timed where feasible) with the acceptance
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.core.fkp import FKPModel, FKPParameters
@@ -34,6 +35,9 @@ from repro.generators import (
 from repro.generators.plrg import power_law_degree_sequence
 from repro.topology.compiled import KERNEL_COUNTERS
 from repro.topology.graph import Topology
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import naive_waxman, scan_fkp  # noqa: E402
 
 SEED = 7
 FKP_ALPHA = 4.0  # power-law regime, the paper's headline case
@@ -250,6 +254,7 @@ def run_benchmark(smoke: bool = False):
     inet = InetGenerator()
     plrg = PLRGGenerator()
     ba = BarabasiAlbertGenerator()
+    waxman = WaxmanGenerator(**WAXMAN_PARAMS)
 
     results = {
         "mode": "smoke" if smoke else "full",
@@ -261,10 +266,7 @@ def run_benchmark(smoke: bool = False):
     results["generators"]["fkp"] = bench_generator(
         "fkp",
         lambda n: FKPModel(FKPParameters(num_nodes=n, alpha=FKP_ALPHA, seed=SEED)).generate(),
-        lambda n: FKPModel(
-            FKPParameters(num_nodes=n, alpha=FKP_ALPHA, seed=SEED),
-            use_spatial_index=False,
-        ).generate(),
+        lambda n: scan_fkp(FKPParameters(num_nodes=n, alpha=FKP_ALPHA, seed=SEED)),
         sizes,
         legacy_sizes,
         check_identical=True,
@@ -303,8 +305,8 @@ def run_benchmark(smoke: bool = False):
     )
     results["generators"]["waxman"] = bench_generator(
         "waxman",
-        lambda n: WaxmanGenerator(**WAXMAN_PARAMS).generate(n, seed=SEED),
-        lambda n: WaxmanGenerator(method="naive", **WAXMAN_PARAMS).generate(n, seed=SEED),
+        lambda n: waxman.generate(n, seed=SEED),
+        lambda n: naive_waxman(waxman, n, seed=SEED),
         waxman_sizes,
         waxman_legacy,
         check_identical=False,  # per-seed stream changed; gated statistically

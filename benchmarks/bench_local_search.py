@@ -30,17 +30,14 @@ from repro.experiments.reporting import (
 from repro.experiments.runner import run_experiment
 from repro.experiments.suites.e10_local_search import (
     SCORE_RTOL,
-    apply_move_to_topology,
     build_anneal_instance,
+    copy_based_annealing,
     draw_move,
     edge_signature,
     make_objective,
 )
 from repro.optimization.incremental import IncrementalState
-from repro.optimization.local_search import (
-    simulated_annealing,
-    simulated_annealing_moves,
-)
+from repro.optimization.local_search import simulated_annealing_moves
 from repro.topology.compiled import KERNEL_COUNTERS
 
 NUM_NODES = 2000
@@ -56,19 +53,9 @@ def time_pair(size: int, objective_name: str, iterations: int, seed: int):
     """Time the copy-based and move-based searches on one instance."""
     base_topology, base_context = build_anneal_instance(size, seed)
     objective = make_objective(objective_name)
-
-    def neighbor(current, prng):
-        candidate = current.copy()
-        apply_move_to_topology(candidate, draw_move(candidate, prng, base_context))
-        return candidate
-
     t_base, baseline = timed(
-        lambda: simulated_annealing(
-            base_topology,
-            objective.evaluate,
-            neighbor,
-            max_iterations=iterations,
-            rng=random.Random(seed),
+        lambda: copy_based_annealing(
+            base_topology, objective, base_context, iterations, random.Random(seed)
         )
     )
 

@@ -7,7 +7,8 @@ benchmark:
 
 1. runs the E11 engine suite (one-search-per-source, ECMP conservation, and
    demand-model gates; records land in ``RESULTS/E11/``);
-2. times both assignment methods on the same geometric instance — n=2000
+2. times the engine against the per-pair reference (``per_pair_assign`` in
+   ``tests/oracles.py``) on the same geometric instance — n=2000
    nodes full, n=400 smoke, with a hub-heavy integer-volume demand matrix —
    and gates the speedup (>=10x full, >=3x smoke) with **bit-identical**
    link-load vectors: Euclidean lengths make shortest paths unique (exact
@@ -32,6 +33,7 @@ from __future__ import annotations
 import random
 import sys
 from math import inf
+from pathlib import Path
 
 from repro.experiments.reporting import (
     emit_rows,
@@ -46,6 +48,9 @@ from repro.routing.assignment import assign_demand
 from repro.routing.engine import compile_demand, route_demand
 from repro.topology.compiled import KERNEL_COUNTERS, dijkstra_indices, have_numpy_backend
 from repro.topology.graph import Topology
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import per_pair_assign  # noqa: E402
 
 NUM_NODES = 2000
 SMOKE_NUM_NODES = 400
@@ -99,15 +104,11 @@ def time_methods(num_nodes: int, num_sources: int, seed: int):
     topology, demand, endpoint_map = build_instance(num_nodes, num_sources, seed)
     topology.compiled()  # compile outside both measured windows
 
-    t_reference, _ = timed(
-        lambda: assign_demand(topology, demand, endpoint_map, method="per-pair")
-    )
+    t_reference, _ = timed(lambda: per_pair_assign(topology, demand, endpoint_map))
     reference_loads = [link.load for link in topology.links()]
 
     KERNEL_COUNTERS.reset()
-    t_batched, result = timed(
-        lambda: assign_demand(topology, demand, endpoint_map, method="batched")
-    )
+    t_batched, result = timed(lambda: assign_demand(topology, demand, endpoint_map))
     counters = KERNEL_COUNTERS.snapshot()
     batched_loads = [link.load for link in topology.links()]
 

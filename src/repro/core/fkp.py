@@ -91,8 +91,7 @@ class FKPParameters:
     Attributes:
         num_nodes: Total number of nodes to grow (including the root).
         alpha: Weight of the Euclidean distance term in the attachment
-            objective.  May also be the string ``"sqrt"`` meaning
-            ``sqrt(num_nodes)`` (the boundary of the exponential regime).
+            objective (finite and non-negative).
         seed: Random seed for node placement.
     """
 
@@ -103,8 +102,8 @@ class FKPParameters:
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {self.num_nodes}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
 
 
 def alpha_regime(alpha: float, num_nodes: int) -> str:
@@ -187,8 +186,6 @@ class FKPModel:
         region: Region in which nodes are placed (default: unit square).
         centrality: Centrality function ``h(j)``; default is hop distance to
             the root, as in the original model.
-        use_spatial_index: Disable to force the exhaustive scan even for
-            static centralities (reference path for tests and benchmarks).
 
     Example:
         >>> model = FKPModel(FKPParameters(num_nodes=100, alpha=4.0, seed=1))
@@ -202,12 +199,10 @@ class FKPModel:
         parameters: FKPParameters,
         region: Optional[Region] = None,
         centrality: CentralityFunction = hop_centrality,
-        use_spatial_index: bool = True,
     ) -> None:
         self.parameters = parameters
         self.region = region or unit_square()
         self.centrality = centrality
-        self.use_spatial_index = use_spatial_index
 
     def generate(self) -> Topology:
         """Run the growth process and return the resulting tree topology.
@@ -235,10 +230,10 @@ class FKPModel:
 
         hop_index: Optional[_HopLevelIndex] = None
         flat_index: Optional[SpatialGridIndex] = None
-        if self.use_spatial_index and self.centrality is hop_centrality:
+        if self.centrality is hop_centrality:
             hop_index = _HopLevelIndex(self.region)
             hop_index.insert(0, locations[0], 0)
-        elif self.use_spatial_index and self.centrality in _STATIC_CENTRALITIES:
+        elif self.centrality in _STATIC_CENTRALITIES:
             flat_index = SpatialGridIndex(self.region, expected_points=params.num_nodes)
             flat_index.insert(0, locations[0], self.centrality(state, 0))
 

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..economics.cables import CableCatalog
-from ..geography.points import euclidean
 from ..geography.regions import Region, bounding_region
 from ..geography.spatial_index import SpatialGridIndex
 from ..topology.graph import Topology
@@ -71,8 +70,11 @@ class MeyersonParameters:
     arrival_order: str = "random"
 
     def __post_init__(self) -> None:
-        if self.hub_probability_scale <= 0:
-            raise ValueError("hub_probability_scale must be positive")
+        if not 0 < self.hub_probability_scale < math.inf:
+            raise ValueError(
+                "hub_probability_scale must be positive and finite, "
+                f"got {self.hub_probability_scale}"
+            )
         if self.arrival_order not in ("random", "demand", "given"):
             raise ValueError(
                 f"arrival_order must be 'random', 'demand', or 'given', got {self.arrival_order!r}"
@@ -84,32 +86,27 @@ class _LayeredNetwork:
 
     Nearest-member queries are answered by one
     :class:`~repro.geography.spatial_index.SpatialGridIndex` per cable layer
-    (the PR-2 generation-engine grid: exact pruned argmin with ring
-    expansion).  Each member is indexed under its per-layer insertion order,
-    and the grid breaks objective ties toward the lowest id, so the query
-    returns exactly what the seed's first-minimum linear scan returned.  The
-    scan is kept as a fallback (``use_spatial_index=False``) and pinned to
-    the grid by the brute-force equivalence tests.
+    (exact pruned argmin with ring expansion).  Each member is indexed under
+    its per-layer insertion order, and the grid breaks distance ties toward
+    the lowest id, so the query returns exactly what the seed's first-minimum
+    linear scan returned; ``tests/oracles.py`` keeps that scan, and the
+    equivalence tests patch it in over this class.
     """
 
-    def __init__(self, region: Region, use_spatial_index: bool = True) -> None:
+    def __init__(self, region: Region) -> None:
         self._region = region
-        self._use_spatial_index = use_spatial_index
         #: node ids present at each layer (layer index into the catalog,
         #: small → large), in insertion order.
         self.members: Dict[int, List[Any]] = {}
-        self.locations: Dict[Any, Tuple[float, float]] = {}
         self._indexes: Dict[int, SpatialGridIndex] = {}
 
     def add(self, node_id: Any, location: Tuple[float, float], layers: Sequence[int]) -> None:
-        self.locations[node_id] = location
         for layer in layers:
             members = self.members.setdefault(layer, [])
-            if self._use_spatial_index:
-                index = self._indexes.get(layer)
-                if index is None:
-                    index = self._indexes[layer] = SpatialGridIndex(self._region)
-                index.insert(len(members), location)
+            index = self._indexes.get(layer)
+            if index is None:
+                index = self._indexes[layer] = SpatialGridIndex(self._region)
+            index.insert(len(members), location)
             members.append(node_id)
 
     def nearest_member(
@@ -118,17 +115,8 @@ class _LayeredNetwork:
         candidates = self.members.get(layer, [])
         if not candidates:
             return None
-        if self._use_spatial_index:
-            position, distance = self._indexes[layer].argmin(location, alpha=1.0)
-            return candidates[position], distance
-        best_id = candidates[0]
-        best_distance = euclidean(location, self.locations[best_id])
-        for node_id in candidates[1:]:
-            distance = euclidean(location, self.locations[node_id])
-            if distance < best_distance:
-                best_distance = distance
-                best_id = node_id
-        return best_id, best_distance
+        position, distance = self._indexes[layer].argmin(location, alpha=1.0)
+        return candidates[position], distance
 
 
 class MeyersonBuyAtBulk:
@@ -138,13 +126,9 @@ class MeyersonBuyAtBulk:
         self,
         instance: BuyAtBulkInstance,
         parameters: Optional[MeyersonParameters] = None,
-        use_spatial_index: bool = True,
     ) -> None:
         self.instance = instance
         self.parameters = parameters or MeyersonParameters()
-        #: Grid-backed nearest-member queries (exact; identical output to the
-        #: linear scan, which remains available for the equivalence tests).
-        self.use_spatial_index = use_spatial_index
 
     # ------------------------------------------------------------------
     def solve(self) -> BuyAtBulkSolution:
@@ -162,7 +146,7 @@ class MeyersonBuyAtBulk:
             self.instance.customer_locations() + list(self.instance.core_locations),
             name="meyerson-instance",
         )
-        network = _LayeredNetwork(region, use_spatial_index=self.use_spatial_index)
+        network = _LayeredNetwork(region)
         all_layers = list(range(num_layers))
         for index, location in enumerate(self.instance.core_locations):
             network.add(core_node_id(index), location, all_layers)

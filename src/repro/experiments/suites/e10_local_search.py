@@ -3,8 +3,9 @@
 Each annealing task runs the *same* simulated-annealing search twice over an
 access-network cable plan:
 
-* **copy-based baseline**: every candidate is a full topology copy priced by
-  a canonical ``Objective.evaluate`` (the pre-engine behaviour);
+* **copy-based baseline** (:func:`copy_based_annealing`): every candidate is
+  a full topology copy priced by a canonical ``Objective.evaluate`` (the
+  pre-engine behaviour);
 * **move-based**: one working topology, typed moves applied in O(Δ) through
   :class:`~repro.optimization.incremental.IncrementalState`, rejected moves
   reverted bit-exactly.
@@ -40,7 +41,8 @@ from ...optimization.incremental import (
     UpgradeCable,
 )
 from ...optimization.local_search import (
-    simulated_annealing,
+    AnnealingSchedule,
+    SearchResult,
     simulated_annealing_moves,
 )
 from ...topology.compiled import KERNEL_COUNTERS
@@ -217,6 +219,47 @@ def apply_move_to_topology(topology: Topology, move: Move) -> None:
         raise TypeError(f"unsupported baseline move {type(move).__name__}")
 
 
+def copy_based_annealing(
+    topology: Topology,
+    objective: Objective,
+    context: MoveContext,
+    iterations: int,
+    rng: random.Random,
+) -> SearchResult:
+    """The copy-based baseline: anneal over full topology copies.
+
+    Each candidate is a copy of the incumbent with one :func:`draw_move`
+    replayed on it, priced by a full ``objective.evaluate``.  The schedule
+    is the default :class:`AnnealingSchedule`, and ``rng`` is drawn in
+    :func:`simulated_annealing_moves`' order (one move per iteration, one
+    acceptance draw per uphill move only), so both searches follow one
+    trajectory.
+    """
+    current, current_cost = topology, objective.evaluate(topology)
+    best, best_cost = current, current_cost
+    history = [current_cost]
+    accepted = 0
+    temperatures = AnnealingSchedule().temperatures(iterations)
+    for temperature in temperatures:
+        candidate = current.copy()
+        apply_move_to_topology(candidate, draw_move(candidate, rng, context))
+        candidate_cost = objective.evaluate(candidate)
+        delta = candidate_cost - current_cost
+        if delta <= 0 or rng.random() < math.exp(-delta / temperature):
+            current, current_cost = candidate, candidate_cost
+            accepted += 1
+            if current_cost < best_cost:
+                best, best_cost = current, current_cost
+        history.append(current_cost)
+    return SearchResult(
+        best_solution=best,
+        best_cost=best_cost,
+        iterations=len(temperatures),
+        accepted_moves=accepted,
+        history=history,
+    )
+
+
 def make_objective(name: str) -> Objective:
     """The objective under test for one task point."""
     if name == "profit":
@@ -272,22 +315,12 @@ def run_anneal_pair(
     """Run the copy-based and move-based searches; return the comparison."""
     # -- copy-based baseline ------------------------------------------
     base_topology, base_context = build_anneal_instance(size, seed)
-    objective = make_objective(objective_name)
-
-    def cost(candidate: Topology) -> float:
-        return objective.evaluate(candidate)
-
-    def neighbor(current: Topology, prng: random.Random) -> Topology:
-        candidate = current.copy()
-        apply_move_to_topology(candidate, draw_move(candidate, prng, base_context))
-        return candidate
-
-    baseline = simulated_annealing(
+    baseline = copy_based_annealing(
         base_topology,
-        cost,
-        neighbor,
-        max_iterations=iterations,
-        rng=random.Random(seed),
+        make_objective(objective_name),
+        base_context,
+        iterations,
+        random.Random(seed),
     )
 
     # -- move-based (clean, counters measured) ------------------------

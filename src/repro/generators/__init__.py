@@ -19,7 +19,6 @@ from .base import (
 from .sampling import (
     FenwickSampler,
     MultisetSampler,
-    linear_weighted_index,
     skip_sampled_indices,
     skip_sampled_pairs,
 )
@@ -44,7 +43,6 @@ register_generator("transit-stub", TransitStubGenerator)
 __all__ = [
     "FenwickSampler",
     "MultisetSampler",
-    "linear_weighted_index",
     "skip_sampled_indices",
     "skip_sampled_pairs",
     "GeneratedEnsemble",

@@ -23,8 +23,9 @@ This module provides the shared O(log n) replacements:
   (one list entry per unit of weight, uniform O(1) draws via
   ``rng.randrange``) behind the same small API, so BA participates in the
   shared engine without changing a single random draw.
-* :func:`linear_weighted_index` — the naive reference scan, kept as the
-  executable specification for the property tests.
+
+The seed's linear scan stays in ``tests/oracles.py`` as the executable
+specification the Fenwick sampler is property-tested against.
 
 All samplers count their operations in
 :data:`repro.topology.compiled.KERNEL_COUNTERS` (``sampler_draws`` /
@@ -35,32 +36,16 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from ..topology.compiled import KERNEL_COUNTERS
 
 __all__ = [
     "FenwickSampler",
     "MultisetSampler",
-    "linear_weighted_index",
     "skip_sampled_indices",
     "skip_sampled_pairs",
 ]
-
-
-def linear_weighted_index(weights: Sequence[float], target: float) -> int:
-    """Reference inverse-CDF scan: smallest index with cumulative >= target.
-
-    This is the seed generators' selection loop, kept as the executable
-    specification the Fenwick sampler is property-tested against.  Returns
-    ``len(weights) - 1`` if ``target`` exceeds the total (float edge case).
-    """
-    cumulative = 0.0
-    for index, weight in enumerate(weights):
-        cumulative += weight
-        if target <= cumulative:
-            return index
-    return len(weights) - 1
 
 
 def skip_sampled_indices(count: int, probability: float, rng: random.Random) -> Iterator[int]:
@@ -188,7 +173,7 @@ class FenwickSampler:
     def select(self, target: float) -> int:
         """Smallest index whose cumulative weight is >= ``target``.
 
-        Matches :func:`linear_weighted_index` over the positive-weight
+        Matches the seed's linear inverse-CDF scan over the positive-weight
         entries: the returned index always has a positive weight (zero-weight
         indices contribute nothing to the cumulative sum and can never be
         first to reach a positive ``target``; a ``target <= 0`` — e.g. from a

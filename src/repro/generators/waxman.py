@@ -5,8 +5,8 @@ with probability ``beta * exp(-d / (alpha_w * L))`` where ``d`` is their
 distance and ``L`` the region diagonal.  It is the classic "structural"
 generator the paper's reference [33] (Zegura et al.) compares against.
 
-Instead of testing all ``n*(n-1)/2`` pairs, the default ``grid`` method
-buckets the nodes into a uniform grid
+Instead of testing all ``n*(n-1)/2`` pairs, the generator buckets the nodes
+into a uniform grid
 (:class:`~repro.geography.spatial_index.GridBuckets`) and, for every pair of
 cells, draws candidate pairs by geometric skip-sampling at the cell pair's
 probability *upper bound* ``p_max = beta * exp(-d_min(cells) / (alpha_w *
@@ -14,8 +14,8 @@ L))``, then accepts each candidate with ``p(d) / p_max`` (rejection).  The
 resulting edge distribution is exactly the Waxman distribution, but the
 random stream differs from the seed's pair loop, so per-seed outputs change;
 the equivalence is gated statistically (expected link count within 3 sigma,
-degree-distribution KS test) in ``tests/generators/test_generators.py``.
-The ``naive`` method keeps the seed's exact per-pair stream as the reference.
+degree-distribution KS test against the seed's per-pair loop, which
+``tests/oracles.py`` keeps) in ``tests/generators/test_generators.py``.
 """
 
 from __future__ import annotations
@@ -38,29 +38,24 @@ class WaxmanGenerator(TopologyGenerator):
     """Waxman (1988) random geometric graph generator.
 
     Attributes:
-        alpha_w: Distance decay scale (larger = longer links more likely).
+        alpha_w: Distance decay scale (larger = longer links more likely;
+            ``inf`` removes the distance decay).
         beta: Overall link probability scale.
         region: Placement region (unit square by default).
         connect: Patch the result into one connected component.
-        method: ``"grid"`` (bucketed skip/rejection sampling, near-linear in
-            the number of realized links) or ``"naive"`` (the seed's O(n^2)
-            pair loop, kept as the statistical reference).
     """
 
     alpha_w: float = 0.2
     beta: float = 0.4
     region: Optional[Region] = None
     connect: bool = True
-    method: str = "grid"
     name: str = "waxman"
 
     def __post_init__(self) -> None:
-        if self.alpha_w <= 0:
-            raise ValueError("alpha_w must be positive")
+        if not self.alpha_w > 0:
+            raise ValueError(f"alpha_w must be positive, got {self.alpha_w}")
         if not 0 < self.beta <= 1:
-            raise ValueError("beta must be in (0, 1]")
-        if self.method not in ("grid", "naive"):
-            raise ValueError(f"method must be 'grid' or 'naive', got {self.method!r}")
+            raise ValueError(f"beta must be in (0, 1], got {self.beta}")
 
     def generate(self, num_nodes: int, seed: Optional[int] = None) -> Topology:
         if num_nodes < 1:
@@ -74,20 +69,10 @@ class WaxmanGenerator(TopologyGenerator):
         topology.metadata["model"] = self.name
         topology.metadata["alpha_w"] = self.alpha_w
         topology.metadata["beta"] = self.beta
-        topology.metadata["method"] = self.method
         for node_id in range(num_nodes):
             topology.add_node(node_id, location=locations[node_id])
 
-        scale = self.alpha_w * diagonal
-        if self.method == "naive":
-            for u in range(num_nodes):
-                for v in range(u + 1, num_nodes):
-                    distance = euclidean(locations[u], locations[v])
-                    probability = self.beta * math.exp(-distance / scale)
-                    if rng.random() < probability:
-                        topology.add_link(u, v)
-        else:
-            self._generate_links_grid(topology, locations, region, scale, rng)
+        self._generate_links_grid(topology, locations, region, self.alpha_w * diagonal, rng)
         if self.connect:
             ensure_connected(topology, rng)
         return topology
@@ -145,5 +130,4 @@ class WaxmanGenerator(TopologyGenerator):
             "name": self.name,
             "alpha_w": self.alpha_w,
             "beta": self.beta,
-            "method": self.method,
         }

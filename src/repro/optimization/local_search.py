@@ -1,30 +1,23 @@
-"""Generic local search and simulated annealing.
+"""Move-based local search and simulated annealing.
 
 The paper argues that real topologies are *approximately* optimal solutions
 found by designers under constraints.  The generators therefore need generic
 approximate optimizers for the problems that are NP-hard (buy-at-bulk, access
-design): this module provides a hill climber and a simulated annealer over
-arbitrary solution/neighborhood abstractions, used by the design-refinement
-passes and by the ablation benchmarks.
+design): this module provides a hill climber, a simulated annealer and a
+multi-start search, used by the design-refinement passes and by the ablation
+benchmarks.
 
-Two neighbor APIs share the acceptance logic:
+Every search takes a proposal function: ``propose(state, rng)`` returns a
+typed :class:`~repro.optimization.incremental.Move`, the state applies it in
+O(Δ), and rejected moves are reverted bit-exactly.  The best solution is recovered
+by rolling the undo stack back to the best-scoring depth — no topology is
+ever copied.
 
-* the original **copy-based** API (`hill_climb`, `simulated_annealing`,
-  `multi_start`): ``neighbor(solution, rng)`` returns a fresh candidate and
-  ``cost(candidate)`` prices it from scratch — O(copy + full evaluation) per
-  iteration.  Kept as the compatibility path for cheap solution types
-  (scalars, permutations) and as the E10 baseline.
-* the **move-based** API (`hill_climb_moves`, `simulated_annealing_moves`,
-  `multi_start_moves`): ``propose(state, rng)`` returns a typed
-  :class:`~repro.optimization.incremental.Move`, the state applies it in
-  O(Δ), and rejected moves are reverted bit-exactly.  The best solution is
-  recovered by rolling the undo stack back to the best-scoring depth — no
-  topology is ever copied.
-
-Both APIs draw from ``rng`` in the same order (one neighbor/proposal per
-iteration, one acceptance draw for uphill annealing moves only), so a
-deterministic proposal function produces the same search trajectory through
-either API — the property the E10 benchmark gates.
+Each search draws from ``rng`` in a fixed order (one proposal per iteration,
+one acceptance draw for uphill annealing moves only), so a copy-based search
+that draws the same way follows the same trajectory — the property E10's
+copy-based baseline (``copy_based_annealing`` in
+:mod:`repro.experiments.suites.e10_local_search`) gates.
 """
 
 from __future__ import annotations
@@ -32,12 +25,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Generic, List, Optional, Tuple, TypeVar
+from typing import Callable, List, Optional, Tuple
 
 from ..topology.graph import Topology, TopologyError
 from .incremental import Move
-
-Solution = TypeVar("Solution")
 
 #: A move proposal: returns the next candidate move, or ``None`` when no
 #: feasible move exists in this neighborhood draw (counted as a rejection).
@@ -66,7 +57,7 @@ class MoveState:
 
 
 @dataclass
-class SearchResult(Generic[Solution]):
+class SearchResult:
     """Outcome of a local-search run.
 
     Attributes:
@@ -78,62 +69,11 @@ class SearchResult(Generic[Solution]):
             plots in the benchmarks).
     """
 
-    best_solution: Solution
+    best_solution: Topology
     best_cost: float
     iterations: int
     accepted_moves: int
     history: List[float] = field(default_factory=list)
-
-
-def hill_climb(
-    initial: Solution,
-    cost: Callable[[Solution], float],
-    neighbor: Callable[[Solution, random.Random], Solution],
-    max_iterations: int = 1000,
-    patience: int = 100,
-    rng: Optional[random.Random] = None,
-) -> SearchResult[Solution]:
-    """First-improvement hill climbing.
-
-    Args:
-        initial: Starting solution.
-        cost: Objective to minimize.
-        neighbor: Function producing a random neighbor of a solution.
-        max_iterations: Hard iteration cap.
-        patience: Stop after this many consecutive non-improving proposals.
-        rng: Random source.
-    """
-    if max_iterations < 0 or patience < 0:
-        raise ValueError("max_iterations and patience must be non-negative")
-    rng = rng or random.Random()
-    current = initial
-    current_cost = cost(initial)
-    best, best_cost = current, current_cost
-    history = [current_cost]
-    stale = 0
-    accepted = 0
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        candidate = neighbor(current, rng)
-        candidate_cost = cost(candidate)
-        if candidate_cost < current_cost:
-            current, current_cost = candidate, candidate_cost
-            accepted += 1
-            stale = 0
-            if candidate_cost < best_cost:
-                best, best_cost = candidate, candidate_cost
-        else:
-            stale += 1
-        history.append(current_cost)
-        if stale >= patience:
-            break
-    return SearchResult(
-        best_solution=best,
-        best_cost=best_cost,
-        iterations=iterations,
-        accepted_moves=accepted,
-        history=history,
-    )
 
 
 @dataclass
@@ -152,12 +92,16 @@ class AnnealingSchedule:
     min_temperature: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.initial_temperature <= 0:
-            raise ValueError("initial_temperature must be positive")
+        if not 0 < self.initial_temperature < math.inf:
+            raise ValueError(
+                f"initial_temperature must be positive and finite, got {self.initial_temperature}"
+            )
         if not 0 < self.cooling_rate < 1:
-            raise ValueError("cooling_rate must be in (0, 1)")
-        if self.min_temperature <= 0:
-            raise ValueError("min_temperature must be positive")
+            raise ValueError(f"cooling_rate must be in (0, 1), got {self.cooling_rate}")
+        if not 0 < self.min_temperature < math.inf:
+            raise ValueError(
+                f"min_temperature must be positive and finite, got {self.min_temperature}"
+            )
 
     def temperatures(self, max_steps: int) -> List[float]:
         """The sequence of temperatures visited (capped at ``max_steps``)."""
@@ -169,91 +113,20 @@ class AnnealingSchedule:
         return temps
 
 
-def simulated_annealing(
-    initial: Solution,
-    cost: Callable[[Solution], float],
-    neighbor: Callable[[Solution, random.Random], Solution],
-    schedule: Optional[AnnealingSchedule] = None,
-    max_iterations: int = 5000,
-    rng: Optional[random.Random] = None,
-) -> SearchResult[Solution]:
-    """Simulated annealing with a geometric cooling schedule.
-
-    Worse moves are accepted with probability ``exp(-delta / temperature)``;
-    the best solution ever seen is returned (not merely the final incumbent).
-    """
-    rng = rng or random.Random()
-    schedule = schedule or AnnealingSchedule()
-    current = initial
-    current_cost = cost(initial)
-    best, best_cost = current, current_cost
-    history = [current_cost]
-    accepted = 0
-    temperatures = schedule.temperatures(max_iterations)
-    for temperature in temperatures:
-        candidate = neighbor(current, rng)
-        candidate_cost = cost(candidate)
-        delta = candidate_cost - current_cost
-        if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-            current, current_cost = candidate, candidate_cost
-            accepted += 1
-            if current_cost < best_cost:
-                best, best_cost = current, current_cost
-        history.append(current_cost)
-    return SearchResult(
-        best_solution=best,
-        best_cost=best_cost,
-        iterations=len(temperatures),
-        accepted_moves=accepted,
-        history=history,
-    )
-
-
-def multi_start(
-    starts: List[Solution],
-    cost: Callable[[Solution], float],
-    neighbor: Callable[[Solution, random.Random], Solution],
-    max_iterations: int = 500,
-    rng: Optional[random.Random] = None,
-) -> SearchResult[Solution]:
-    """Run hill climbing from several starting solutions and keep the best."""
-    if not starts:
-        raise ValueError("at least one starting solution is required")
-    rng = rng or random.Random()
-    best_result: Optional[SearchResult[Solution]] = None
-    total_iterations = 0
-    total_accepted = 0
-    combined_history: List[float] = []
-    for start in starts:
-        result = hill_climb(start, cost, neighbor, max_iterations=max_iterations, rng=rng)
-        total_iterations += result.iterations
-        total_accepted += result.accepted_moves
-        combined_history.extend(result.history)
-        if best_result is None or result.best_cost < best_result.best_cost:
-            best_result = result
-    assert best_result is not None
-    return SearchResult(
-        best_solution=best_result.best_solution,
-        best_cost=best_result.best_cost,
-        iterations=total_iterations,
-        accepted_moves=total_accepted,
-        history=combined_history,
-    )
-
-
 def hill_climb_moves(
     state: MoveState,
     propose: MoveProposal,
     max_iterations: int = 1000,
     patience: int = 100,
     rng: Optional[random.Random] = None,
-) -> SearchResult[Topology]:
+) -> SearchResult:
     """First-improvement hill climbing over one in-place working topology.
 
-    Mirrors :func:`hill_climb`'s control flow, but each candidate is a typed
-    move applied in O(Δ) through the incremental engine and reverted when it
-    does not improve.  ``best_solution`` is the state's topology, rolled back
-    to the best depth (for pure descent that is always the final incumbent).
+    Each candidate is a typed move applied in O(Δ) through the incremental
+    engine and reverted when it does not improve; the search stops after
+    ``patience`` consecutive non-improving proposals.  ``best_solution`` is
+    the state's topology, rolled back to the best depth (for pure descent
+    that is always the final incumbent).
     """
     if max_iterations < 0 or patience < 0:
         raise ValueError("max_iterations and patience must be non-negative")
@@ -303,12 +176,12 @@ def simulated_annealing_moves(
     schedule: Optional[AnnealingSchedule] = None,
     max_iterations: int = 5000,
     rng: Optional[random.Random] = None,
-) -> SearchResult[Topology]:
+) -> SearchResult:
     """Simulated annealing over one in-place working topology.
 
-    Acceptance matches :func:`simulated_annealing` exactly — uphill moves
-    draw ``rng.random()`` only when ``delta > 0`` — so a proposal function
-    that mirrors a copy-based neighbor consumes the same random stream and
+    Worse moves are accepted with probability ``exp(-delta / temperature)``,
+    drawing ``rng.random()`` only when ``delta > 0``, so a copy-based search
+    that mirrors the proposal function consumes the same random stream and
     follows the same trajectory.  At the end the undo stack is rolled back to
     the best-ever depth, so ``best_solution`` *is* the best topology visited.
     """
@@ -354,12 +227,12 @@ def multi_start_moves(
     propose: MoveProposal,
     max_iterations: int = 500,
     rng: Optional[random.Random] = None,
-) -> SearchResult[Topology]:
-    """Move-based :func:`multi_start`: hill-climb each state, keep the best."""
+) -> SearchResult:
+    """Hill-climb each starting state and keep the best result."""
     if not states:
         raise ValueError("at least one starting state is required")
     rng = rng or random.Random()
-    best_result: Optional[SearchResult[Topology]] = None
+    best_result: Optional[SearchResult] = None
     total_iterations = 0
     total_accepted = 0
     combined_history: List[float] = []

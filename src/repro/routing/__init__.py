@@ -3,8 +3,9 @@
 The hot path is the vectorized traffic engine (:mod:`repro.routing.engine`):
 demand compiles to int-indexed arrays, routing batches one search per unique
 source, and loads live in per-edge columns until a single flush annotates the
-object graph.  :mod:`repro.routing.paths` and the per-pair assignment remain
-the reference implementations.
+object graph.  :mod:`repro.routing.paths` resolves individual node paths
+(cached shortest paths, node-disjoint alternatives) for callers that need the
+path itself.
 
 :func:`route_demand` is the façade for one demand snapshot;
 :mod:`repro.routing.temporal` extends it along the time axis

@@ -1,18 +1,13 @@
 """Traffic assignment: route a demand matrix and accumulate link loads.
 
-Two implementations share the :class:`AssignmentResult` boundary:
-
-* ``method="batched"`` (default) runs the vectorized traffic engine
-  (:mod:`repro.routing.engine`): endpoint names are resolved once into a
-  :class:`~repro.routing.engine.CompiledDemand`, one shortest-path search
-  runs per unique source, and volumes scatter onto a per-edge load column
-  that is flushed back to ``Link.load`` in a single pass.  ``mode="ecmp"``
-  additionally splits each pair's volume equally over tied shortest paths.
-* ``method="per-pair"`` is the seed implementation — one
-  :class:`~repro.routing.paths.PathCache` path resolution per pair with
-  per-link object accumulation — kept as the equivalence reference the
-  property tests and ``benchmarks/bench_traffic.py`` compare against, and
-  the only mode that records per-pair node paths.
+:func:`assign_demand` runs the vectorized traffic engine
+(:mod:`repro.routing.engine`): endpoint names are resolved once into a
+:class:`~repro.routing.engine.CompiledDemand`, one shortest-path search runs
+per unique source, and volumes scatter onto a per-edge load column that is
+flushed back to ``Link.load`` in a single pass.  ``mode="ecmp"`` additionally
+splits each pair's volume equally over tied shortest paths.
+:func:`route_customer_demand_to_core` routes the access-traffic pattern with
+one multi-source search from every core.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ from ..geography.demand import DemandMatrix
 from ..topology.compiled import multi_source_dijkstra_indices
 from ..topology.graph import Topology
 from .engine import route_demand
-from .paths import PathCache, resolve_weight
+from .paths import resolve_weight
 
 
 @dataclass
@@ -36,9 +31,10 @@ class AssignmentResult:
         routed_volume: Total demand successfully routed.
         unrouted_pairs: Demand pairs with no path, with their volumes.
         link_loads: Load per canonical link key after assignment.
-        paths: The node path used for each routed (a, b) pair — recorded by
-            the per-pair reference only (the batched engine never resolves
-            per-pair paths; that is what makes it fast).
+        paths: The node path used for each routed customer-to-core pair,
+            recorded by :func:`route_customer_demand_to_core` only
+            (:func:`assign_demand` never resolves per-pair paths; that is
+            what makes it fast).
     """
 
     routed_volume: float = 0.0
@@ -58,7 +54,6 @@ def assign_demand(
     endpoint_map: Optional[Dict[str, Any]] = None,
     weight: Optional[str] = None,
     reset_loads: bool = True,
-    method: str = "batched",
     mode: str = "single",
     backend: Optional[str] = None,
 ) -> AssignmentResult:
@@ -71,72 +66,27 @@ def assign_demand(
             (identity mapping when omitted).
         weight: Named weight function for path selection (default: length).
         reset_loads: Zero all link loads before assignment.
-        method: ``"batched"`` (the engine) or ``"per-pair"`` (the reference).
-        mode: ``"single"`` or ``"ecmp"`` flow splitting (batched only).
-        backend: Kernel backend for the batched engine (see
-            :func:`repro.routing.engine.route_demand`); ignored by
-            ``method="per-pair"``, which is always pure Python.
+        mode: ``"single"`` or ``"ecmp"`` flow splitting.
+        backend: Kernel backend (see :func:`repro.routing.engine.route_demand`).
 
     Returns:
         An :class:`AssignmentResult`; unrouted pairs (missing nodes or
         disconnected endpoints) are recorded rather than raising.
     """
-    if method == "batched":
-        flow = route_demand(
-            topology,
-            demand,
-            weight=weight,
-            mode=mode,
-            backend=backend,
-            endpoint_map=endpoint_map,
-        )
-        flow.flush(reset=reset_loads)
-        return AssignmentResult(
-            routed_volume=flow.routed_volume,
-            unrouted_pairs=flow.unrouted,
-            link_loads=flow.link_loads(),
-        )
-    if method != "per-pair":
-        raise ValueError(f"unknown assignment method {method!r}")
-    if mode != "single":
-        raise ValueError("per-pair assignment only supports mode='single'")
-    return _assign_demand_per_pair(topology, demand, endpoint_map, weight, reset_loads)
-
-
-def _assign_demand_per_pair(
-    topology: Topology,
-    demand: DemandMatrix,
-    endpoint_map: Optional[Dict[str, Any]],
-    weight: Optional[str],
-    reset_loads: bool,
-) -> AssignmentResult:
-    """The seed per-pair path: one cached path resolution per demand pair."""
-    endpoint_map = endpoint_map or {}
-    cache = PathCache(topology, resolve_weight(weight))
-    if reset_loads:
-        for link in topology.links():
-            link.load = 0.0
-
-    result = AssignmentResult()
-    link_loads = result.link_loads
-    for a, b, volume in demand.pairs():
-        node_a = endpoint_map.get(a, a)
-        node_b = endpoint_map.get(b, b)
-        if not (topology.has_node(node_a) and topology.has_node(node_b)):
-            result.unrouted_pairs.append((a, b, volume))
-            continue
-        routed = cache.route(node_a, node_b)
-        if routed is None:
-            result.unrouted_pairs.append((a, b, volume))
-            continue
-        # Link objects come resolved from the predecessor tree: one pass per
-        # path instead of a repr-keyed topology.link(u, v) lookup per hop.
-        for link, key in zip(routed.links, routed.keys):
-            link.load += volume
-            link_loads[key] = link_loads.get(key, 0.0) + volume
-        result.paths[(a, b)] = routed.nodes
-        result.routed_volume += volume
-    return result
+    flow = route_demand(
+        topology,
+        demand,
+        weight=weight,
+        mode=mode,
+        backend=backend,
+        endpoint_map=endpoint_map,
+    )
+    flow.flush(reset=reset_loads)
+    return AssignmentResult(
+        routed_volume=flow.routed_volume,
+        unrouted_pairs=flow.unrouted,
+        link_loads=flow.link_loads(),
+    )
 
 
 def route_customer_demand_to_core(

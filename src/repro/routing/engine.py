@@ -74,9 +74,9 @@ shortest — tied optimum than the canonical Python tree; callers whose outputs
 depend on that choice pin ``backend="python"`` (the E11 suite does) or use
 ECMP mode, where tie handling is explicit and backend-independent.
 
-Equivalence contract with the per-pair reference
-(:func:`repro.routing.assignment.assign_demand` with ``method="per-pair"``),
-in single-path mode:
+Equivalence contract with a per-pair reference (one cached path resolution
+per pair, loads added in pair order; ``tests/oracles.py`` keeps it), in
+single-path mode:
 
 * **Path choice**: both route every pair over a canonical shortest path.  On
   instances whose shortest paths are unique (e.g. Euclidean lengths, where
@@ -187,8 +187,8 @@ def compile_demand(
             (identity mapping when omitted).
 
     Endpoints that do not resolve to a topology node land in
-    :attr:`CompiledDemand.unmatched` instead of raising, mirroring the
-    per-pair assignment behaviour.
+    :attr:`CompiledDemand.unmatched` instead of raising, so they are
+    reported as unrouted.
 
     Demand is symmetric and the graph undirected, so each pair may be routed
     from either endpoint; compilation **orients** every pair toward the

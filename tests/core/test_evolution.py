@@ -1,5 +1,8 @@
 """Tests for repro.core.evolution — incremental multi-period growth."""
 
+import math
+from unittest import mock
+
 import pytest
 
 from repro.core.evolution import (
@@ -10,6 +13,8 @@ from repro.core.evolution import (
 )
 from repro.metrics.fits import classify_tail
 from repro.topology.node import NodeRole
+
+from oracles import scan_cheapest_attachment
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +36,12 @@ class TestParameters:
             GrowthParameters(demand_growth_rate=-0.1)
         with pytest.raises(ValueError):
             GrowthParameters(budget_per_period=0.0)
+        with pytest.raises(ValueError, match="demand_growth_rate"):
+            GrowthParameters(demand_growth_rate=math.nan)
+        with pytest.raises(ValueError, match="demand_growth_rate"):
+            GrowthParameters(demand_growth_rate=math.inf)
+        with pytest.raises(ValueError, match="budget_per_period"):
+            GrowthParameters(budget_per_period=math.nan)
 
 
 class TestGrowthTrace:
@@ -157,8 +168,9 @@ class TestSpatialAttachment:
             seed=seed,
             budget_per_period=80.0,
         )
-        spatial = GrowthSimulator(params, use_spatial_index=True).run()
-        scan = GrowthSimulator(params, use_spatial_index=False).run()
+        spatial = GrowthSimulator(params).run()
+        with mock.patch.object(GrowthSimulator, "_cheapest_attachment", scan_cheapest_attachment):
+            scan = GrowthSimulator(params).run()
         assert spatial.as_rows() == scan.as_rows()
         spatial_edges = sorted(map(repr, spatial.topology.link_keys()))
         scan_edges = sorted(map(repr, scan.topology.link_keys()))
@@ -184,7 +196,7 @@ class TestSpatialAttachment:
                 demand=rng.uniform(1.0, 10.0),
             )
             fast = simulator._cheapest_attachment(topology, probe)
-            slow = simulator._cheapest_attachment_scan(topology, probe)
+            slow = scan_cheapest_attachment(simulator, topology, probe)
             assert fast == slow
 
     def test_degree_limited_targets_are_excluded(self):
@@ -212,6 +224,6 @@ class TestSpatialAttachment:
             simulator._refresh_blocked(topology, extra.node_id)
         probe = Customer("probe", topology.node(victim).location, 2.0)
         fast = simulator._cheapest_attachment(topology, probe)
-        slow = simulator._cheapest_attachment_scan(topology, probe)
+        slow = scan_cheapest_attachment(simulator, topology, probe)
         assert fast == slow
         assert fast is None or fast[0] != victim

@@ -27,6 +27,10 @@ class TestParameters:
             FKPParameters(num_nodes=0, alpha=1.0)
         with pytest.raises(ValueError):
             FKPParameters(num_nodes=10, alpha=-1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            FKPParameters(num_nodes=10, alpha=math.nan)
+        with pytest.raises(ValueError, match="alpha"):
+            FKPParameters(num_nodes=10, alpha=math.inf)
 
 
 class TestAlphaRegime:

@@ -1,7 +1,11 @@
 """Tests for repro.core.meyerson — the randomized incremental buy-at-bulk solver."""
 
+import math
+from unittest import mock
+
 import pytest
 
+from repro.core import meyerson
 from repro.core.buyatbulk import random_instance, solve_direct_star, trivial_lower_bound
 from repro.core.meyerson import (
     MeyersonBuyAtBulk,
@@ -12,6 +16,8 @@ from repro.core.meyerson import (
 )
 from repro.metrics.fits import classify_tail
 
+from oracles import ScanLayeredNetwork
+
 
 class TestParameters:
     def test_invalid_parameters_rejected(self):
@@ -19,6 +25,10 @@ class TestParameters:
             MeyersonParameters(hub_probability_scale=0.0)
         with pytest.raises(ValueError):
             MeyersonParameters(arrival_order="alphabetical")
+        with pytest.raises(ValueError, match="hub_probability_scale"):
+            MeyersonParameters(hub_probability_scale=math.nan)
+        with pytest.raises(ValueError, match="hub_probability_scale"):
+            MeyersonParameters(hub_probability_scale=math.inf)
 
 
 class TestSolve:
@@ -113,6 +123,12 @@ class TestApproximationFactor:
         assert cost <= 5 * factor * bound
 
 
+def solve_with_scan(instance, parameters):
+    """Solve with the seed's linear-scan layer state patched in."""
+    with mock.patch.object(meyerson, "_LayeredNetwork", ScanLayeredNetwork):
+        return MeyersonBuyAtBulk(instance, parameters).solve()
+
+
 class TestSpatialIndexEquivalence:
     """The grid-backed nearest-member queries are exact: solutions are
     bit-identical to the seed's linear-scan implementation."""
@@ -121,32 +137,18 @@ class TestSpatialIndexEquivalence:
     @pytest.mark.parametrize("clustered", [False, True])
     def test_solutions_bit_identical(self, seed, clustered):
         instance = random_instance(150, seed=seed, clustered=clustered)
-        grid = MeyersonBuyAtBulk(
-            instance, MeyersonParameters(seed=seed), use_spatial_index=True
-        ).solve()
-        scan = MeyersonBuyAtBulk(
-            instance, MeyersonParameters(seed=seed), use_spatial_index=False
-        ).solve()
+        grid = MeyersonBuyAtBulk(instance, MeyersonParameters(seed=seed)).solve()
+        scan = solve_with_scan(instance, MeyersonParameters(seed=seed))
         assert sorted(map(str, grid.topology.link_keys())) == sorted(
             map(str, scan.topology.link_keys())
         )
         assert grid.total_cost() == scan.total_cost()
 
-    def test_default_uses_spatial_index(self, medium_instance):
-        assert MeyersonBuyAtBulk(medium_instance).use_spatial_index
-
     def test_arrival_order_variants_identical(self, medium_instance):
         for order in ("random", "demand", "given"):
-            grid = MeyersonBuyAtBulk(
-                medium_instance,
-                MeyersonParameters(seed=2, arrival_order=order),
-                use_spatial_index=True,
-            ).solve()
-            scan = MeyersonBuyAtBulk(
-                medium_instance,
-                MeyersonParameters(seed=2, arrival_order=order),
-                use_spatial_index=False,
-            ).solve()
+            parameters = MeyersonParameters(seed=2, arrival_order=order)
+            grid = MeyersonBuyAtBulk(medium_instance, parameters).solve()
+            scan = solve_with_scan(medium_instance, parameters)
             assert sorted(map(str, grid.topology.link_keys())) == sorted(
                 map(str, scan.topology.link_keys())
             )

@@ -22,6 +22,8 @@ from repro.generators.plrg import power_law_degree_sequence
 from repro.metrics.fits import classify_tail
 from repro.topology.graph import Topology, TopologyError
 
+from oracles import naive_waxman
+
 ALL_GENERATOR_NAMES = [
     "erdos-renyi",
     "waxman",
@@ -98,6 +100,14 @@ class TestWaxman:
             WaxmanGenerator(alpha_w=0.0)
         with pytest.raises(ValueError):
             WaxmanGenerator(beta=0.0)
+        with pytest.raises(ValueError, match="alpha_w"):
+            WaxmanGenerator(alpha_w=math.nan)
+        with pytest.raises(ValueError, match="beta"):
+            WaxmanGenerator(beta=math.nan)
+
+    def test_infinite_alpha_w_removes_distance_decay(self):
+        topo = WaxmanGenerator(alpha_w=math.inf, beta=1.0, connect=False).generate(12, seed=1)
+        assert topo.num_links == 12 * 11 // 2
 
     def test_nodes_have_locations(self):
         topo = WaxmanGenerator().generate(50, seed=5)
@@ -109,7 +119,8 @@ class TestWaxmanStatistics:
 
     The grid method draws the exact Waxman edge distribution but with a
     different random stream than the seed's per-pair loop, so equivalence is
-    gated statistically against the retained ``naive`` reference.
+    gated statistically against that loop (``naive_waxman`` in
+    ``tests/oracles.py``).
     """
 
     NUM_NODES = 250
@@ -141,12 +152,11 @@ class TestWaxmanStatistics:
 
     def test_degree_distribution_ks_vs_naive(self):
         grid_degrees, naive_degrees = [], []
+        generator = WaxmanGenerator(connect=False)
         for seed in (10, 11, 12):
-            grid = WaxmanGenerator(connect=False, method="grid")
-            naive = WaxmanGenerator(connect=False, method="naive")
-            grid_degrees.extend(grid.generate(self.NUM_NODES, seed=seed).degree_sequence())
+            grid_degrees.extend(generator.generate(self.NUM_NODES, seed=seed).degree_sequence())
             naive_degrees.extend(
-                naive.generate(self.NUM_NODES, seed=seed + 100).degree_sequence()
+                naive_waxman(generator, self.NUM_NODES, seed=seed + 100).degree_sequence()
             )
         statistic = two_sample_ks_statistic(grid_degrees, naive_degrees)
         n1, n2 = len(grid_degrees), len(naive_degrees)
@@ -154,8 +164,8 @@ class TestWaxmanStatistics:
         assert statistic <= critical
 
     def test_naive_method_unchanged_from_seed(self):
-        """The reference path still produces the seed's per-seed stream."""
-        topo = WaxmanGenerator(method="naive", connect=False).generate(60, seed=3)
+        """The reference loop still produces the seed's per-seed stream."""
+        topo = naive_waxman(WaxmanGenerator(connect=False), 60, seed=3)
         rng = random.Random(3)
         locations = [(rng.random(), rng.random()) for _ in range(60)]
         expected = []
@@ -170,10 +180,6 @@ class TestWaxmanStatistics:
                     expected.append((u, v))
         got = sorted(tuple(sorted(key)) for key in topo.link_keys())
         assert got == sorted(expected)
-
-    def test_invalid_method_rejected(self):
-        with pytest.raises(ValueError):
-            WaxmanGenerator(method="magic")
 
 
 def two_sample_ks_statistic(a, b):

@@ -7,11 +7,12 @@ import pytest
 from repro.generators.sampling import (
     FenwickSampler,
     MultisetSampler,
-    linear_weighted_index,
     skip_sampled_indices,
     skip_sampled_pairs,
 )
 from repro.topology.compiled import KERNEL_COUNTERS
+
+from oracles import linear_weighted_index
 
 
 class TestFenwickAgainstLinearReference:

@@ -28,6 +28,8 @@ from repro.generators import (
     PLRGGenerator,
 )
 
+from oracles import scan_fkp
+
 
 def edge_hash(topo) -> str:
     """Order-independent hash of the topology's edge set (plus counts)."""
@@ -94,6 +96,21 @@ PINNED = [
         "ff8237337e3b077a4d908a64f5a2118425192d424893a220e55df5edb0b23785",
     ),
     (
+        "fkp-scan-a0.1-s1-n300",
+        lambda: scan_fkp(FKPParameters(num_nodes=300, alpha=0.1, seed=1)),
+        "63f657cf31982c3a838584f287be014886886ac6d651a68c557a714e2ada3a27",
+    ),
+    (
+        "fkp-scan-a4-s4-n400",
+        lambda: scan_fkp(FKPParameters(num_nodes=400, alpha=4.0, seed=4)),
+        "3804a5632f86155f1ed5ad300167279f38a269d92b695ff9b49c82bfb85dc8b0",
+    ),
+    (
+        "fkp-scan-a25-s8-n400",
+        lambda: scan_fkp(FKPParameters(num_nodes=400, alpha=25.0, seed=8)),
+        "ff8237337e3b077a4d908a64f5a2118425192d424893a220e55df5edb0b23785",
+    ),
+    (
         "fkp-subtree-a4-s6-n250",
         lambda: FKPModel(
             FKPParameters(num_nodes=250, alpha=4.0, seed=6),
@@ -113,9 +130,6 @@ def test_fkp_spatial_index_matches_full_scan():
     """The pruned spatial argmin and the exhaustive scan agree exactly."""
     for alpha in (0.1, 1.0, 4.0, 30.0):
         for seed in (0, 3):
-            fast = FKPModel(FKPParameters(num_nodes=120, alpha=alpha, seed=seed))
-            slow = FKPModel(
-                FKPParameters(num_nodes=120, alpha=alpha, seed=seed),
-                use_spatial_index=False,
-            )
-            assert edge_hash(fast.generate()) == edge_hash(slow.generate())
+            parameters = FKPParameters(num_nodes=120, alpha=alpha, seed=seed)
+            fast = FKPModel(parameters).generate()
+            assert edge_hash(fast) == edge_hash(scan_fkp(parameters))

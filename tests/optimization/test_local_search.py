@@ -1,46 +1,10 @@
 """Tests for repro.optimization.local_search."""
 
-import random
+import math
 
 import pytest
 
-from repro.optimization.local_search import (
-    AnnealingSchedule,
-    hill_climb,
-    multi_start,
-    pareto_front,
-    simulated_annealing,
-)
-
-
-def quadratic_cost(x: float) -> float:
-    return (x - 3.0) ** 2
-
-
-def step_neighbor(x: float, rng: random.Random) -> float:
-    return x + rng.uniform(-0.5, 0.5)
-
-
-class TestHillClimb:
-    def test_converges_toward_minimum(self):
-        result = hill_climb(
-            10.0, quadratic_cost, step_neighbor, max_iterations=2000, patience=300,
-            rng=random.Random(0),
-        )
-        assert abs(result.best_solution - 3.0) < 0.5
-        assert result.best_cost < quadratic_cost(10.0)
-
-    def test_history_starts_at_initial_cost(self):
-        result = hill_climb(5.0, quadratic_cost, step_neighbor, max_iterations=10, rng=random.Random(1))
-        assert result.history[0] == pytest.approx(quadratic_cost(5.0))
-
-    def test_never_returns_worse_than_initial(self):
-        result = hill_climb(2.0, quadratic_cost, step_neighbor, max_iterations=50, rng=random.Random(2))
-        assert result.best_cost <= quadratic_cost(2.0)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            hill_climb(0.0, quadratic_cost, step_neighbor, max_iterations=-1)
+from repro.optimization.local_search import AnnealingSchedule, pareto_front
 
 
 class TestAnnealingSchedule:
@@ -51,6 +15,16 @@ class TestAnnealingSchedule:
             AnnealingSchedule(cooling_rate=1.0)
         with pytest.raises(ValueError):
             AnnealingSchedule(min_temperature=0.0)
+        with pytest.raises(ValueError, match="initial_temperature"):
+            AnnealingSchedule(initial_temperature=math.nan)
+        with pytest.raises(ValueError, match="initial_temperature"):
+            AnnealingSchedule(initial_temperature=math.inf)
+        with pytest.raises(ValueError, match="cooling_rate"):
+            AnnealingSchedule(cooling_rate=math.nan)
+        with pytest.raises(ValueError, match="min_temperature"):
+            AnnealingSchedule(min_temperature=math.nan)
+        with pytest.raises(ValueError, match="min_temperature"):
+            AnnealingSchedule(min_temperature=math.inf)
 
     def test_temperatures_decreasing(self):
         temps = AnnealingSchedule(initial_temperature=1.0, cooling_rate=0.9).temperatures(50)
@@ -59,42 +33,6 @@ class TestAnnealingSchedule:
     def test_temperatures_capped(self):
         temps = AnnealingSchedule(cooling_rate=0.999999).temperatures(10)
         assert len(temps) == 10
-
-
-class TestSimulatedAnnealing:
-    def test_escapes_local_minimum_landscape(self):
-        # Cost with a local minimum at x=0 (cost 1) and global minimum at x=2 (cost 0).
-        def cost(x):
-            return min(x * x + 1.0, (x - 2.0) ** 2)
-
-        def wide_neighbor(x, rng):
-            return x + rng.uniform(-1.5, 1.5)
-
-        result = simulated_annealing(
-            0.0, cost, wide_neighbor,
-            schedule=AnnealingSchedule(initial_temperature=2.0, cooling_rate=0.999),
-            max_iterations=4000, rng=random.Random(3),
-        )
-        assert result.best_cost < 1.0
-
-    def test_best_cost_not_worse_than_start(self):
-        result = simulated_annealing(
-            8.0, quadratic_cost, step_neighbor, max_iterations=500, rng=random.Random(4)
-        )
-        assert result.best_cost <= quadratic_cost(8.0)
-
-
-class TestMultiStart:
-    def test_picks_best_start(self):
-        result = multi_start(
-            [100.0, 3.2], quadratic_cost, step_neighbor, max_iterations=200,
-            rng=random.Random(5),
-        )
-        assert abs(result.best_solution - 3.0) < 1.0
-
-    def test_requires_starts(self):
-        with pytest.raises(ValueError):
-            multi_start([], quadratic_cost, step_neighbor)
 
 
 class TestParetoFront:

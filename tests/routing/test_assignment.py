@@ -7,6 +7,8 @@ from repro.routing.assignment import assign_demand, route_customer_demand_to_cor
 from repro.topology.graph import Topology
 from repro.topology.node import NodeRole
 
+from oracles import per_pair_assign
+
 
 def backbone() -> Topology:
     topo = Topology()
@@ -63,21 +65,12 @@ class TestAssignDemand:
         topo = backbone()
         demand = DemandMatrix(endpoints=["x", "z"])
         demand.set_demand("x", "z", 1.0)
-        result = assign_demand(topo, demand, method="per-pair")
+        result = per_pair_assign(topo, demand)
         assert result.paths[("x", "z")] == ["x", "y", "z"]
         # The batched engine never resolves per-pair paths.
         batched = assign_demand(topo, demand)
         assert batched.paths == {}
         assert batched.link_loads == result.link_loads
-
-    def test_unknown_method_and_mode_rejected(self):
-        topo = backbone()
-        demand = DemandMatrix(endpoints=["x", "z"])
-        demand.set_demand("x", "z", 1.0)
-        with pytest.raises(ValueError):
-            assign_demand(topo, demand, method="mystery")
-        with pytest.raises(ValueError):
-            assign_demand(topo, demand, method="per-pair", mode="ecmp")
 
     def test_batched_matches_per_pair_on_loads(self):
         topo = backbone()
@@ -85,9 +78,9 @@ class TestAssignDemand:
         demand.set_demand("x", "y", 2.0)
         demand.set_demand("x", "z", 3.0)
         demand.set_demand("y", "z", 5.0)
-        reference = assign_demand(topo, demand, method="per-pair")
+        reference = per_pair_assign(topo, demand)
         reference_loads = {link.key: link.load for link in topo.links()}
-        batched = assign_demand(topo, demand, method="batched")
+        batched = assign_demand(topo, demand)
         assert {link.key: link.load for link in topo.links()} == reference_loads
         assert batched.routed_volume == reference.routed_volume
         assert batched.link_loads == reference.link_loads
@@ -158,7 +151,7 @@ class TestSearchCounts:
         demand.set_demand("y", "z", 3.0)
         topo.compiled()
         KERNEL_COUNTERS.reset()
-        assign_demand(topo, demand, method="per-pair")
+        per_pair_assign(topo, demand)
         # Two distinct sources (x, y) — the x search is reused for both x pairs.
         assert KERNEL_COUNTERS.single_source == 2
 
@@ -173,7 +166,7 @@ class TestSearchCounts:
         demand.set_demand("y", "z", 3.0)
         topo.compiled()
         KERNEL_COUNTERS.reset()
-        assign_demand(topo, demand, method="batched")
+        assign_demand(topo, demand)
         assert KERNEL_COUNTERS.traffic_batched_sources == 2
         assert KERNEL_COUNTERS.single_source == 2
         assert KERNEL_COUNTERS.traffic_assigned_pairs == 3

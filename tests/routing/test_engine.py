@@ -7,11 +7,12 @@ import pytest
 from repro.economics.cables import default_catalog
 from repro.economics.provisioning import provision_topology
 from repro.geography.demand import DemandMatrix
-from repro.routing.assignment import assign_demand
 from repro.routing.engine import compile_demand, route_demand
 from repro.routing.utilization import utilization_report
 from repro.topology.compiled import KERNEL_COUNTERS
 from repro.topology.graph import Topology
+
+from oracles import per_pair_assign
 
 
 def line_topology() -> Topology:
@@ -95,7 +96,7 @@ class TestRouteDemandSingle:
         demand = DemandMatrix(endpoints=["x", "y", "z"])
         demand.set_demand("x", "z", 7.0)
         demand.set_demand("y", "z", 2.0)
-        reference = assign_demand(topo, demand, method="per-pair")
+        reference = per_pair_assign(topo, demand)
         flow = route_demand(compile_demand(topo, demand))
         assert flow.link_loads() == reference.link_loads
         assert flow.routed_volume == reference.routed_volume

@@ -123,6 +123,16 @@ class TestAnalysisCommands:
         assert "total capital spent" in out
         assert load_json(output).num_nodes >= 16
 
+    def test_non_finite_fkp_alpha_rejected(self, tmp_path):
+        output = str(tmp_path / "fkp.json")
+        for alpha in ("nan", "inf"):
+            with pytest.raises(ValueError, match="alpha"):
+                main(["generate", "fkp", "--nodes", "20", "--alpha", alpha, "-o", output])
+
+    def test_nan_growth_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget_per_period"):
+            main(["growth", "--periods", "1", "--budget", "nan"])
+
     def test_render_layout_and_ccdf(self, tmp_path):
         import xml.etree.ElementTree as ElementTree
 

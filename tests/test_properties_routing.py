@@ -15,6 +15,8 @@ from repro.routing.engine import compile_demand, route_demand
 from repro.routing.utilization import utilization_report
 from repro.topology.graph import Topology
 
+from oracles import per_pair_assign
+
 
 coordinates = st.tuples(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -112,9 +114,9 @@ class TestBatchedEngineProperties:
         topology = random_connected_topology(rng, n, extra)
         demand = random_demand(rng, n, min(12, n), integral=True)
         endpoint_map = {str(i): i for i in range(n)}
-        reference = assign_demand(topology, demand, endpoint_map, method="per-pair")
+        reference = per_pair_assign(topology, demand, endpoint_map)
         reference_loads = [link.load for link in topology.links()]
-        batched = assign_demand(topology, demand, endpoint_map, method="batched")
+        batched = assign_demand(topology, demand, endpoint_map)
         assert [link.load for link in topology.links()] == reference_loads
         assert batched.routed_volume == reference.routed_volume
         assert batched.unrouted_volume == reference.unrouted_volume
@@ -132,9 +134,9 @@ class TestBatchedEngineProperties:
         topology = random_connected_topology(rng, n, extra)
         demand = random_demand(rng, n, min(12, n), integral=False)
         endpoint_map = {str(i): i for i in range(n)}
-        reference = assign_demand(topology, demand, endpoint_map, method="per-pair")
+        reference = per_pair_assign(topology, demand, endpoint_map)
         reference_loads = [link.load for link in topology.links()]
-        batched = assign_demand(topology, demand, endpoint_map, method="batched")
+        batched = assign_demand(topology, demand, endpoint_map)
         for observed, expected in zip(
             (link.load for link in topology.links()), reference_loads
         ):
