@@ -12,8 +12,8 @@ Subpackages:
 * :mod:`repro.topology` — annotated topology substrate.
 * :mod:`repro.geography` — regions, population centers, gravity demand.
 * :mod:`repro.economics` — cable catalogs, cost and profit models, provisioning.
-* :mod:`repro.optimization` — MST, shortest paths, Steiner trees, facility
-  location, local search.
+* :mod:`repro.optimization` — MST, shortest paths, facility location, local
+  search, incremental moves.
 * :mod:`repro.generators` — descriptive baselines (BA, GLP, PLRG, Inet,
   Waxman, transit-stub, Erdős–Rényi).
 * :mod:`repro.metrics` — degree/tail/clustering/hierarchy/expansion/

@@ -107,60 +107,6 @@ class CapacityConstraint(Constraint):
 
 
 @dataclass
-class BudgetConstraint(Constraint):
-    """Total build-out cost must not exceed a capital budget."""
-
-    budget: float = float("inf")
-    name: str = "budget"
-
-    def __post_init__(self) -> None:
-        if self.budget < 0:
-            raise ValueError("budget must be non-negative")
-
-    def violations(self, topology: Topology) -> List[str]:
-        total = topology.total_cost()
-        if total > self.budget + 1e-9:
-            return [f"total cost {total:.2f} exceeds budget {self.budget:.2f}"]
-        return []
-
-    def allows_link(self, topology: Topology, u: Any, v: Any) -> bool:
-        return topology.total_cost() <= self.budget
-
-
-@dataclass
-class GeographicReachConstraint(Constraint):
-    """Maximum physical length of any single link (signal reach / dark fiber).
-
-    Models the Level-2 / physical-layer limits the paper mentions (Section
-    2.1): a single unregenerated span cannot be arbitrarily long.
-    """
-
-    max_link_length: float = float("inf")
-    name: str = "reach"
-
-    def __post_init__(self) -> None:
-        if self.max_link_length <= 0:
-            raise ValueError("max_link_length must be positive")
-
-    def violations(self, topology: Topology) -> List[str]:
-        problems = []
-        for link in topology.links():
-            if link.length > self.max_link_length + 1e-9:
-                problems.append(
-                    f"link {link.key} length {link.length:.3f} exceeds reach {self.max_link_length:.3f}"
-                )
-        return problems
-
-    def allows_link(self, topology: Topology, u: Any, v: Any) -> bool:
-        loc_u = topology.node(u).location
-        loc_v = topology.node(v).location
-        if loc_u is None or loc_v is None:
-            return True
-        length = ((loc_u[0] - loc_v[0]) ** 2 + (loc_u[1] - loc_v[1]) ** 2) ** 0.5
-        return length <= self.max_link_length
-
-
-@dataclass
 class ConstraintSet:
     """A conjunction of constraints applied together."""
 
@@ -185,9 +131,8 @@ class ConstraintSet:
 def default_router_constraints() -> ConstraintSet:
     """A realistic default constraint set for router-level design.
 
-    Core routers get more interfaces than access equipment, loads must respect
-    installed capacity, and no single span exceeds roughly a metro diameter's
-    worth of unregenerated reach (in region units).
+    Core routers get more interfaces than access equipment, and loads must
+    respect installed capacity.
     """
     return ConstraintSet(
         constraints=[

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..geography.points import euclidean
 from ..geography.regions import Region, unit_square
@@ -299,32 +299,3 @@ def generate_fkp_tree(
         centrality=centrality,
     )
     return model.generate()
-
-
-def alpha_sweep(
-    num_nodes: int,
-    alphas: Sequence[float],
-    seed: Optional[int] = None,
-    region: Optional[Region] = None,
-) -> Dict[float, Topology]:
-    """Grow one FKP tree per alpha value (same seed → same node placement).
-
-    This is the workload of experiment E1: the degree distribution is then
-    classified per alpha to recover the star / power-law / exponential phase
-    diagram of the FKP theorem.
-    """
-    return {
-        alpha: generate_fkp_tree(num_nodes, alpha, seed=seed, region=region)
-        for alpha in alphas
-    }
-
-
-def characteristic_alphas(num_nodes: int) -> Dict[str, float]:
-    """Representative alpha values for each regime, given the target size."""
-    return {
-        "star": 0.1,
-        "power-law-low": 4.0,
-        "power-law-high": max(4.0, math.sqrt(num_nodes) / 4.0),
-        "exponential": 2.0 * math.sqrt(num_nodes),
-        "mst-like": float(num_nodes),
-    }

@@ -13,7 +13,6 @@ the paper:
 * :meth:`generate_fkp_tree` — the FKP distance/centrality tradeoff (§3.1);
 * :meth:`generate_access_tree` — the single-sink buy-at-bulk access design
   solved with the Meyerson-style incremental algorithm (§4.1–4.2);
-* :meth:`generate_metro` — the two-level concentrator + feeder metro design;
 * :meth:`generate_isp` — the full WAN/MAN/LAN single-ISP design (§2.2);
 * :meth:`generate_internet` — interconnected ISPs and the induced AS graph (§2.3).
 
@@ -25,12 +24,11 @@ be applied uniformly to HOT-generated and baseline-generated topologies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
 from ..economics.cables import CableCatalog, default_catalog
 from ..geography.regions import Region
 from ..topology.graph import Topology
-from .access_design import AccessDesignResult, design_access_network
 from .buyatbulk import (
     BuyAtBulkInstance,
     BuyAtBulkSolution,
@@ -130,22 +128,6 @@ class HOTGenerator:
             return solver(instance, seed=seed)
         return solver(instance)
 
-    def generate_metro(
-        self,
-        num_customers: int,
-        seed: Optional[int] = None,
-        feeder_algorithm: str = "meyerson",
-        redundancy: bool = False,
-    ) -> AccessDesignResult:
-        """Design a metro access network (concentrators + buy-at-bulk feeders)."""
-        return design_access_network(
-            num_customers,
-            seed=self._seed(seed),
-            feeder_algorithm=feeder_algorithm,
-            catalog=self.catalog,
-            redundancy=redundancy,
-        )
-
     def generate_isp(
         self,
         num_cities: int = 30,
@@ -181,19 +163,6 @@ class HOTGenerator:
             seed=self._seed(seed),
             include_metros=include_metros,
         )
-
-    # ------------------------------------------------------------------
-    def compare_buy_at_bulk_algorithms(
-        self,
-        instance: BuyAtBulkInstance,
-        algorithms: Sequence[str] = ("meyerson", "greedy", "mst", "star"),
-        seed: Optional[int] = None,
-    ) -> Dict[str, BuyAtBulkSolution]:
-        """Solve the same instance with several algorithms (ablation helper)."""
-        return {
-            algorithm: self.solve_buy_at_bulk(instance, algorithm=algorithm, seed=seed)
-            for algorithm in algorithms
-        }
 
     def _seed(self, seed: Optional[int]) -> Optional[int]:
         return seed if seed is not None else self.seed

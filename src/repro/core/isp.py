@@ -11,7 +11,7 @@ economic/technical inputs rather than by target statistics:
 
 * **Backbone**: choose which cities to enter (largest population first, up to
   a coverage fraction or explicit list), place one or more core routers per
-  PoP, and connect PoPs with a Steiner/MST skeleton augmented by the
+  PoP, and connect PoPs with an MST skeleton augmented by the
   highest-demand shortcut links that pay for themselves under the gravity
   demand matrix.
 * **Distribution**: each PoP city gets a metro access design (concentrators +

@@ -263,19 +263,3 @@ def best_of_runs(
             best = solution
     assert best is not None
     return best
-
-
-def expected_approximation_factor(num_cable_types: int) -> float:
-    """Indicative expected approximation factor of the layered sampling scheme.
-
-    The Meyerson et al. analysis gives an O(1) expected factor per layer;
-    a commonly quoted aggregate bound for K layers of the access-design
-    variant is O(K) in the worst case but constant when the cable capacities
-    are geometrically spaced (as real cable catalogs are).  This helper
-    returns the indicative ``2 * (1 + log2(K + 1))`` figure used by the
-    benchmark harness to sanity-check measured ratios; it is a reporting aid,
-    not a proof.
-    """
-    if num_cable_types < 1:
-        raise ValueError("num_cable_types must be >= 1")
-    return 2.0 * (1.0 + math.log2(num_cable_types + 1))

@@ -4,46 +4,24 @@ from .cables import (
     CableCatalog,
     CableType,
     default_catalog,
-    flat_catalog,
     linear_catalog,
-    scaled_catalog,
 )
 from .cost_model import DEFAULT_NODE_COSTS, CostBreakdown, CostModel
-from .profit_model import (
-    CustomerProspect,
-    ProfitAnalysis,
-    RevenueModel,
-    analyze_prospects,
-    breakeven_distance,
-    marginal_profit,
-)
+from .profit_model import RevenueModel
 from .provisioning import (
     ProvisioningReport,
-    capacity_violations,
-    peak_utilization,
     provision_topology,
-    provisioning_cost,
 )
 
 __all__ = [
     "CableCatalog",
     "CableType",
     "default_catalog",
-    "flat_catalog",
     "linear_catalog",
-    "scaled_catalog",
     "DEFAULT_NODE_COSTS",
     "CostBreakdown",
     "CostModel",
-    "CustomerProspect",
-    "ProfitAnalysis",
     "RevenueModel",
-    "analyze_prospects",
-    "breakeven_distance",
-    "marginal_profit",
     "ProvisioningReport",
-    "capacity_violations",
-    "peak_utilization",
     "provision_topology",
-    "provisioning_cost",
 ]

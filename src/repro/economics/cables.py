@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -203,19 +203,6 @@ def default_catalog() -> CableCatalog:
     )
 
 
-def flat_catalog(capacity: float = 1e12, unit_cost: float = 1.0) -> CableCatalog:
-    """A single-cable catalog with no economies of scale (ablation baseline).
-
-    With one cable type whose installation cost dominates, the buy-at-bulk
-    problem degenerates toward a Steiner-tree / shortest-path structure; this
-    catalog isolates the effect of the economies of scale present in
-    :func:`default_catalog`.
-    """
-    return CableCatalog(
-        [CableType(name="flat", capacity=capacity, install_cost=unit_cost, usage_cost=0.0)]
-    )
-
-
 def linear_catalog(usage_cost: float = 1.0) -> CableCatalog:
     """A catalog with zero fixed cost and purely linear usage cost.
 
@@ -225,22 +212,4 @@ def linear_catalog(usage_cost: float = 1.0) -> CableCatalog:
     """
     return CableCatalog(
         [CableType(name="linear", capacity=1e12, install_cost=0.0, usage_cost=usage_cost)]
-    )
-
-
-def scaled_catalog(base: Optional[CableCatalog] = None, factor: float = 1.0) -> CableCatalog:
-    """Return a copy of ``base`` with all costs multiplied by ``factor``."""
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    base = base or default_catalog()
-    return CableCatalog(
-        [
-            CableType(
-                name=c.name,
-                capacity=c.capacity,
-                install_cost=c.install_cost * factor,
-                usage_cost=c.usage_cost * factor,
-            )
-            for c in base
-        ]
     )

@@ -3,15 +3,15 @@
 The paper's alternative formulation (Section 2.2): "a profit-based formulation
 seeks to build a network that satisfies demand only up to the point of
 profitability — that is, economically speaking where marginal revenue meets
-marginal cost."  This module models per-customer revenue and provides the
-marginal analysis used by the ISP generator to decide which customers are
-worth connecting at all.
+marginal cost."  This module models the per-customer revenue that the ISP
+generator's profit objective weighs against the cost of connecting each
+customer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -76,118 +76,3 @@ class RevenueModel:
                 total_volume += demand
                 count += 1
         return count * self.subscription + total_volume * self.price_per_unit + discounted
-
-
-@dataclass(frozen=True)
-class CustomerProspect:
-    """A candidate customer evaluated by the profit formulation.
-
-    Attributes:
-        customer_id: Identifier of the customer (matches the topology node id).
-        demand: Traffic demand of the customer.
-        connection_cost: Incremental cost of connecting the customer to the
-            existing network (cable, equipment).
-    """
-
-    customer_id: object
-    demand: float
-    connection_cost: float
-
-    def __post_init__(self) -> None:
-        if self.demand < 0:
-            raise ValueError("demand must be non-negative")
-        if self.connection_cost < 0:
-            raise ValueError("connection cost must be non-negative")
-
-
-@dataclass
-class ProfitAnalysis:
-    """Result of a marginal profit analysis over a set of prospects.
-
-    Attributes:
-        accepted: Prospects worth connecting (marginal revenue >= marginal cost).
-        rejected: Prospects not worth connecting.
-        total_revenue: Revenue from accepted prospects.
-        total_cost: Connection cost of accepted prospects.
-    """
-
-    accepted: List[CustomerProspect]
-    rejected: List[CustomerProspect]
-    total_revenue: float
-    total_cost: float
-
-    @property
-    def profit(self) -> float:
-        """Net profit of the accepted set."""
-        return self.total_revenue - self.total_cost
-
-    @property
-    def acceptance_rate(self) -> float:
-        """Fraction of prospects accepted."""
-        total = len(self.accepted) + len(self.rejected)
-        return len(self.accepted) / total if total else 0.0
-
-
-def marginal_profit(prospect: CustomerProspect, revenue_model: RevenueModel) -> float:
-    """Marginal profit of connecting a single prospect."""
-    return revenue_model.revenue_for_demand(prospect.demand) - prospect.connection_cost
-
-
-def analyze_prospects(
-    prospects: Sequence[CustomerProspect],
-    revenue_model: RevenueModel,
-    budget: float = float("inf"),
-) -> ProfitAnalysis:
-    """Greedy marginal-profit analysis: accept customers while profitable.
-
-    Prospects are considered in decreasing order of marginal profit and
-    accepted while (a) their marginal revenue is at least their marginal cost
-    and (b) the cumulative connection cost stays within ``budget``.  This is
-    the point "where marginal revenue meets marginal cost".
-
-    Args:
-        prospects: Candidate customers with their incremental connection costs.
-        revenue_model: Revenue earned per connected customer.
-        budget: Optional capital-expenditure cap.
-    """
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    ranked = sorted(
-        prospects, key=lambda p: marginal_profit(p, revenue_model), reverse=True
-    )
-    accepted: List[CustomerProspect] = []
-    rejected: List[CustomerProspect] = []
-    total_revenue = 0.0
-    total_cost = 0.0
-    for prospect in ranked:
-        gain = marginal_profit(prospect, revenue_model)
-        if gain >= 0 and total_cost + prospect.connection_cost <= budget:
-            accepted.append(prospect)
-            total_revenue += revenue_model.revenue_for_demand(prospect.demand)
-            total_cost += prospect.connection_cost
-        else:
-            rejected.append(prospect)
-    return ProfitAnalysis(
-        accepted=accepted,
-        rejected=rejected,
-        total_revenue=total_revenue,
-        total_cost=total_cost,
-    )
-
-
-def breakeven_distance(
-    demand: float,
-    revenue_model: RevenueModel,
-    cost_per_unit_length: float,
-) -> float:
-    """Maximum connection distance at which a customer is still profitable.
-
-    Solves ``revenue(demand) = cost_per_unit_length * distance`` for distance;
-    returns ``inf`` when the connection cost rate is zero.
-    """
-    if cost_per_unit_length < 0:
-        raise ValueError("cost_per_unit_length must be non-negative")
-    revenue = revenue_model.revenue_for_demand(demand)
-    if cost_per_unit_length == 0:
-        return float("inf")
-    return revenue / cost_per_unit_length

@@ -11,7 +11,7 @@ the paper calls a topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..routing.utilization import _resolve_flow_loads
 from ..topology.graph import Topology
@@ -116,37 +116,3 @@ def provision_topology(
         cable_counts=cable_counts,
         overprovisioning=overprovisioning,
     )
-
-
-def provisioning_cost(
-    topology: Topology, catalog: CableCatalog, utilization_target: float = 1.0
-) -> float:
-    """Provisioning cost of a topology without mutating it.
-
-    Evaluates the same cable selection as :func:`provision_topology` but on a
-    copy, leaving the input untouched; used when comparing candidate designs.
-    """
-    copy = topology.copy()
-    report = provision_topology(copy, catalog, utilization_target=utilization_target)
-    return report.total_cost
-
-
-def capacity_violations(topology: Topology) -> Dict[tuple, float]:
-    """Links whose load exceeds their installed capacity, with the excess."""
-    violations = {}
-    for link in topology.links():
-        if link.capacity is not None and link.load > link.capacity + 1e-9:
-            violations[link.key] = link.load - link.capacity
-    return violations
-
-
-def peak_utilization(topology: Topology) -> Optional[float]:
-    """Maximum link utilization, or ``None`` when no link has finite capacity."""
-    utilizations = [
-        link.load / link.capacity
-        for link in topology.links()
-        if link.capacity is not None and link.capacity > 0
-    ]
-    if not utilizations:
-        return None
-    return max(utilizations)

@@ -106,9 +106,6 @@ class FaultPlan:
             digest: tuple(schedule) for digest, schedule in faults.items()
         }
 
-    def __bool__(self) -> bool:
-        return any(fault is not None for schedule in self._faults.values() for fault in schedule)
-
     def fault_for(self, digest: str, attempt: int) -> Optional[Fault]:
         """The fault injected on the given (1-based) attempt, if any."""
         if attempt < 1:

@@ -8,11 +8,9 @@ against the optimization-driven generators through the common
 """
 
 from .base import (
-    GeneratedEnsemble,
     TopologyGenerator,
     available_generators,
     ensure_connected,
-    generate_ensemble,
     make_generator,
     register_generator,
 )
@@ -45,11 +43,9 @@ __all__ = [
     "MultisetSampler",
     "skip_sampled_indices",
     "skip_sampled_pairs",
-    "GeneratedEnsemble",
     "TopologyGenerator",
     "available_generators",
     "ensure_connected",
-    "generate_ensemble",
     "make_generator",
     "register_generator",
     "ErdosRenyiGenerator",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..topology.graph import Topology
@@ -78,30 +77,3 @@ def ensure_connected(topology: Topology, rng: random.Random) -> Topology:
         if not topology.has_link(u, v):
             topology.add_link(u, v, synthetic=True)
     return topology
-
-
-@dataclass
-class GeneratedEnsemble:
-    """A batch of topologies produced by one generator (for ensemble statistics)."""
-
-    generator_name: str
-    topologies: List[Topology]
-
-    def __len__(self) -> int:
-        return len(self.topologies)
-
-
-def generate_ensemble(
-    generator: TopologyGenerator,
-    num_nodes: int,
-    num_samples: int,
-    seed: Optional[int] = None,
-) -> GeneratedEnsemble:
-    """Generate ``num_samples`` independent topologies from one generator."""
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    base = seed if seed is not None else 0
-    topologies = [
-        generator.generate(num_nodes, seed=base + index) for index in range(num_samples)
-    ]
-    return GeneratedEnsemble(generator_name=generator.name, topologies=topologies)

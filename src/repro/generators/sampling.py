@@ -129,9 +129,6 @@ class FenwickSampler:
         #: Number of indices with a positive weight.
         self.active_count = 0
 
-    def __len__(self) -> int:
-        return self._size
-
     def weight(self, index: int) -> float:
         """Current weight of ``index``."""
         return self._weights[index]

@@ -2,16 +2,9 @@
 
 from .points import (
     Point,
-    bounding_box,
-    centroid,
     clustered_points,
     euclidean,
-    grid_points,
-    manhattan,
-    nearest_point_index,
-    pairwise_distances,
     random_points,
-    total_length,
 )
 from .regions import Region, bounding_region, metro_region, national_region, unit_square
 from .spatial_index import GridBuckets, SpatialGridIndex
@@ -26,17 +19,10 @@ from .demand import DemandMatrix, access_demands, gravity_demand, uniform_demand
 
 __all__ = [
     "Point",
-    "bounding_box",
     "bounding_region",
-    "centroid",
     "clustered_points",
     "euclidean",
-    "grid_points",
-    "manhattan",
-    "nearest_point_index",
-    "pairwise_distances",
     "random_points",
-    "total_length",
     "Region",
     "metro_region",
     "national_region",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -44,61 +44,6 @@ class Point:
 def euclidean(a: Tuple[float, float], b: Tuple[float, float]) -> float:
     """Euclidean distance between two ``(x, y)`` tuples."""
     return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def manhattan(a: Tuple[float, float], b: Tuple[float, float]) -> float:
-    """Manhattan (L1) distance between two ``(x, y)`` tuples."""
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
-def centroid(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
-    """Arithmetic centroid of a non-empty sequence of points."""
-    if not points:
-        raise ValueError("cannot compute the centroid of an empty point set")
-    sx = sum(p[0] for p in points)
-    sy = sum(p[1] for p in points)
-    return (sx / len(points), sy / len(points))
-
-
-def bounding_box(
-    points: Sequence[Tuple[float, float]],
-) -> Tuple[float, float, float, float]:
-    """Axis-aligned bounding box ``(min_x, min_y, max_x, max_y)``."""
-    if not points:
-        raise ValueError("cannot compute the bounding box of an empty point set")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return (min(xs), min(ys), max(xs), max(ys))
-
-
-def nearest_point_index(
-    target: Tuple[float, float], candidates: Sequence[Tuple[float, float]]
-) -> int:
-    """Index of the candidate closest (Euclidean) to ``target``."""
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
-    best_index = 0
-    best_distance = euclidean(target, candidates[0])
-    for index in range(1, len(candidates)):
-        distance = euclidean(target, candidates[index])
-        if distance < best_distance:
-            best_distance = distance
-            best_index = index
-    return best_index
-
-
-def pairwise_distances(
-    points: Sequence[Tuple[float, float]],
-) -> List[List[float]]:
-    """Full symmetric Euclidean distance matrix for a point list."""
-    n = len(points)
-    matrix = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            distance = euclidean(points[i], points[j])
-            matrix[i][j] = distance
-            matrix[j][i] = distance
-    return matrix
 
 
 def random_points(
@@ -153,24 +98,3 @@ def clustered_points(
         y = min(oy + height, max(oy, rng.gauss(cy, spread * height)))
         points.append((x, y))
     return points
-
-
-def grid_points(
-    rows: int, cols: int, width: float = 1.0, height: float = 1.0
-) -> List[Tuple[float, float]]:
-    """Regular grid of ``rows x cols`` points covering a rectangle."""
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be >= 1")
-    points = []
-    for r in range(rows):
-        for c in range(cols):
-            x = (c + 0.5) * width / cols
-            y = (r + 0.5) * height / rows
-            points.append((x, y))
-    return points
-
-
-def total_length(points: Iterable[Tuple[float, float]]) -> float:
-    """Length of the polyline visiting ``points`` in order."""
-    points = list(points)
-    return sum(euclidean(points[i], points[i + 1]) for i in range(len(points) - 1))

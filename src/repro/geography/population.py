@@ -96,30 +96,6 @@ class PopulationModel:
                 return c
         return self.cities[-1]
 
-    def sample_customer_locations(
-        self,
-        n: int,
-        rng: Optional[random.Random] = None,
-        spread_fraction: float = 0.02,
-    ) -> List[Tuple[float, float]]:
-        """Sample customer sites clustered around cities.
-
-        Each customer picks a city with probability proportional to its
-        population and is then placed with Gaussian scatter around the city
-        center; the result is clamped into the region.
-        """
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        rng = rng or random.Random()
-        spread = spread_fraction * max(self.region.width, self.region.height)
-        locations = []
-        for _ in range(n):
-            city = self.sample_city(rng)
-            cx, cy = city.location
-            point = (rng.gauss(cx, spread), rng.gauss(cy, spread))
-            locations.append(self.region.clamp(point))
-        return locations
-
 
 def zipf_populations(
     num_cities: int, largest_population: float = 8_000_000.0, exponent: float = 1.0

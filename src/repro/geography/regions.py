@@ -81,26 +81,6 @@ class Region:
             n, num_clusters, rng, self.width, self.height, spread, self.origin
         )
 
-    def subdivide(self, rows: int, cols: int) -> List["Region"]:
-        """Split the region into an evenly sized ``rows x cols`` grid of sub-regions."""
-        if rows < 1 or cols < 1:
-            raise ValueError("rows and cols must be >= 1")
-        ox, oy = self.origin
-        cell_w = self.width / cols
-        cell_h = self.height / rows
-        cells = []
-        for r in range(rows):
-            for c in range(cols):
-                cells.append(
-                    Region(
-                        name=f"{self.name}[{r},{c}]",
-                        width=cell_w,
-                        height=cell_h,
-                        origin=(ox + c * cell_w, oy + r * cell_h),
-                    )
-                )
-        return cells
-
 
 def unit_square(name: str = "unit-square") -> Region:
     """The unit square, the canonical region for the FKP model."""

@@ -5,7 +5,6 @@ from .degree import (
     DegreeStatistics,
     degree_ccdf,
     degree_histogram,
-    degree_rank_curve,
     degree_sequence,
     degree_statistics,
     leaf_fraction,
@@ -23,42 +22,31 @@ from .fits import (
 )
 from .clustering import (
     average_clustering,
-    clustering_by_degree,
     clustering_by_node,
     local_clustering,
     transitivity,
 )
 from .distance import (
     average_shortest_path_hops,
-    eccentricity_distribution,
-    geographic_stretch,
     hop_diameter,
-    weighted_diameter,
 )
-from .expansion import ball_sizes, expansion_at, expansion_curve, expansion_exponent
+from .expansion import ball_sizes, expansion_at, expansion_curve
 from .resilience import (
     RemovalTrace,
     removal_trace,
-    resilience_metric,
     robustness_summary,
 )
-from .distortion import cycle_edge_fraction, is_tree_like, tree_distortion
+from .distortion import cycle_edge_fraction, tree_distortion
 from .spectrum import (
     adjacency_matrix,
     adjacency_spectrum,
-    algebraic_connectivity,
     laplacian_matrix,
     laplacian_spectrum,
-    spectral_gap,
     spectral_summary,
 )
 from .hierarchy_metrics import (
     core_periphery_ratio,
     degree_assortativity,
-    hierarchy_depth,
-    hierarchy_report,
-    rich_club_coefficient,
-    role_hierarchy_summary,
 )
 from .validation import (
     BUILTIN_TARGETS,
@@ -68,7 +56,6 @@ from .validation import (
     ValidationTarget,
     as_graph_target,
     backbone_target,
-    best_matching_target,
     router_access_target,
     validate_topology,
 )
@@ -86,7 +73,6 @@ __all__ = [
     "DegreeStatistics",
     "degree_ccdf",
     "degree_histogram",
-    "degree_rank_curve",
     "degree_sequence",
     "degree_statistics",
     "leaf_fraction",
@@ -100,39 +86,26 @@ __all__ = [
     "fit_exponential",
     "fit_power_law",
     "average_clustering",
-    "clustering_by_degree",
     "clustering_by_node",
     "local_clustering",
     "transitivity",
     "average_shortest_path_hops",
-    "eccentricity_distribution",
-    "geographic_stretch",
     "hop_diameter",
-    "weighted_diameter",
     "ball_sizes",
     "expansion_at",
     "expansion_curve",
-    "expansion_exponent",
     "RemovalTrace",
     "removal_trace",
-    "resilience_metric",
     "robustness_summary",
     "cycle_edge_fraction",
-    "is_tree_like",
     "tree_distortion",
     "adjacency_matrix",
     "adjacency_spectrum",
-    "algebraic_connectivity",
     "laplacian_matrix",
     "laplacian_spectrum",
-    "spectral_gap",
     "spectral_summary",
     "core_periphery_ratio",
     "degree_assortativity",
-    "hierarchy_depth",
-    "hierarchy_report",
-    "rich_club_coefficient",
-    "role_hierarchy_summary",
     "BUILTIN_TARGETS",
     "CheckResult",
     "RangeCheck",
@@ -140,7 +113,6 @@ __all__ = [
     "ValidationTarget",
     "as_graph_target",
     "backbone_target",
-    "best_matching_target",
     "router_access_target",
     "validate_topology",
     "METRIC_COLUMNS",

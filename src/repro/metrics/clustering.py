@@ -61,20 +61,3 @@ def transitivity(topology: Topology) -> float:
     if triples == 0:
         return 0.0
     return triangles / triples
-
-
-def clustering_by_degree(topology: Topology) -> Dict[int, float]:
-    """Mean local clustering of nodes grouped by their degree.
-
-    The degree-conditioned clustering curve C(k) is one of the curves used to
-    distinguish hierarchically structured graphs from random degree-matched
-    ones.
-    """
-    sums: Dict[int, float] = {}
-    counts: Dict[int, int] = {}
-    for node_id in topology.node_ids():
-        degree = topology.degree(node_id)
-        coefficient = local_clustering(topology, node_id)
-        sums[degree] = sums.get(degree, 0.0) + coefficient
-        counts[degree] = counts.get(degree, 0) + 1
-    return {degree: sums[degree] / counts[degree] for degree in sums}

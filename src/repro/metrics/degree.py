@@ -114,9 +114,3 @@ def max_degree_share(topology: Topology) -> float:
     if total == 0:
         return 0.0
     return max(degrees) / total
-
-
-def degree_rank_curve(topology: Topology) -> List[Tuple[int, int]]:
-    """Zipf-style (rank, degree) curve: degrees sorted in decreasing order."""
-    degrees = sorted(degree_sequence(topology), reverse=True)
-    return [(rank + 1, degree) for rank, degree in enumerate(degrees)]

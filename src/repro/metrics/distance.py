@@ -1,23 +1,19 @@
-"""Path-length metrics: average shortest path, diameter, eccentricity, stretch.
+"""Path-length metrics: average shortest path and diameter in hops.
 
-All metrics run on the topology's compiled CSR view: the graph is compiled
-once per call (reusing the version-keyed cache) and the distance-only bulk
-sweeps go through the batch kernels (:func:`~repro.topology.compiled.
-batch_hop_lengths` / :func:`~repro.topology.compiled.batch_shortest_lengths`),
-which dispatch many sources per ``scipy.sparse.csgraph`` call under the numpy
-backend and fall back to the per-source pure-Python kernels otherwise.  Hop
-metrics are exact integers and weighted distances are backend-identical, so
-metric values do not depend on the backend.
+Both metrics run on the topology's compiled CSR view: the graph is compiled
+once per call (reusing the version-keyed cache) and the hop sweeps go through
+the batch kernel :func:`~repro.topology.compiled.batch_hop_lengths`, which
+dispatches many sources per ``scipy.sparse.csgraph`` call under the numpy
+backend and falls back to the per-source pure-Python BFS otherwise.  Hop
+counts are exact integers, so metric values do not depend on the backend.
 """
 
 from __future__ import annotations
 
 import random
-from math import inf
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Optional
 
-from ..geography.points import euclidean
-from ..topology.compiled import batch_hop_lengths, batch_shortest_lengths
+from ..topology.compiled import batch_hop_lengths
 from ..topology.graph import Topology
 
 
@@ -70,92 +66,3 @@ def hop_diameter(topology: Topology, sample_size: Optional[int] = None, seed: in
         if largest > diameter:
             diameter = largest
     return diameter
-
-
-def weighted_diameter(topology: Topology, sample_size: Optional[int] = None, seed: int = 0) -> float:
-    """Largest length-weighted shortest-path distance over (sampled) pairs."""
-    node_ids = list(topology.node_ids())
-    if len(node_ids) < 2:
-        return 0.0
-    if sample_size is not None and sample_size < len(node_ids):
-        rng = random.Random(seed)
-        sources = rng.sample(node_ids, sample_size)
-    else:
-        sources = node_ids
-    graph = topology.compiled()
-    weights = graph.edge_weight_column(None)
-    source_indices = [graph.index_of[source] for source in sources]
-    diameter = 0.0
-    for row in batch_shortest_lengths(graph, source_indices, weights):
-        for d in row:
-            if d != inf and d > diameter:
-                diameter = d
-    return diameter
-
-
-def eccentricity_distribution(topology: Topology) -> Dict[Any, int]:
-    """Hop eccentricity of every node (max hop distance to any reachable node)."""
-    graph = topology.compiled()
-    rows = batch_hop_lengths(graph, range(graph.num_nodes))
-    return {
-        node_id: max(rows[index])
-        for index, node_id in enumerate(graph.ids)
-    }
-
-
-def geographic_stretch(
-    topology: Topology,
-    pairs: Optional[List[Tuple[Any, Any]]] = None,
-    sample_size: int = 100,
-    seed: int = 0,
-) -> float:
-    """Mean ratio of network path length to straight-line distance.
-
-    Stretch close to 1 means the physical layout routes traffic almost along
-    geodesics (what a cost-minimizing design achieves for its served pairs);
-    high stretch signals detours through hubs.  Pairs without locations or
-    with zero straight-line distance are skipped.
-    """
-    node_ids = [
-        node.node_id for node in topology.nodes() if node.location is not None
-    ]
-    if len(node_ids) < 2:
-        return float("nan")
-    rng = random.Random(seed)
-    if pairs is None:
-        pairs = []
-        for _ in range(sample_size):
-            u, v = rng.sample(node_ids, 2)
-            pairs.append((u, v))
-    graph = topology.compiled()
-    weights = graph.edge_weight_column(None)
-    # Resolve the measurable pairs first, then batch one distance row per
-    # unique source instead of one cached search per pair.
-    measured: List[Tuple[int, int, float]] = []
-    source_order: List[int] = []
-    seen: Dict[int, int] = {}
-    for u, v in pairs:
-        loc_u = topology.node(u).location
-        loc_v = topology.node(v).location
-        if loc_u is None or loc_v is None:
-            continue
-        direct = euclidean(loc_u, loc_v)
-        if direct <= 0:
-            continue
-        source_index = graph.index_of[u]
-        row = seen.get(source_index)
-        if row is None:
-            row = len(source_order)
-            seen[source_index] = row
-            source_order.append(source_index)
-        measured.append((row, graph.index_of[v], direct))
-    rows = batch_shortest_lengths(graph, source_order, weights)
-    ratios = []
-    for row, target_index, direct in measured:
-        d = rows[row][target_index]
-        if d == inf:
-            continue
-        ratios.append(d / direct)
-    if not ratios:
-        return float("nan")
-    return sum(ratios) / len(ratios)

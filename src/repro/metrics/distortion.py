@@ -55,14 +55,6 @@ def tree_distortion(
     return sum(ratios) / len(ratios)
 
 
-def is_tree_like(topology: Topology, threshold: float = 1.1, sample_pairs: int = 100) -> bool:
-    """True when the topology's distortion is within ``threshold`` of a tree's."""
-    distortion = tree_distortion(topology, sample_pairs=sample_pairs)
-    if distortion != distortion:  # NaN check
-        return False
-    return distortion <= threshold
-
-
 def cycle_edge_fraction(topology: Topology) -> float:
     """Fraction of links that are *not* needed by a spanning forest.
 

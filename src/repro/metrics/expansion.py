@@ -94,28 +94,3 @@ def expansion_at(topology: Topology, hops: int, sample_size: Optional[int] = 50,
     if not curve:
         return 0.0
     return curve.get(hops, curve[max(curve)])
-
-
-def expansion_exponent(topology: Topology, sample_size: Optional[int] = 50, seed: int = 0) -> float:
-    """Crude growth exponent: slope of log(ball size) against log(h).
-
-    Low-dimensional (geographic) topologies grow polynomially with a small
-    exponent; expander-like graphs grow exponentially, which shows up here as
-    a large value.  Returns ``nan`` for degenerate curves.
-    """
-    import math
-
-    curve = expansion_curve(topology, sample_size=sample_size, seed=seed)
-    points = [(h, fraction) for h, fraction in curve.items() if h >= 1 and fraction > 0]
-    if len(points) < 2:
-        return float("nan")
-    n = topology.num_nodes
-    xs = [math.log(h) for h, _ in points]
-    ys = [math.log(fraction * n) for _, fraction in points]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0:
-        return float("nan")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    return sxy / sxx

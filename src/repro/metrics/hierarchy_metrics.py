@@ -3,18 +3,14 @@
 The paper's critique of descriptive generators centers on hierarchy: structural
 generators impose it, degree-based ones ignore it, and the optimization-driven
 approach produces it as a by-product.  These metrics quantify how hierarchical
-a topology is without relying on imposed labels, plus convenience wrappers
-over the role-annotated hierarchy summary in :mod:`repro.topology.hierarchy`.
+a topology is without relying on imposed labels.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import List
 
-from ..topology.compiled import bfs_indices
 from ..topology.graph import Topology
-from ..topology.hierarchy import HierarchySummary, summarize_hierarchy
-from ..topology.node import NodeRole
 
 
 def degree_assortativity(topology: Topology) -> float:
@@ -46,31 +42,6 @@ def degree_assortativity(topology: Topology) -> float:
     return sxy / (sxx * syy) ** 0.5
 
 
-def rich_club_coefficient(topology: Topology, degree_threshold: int) -> float:
-    """Density of the subgraph induced by nodes with degree > ``degree_threshold``.
-
-    A large rich-club coefficient indicates a densely interconnected core —
-    present in measured router graphs and in backbone designs, absent in pure
-    trees.
-    """
-    graph = topology.compiled()
-    degrees = graph.degrees()
-    rich = bytearray(graph.num_nodes)
-    k = 0
-    for i in range(graph.num_nodes):
-        if degrees[i] > degree_threshold:
-            rich[i] = 1
-            k += 1
-    if k < 2:
-        return 0.0
-    links = sum(
-        1
-        for e in range(graph.num_edges)
-        if rich[graph.edge_u[e]] and rich[graph.edge_v[e]]
-    )
-    return 2.0 * links / (k * (k - 1))
-
-
 def core_periphery_ratio(topology: Topology, core_fraction: float = 0.1) -> float:
     """Share of links touching the top ``core_fraction`` of nodes by degree.
 
@@ -97,40 +68,3 @@ def core_periphery_ratio(topology: Topology, core_fraction: float = 0.1) -> floa
         if core[graph.edge_u[e]] or core[graph.edge_v[e]]
     )
     return touching / graph.num_edges
-
-
-def hierarchy_depth(topology: Topology) -> int:
-    """Maximum hop distance from any node to the nearest top-degree node.
-
-    A proxy for the number of hierarchy levels when explicit roles are absent:
-    star graphs have depth 1, balanced trees have depth ~log(n), and chains
-    have depth ~n.
-    """
-    if topology.num_nodes == 0:
-        return 0
-    graph = topology.compiled()
-    degrees = graph.degrees()
-    hub = max(range(graph.num_nodes), key=degrees.__getitem__)
-    dist, order = bfs_indices(graph, hub)
-    return dist[order[-1]] if order else 0
-
-
-def role_hierarchy_summary(topology: Topology) -> HierarchySummary:
-    """Role-annotation-based hierarchy summary (wrapper for discoverability)."""
-    return summarize_hierarchy(topology)
-
-
-def hierarchy_report(topology: Topology) -> Dict[str, Any]:
-    """All hierarchy indicators in one dictionary (used by the comparison harness)."""
-    max_degree = max(topology.degree_sequence()) if topology.num_nodes else 0
-    threshold = max(1, max_degree // 4)
-    summary = summarize_hierarchy(topology)
-    has_roles = any(node.role != NodeRole.GENERIC for node in topology.nodes())
-    return {
-        "assortativity": degree_assortativity(topology),
-        "rich_club": rich_club_coefficient(topology, threshold),
-        "core_periphery_ratio": core_periphery_ratio(topology),
-        "hierarchy_depth": hierarchy_depth(topology),
-        "backbone_fraction": summary.backbone_fraction if has_roles else float("nan"),
-        "mean_customer_depth": summary.mean_customer_depth,
-    }

@@ -237,45 +237,3 @@ def robustness_summary(
         "targeted_auc": targeted_auc,
         "fragility_gap": random_auc - targeted_auc,
     }
-
-
-def resilience_metric(topology: Topology, sample_size: int = 30, seed: int = 0) -> float:
-    """Tangmunarunkit-style resilience: average min-cut between random node pairs.
-
-    Estimated as the minimum degree along the shortest path between sampled
-    pairs (an upper bound on, and in practice a good proxy for, the pairwise
-    min-cut in sparse topologies); higher values mean more alternative routes.
-    """
-    node_ids = list(topology.node_ids())
-    if len(node_ids) < 2:
-        return 0.0
-    rng = random.Random(seed)
-    total = 0.0
-    count = 0
-    for _ in range(sample_size):
-        u, v = rng.sample(node_ids, 2)
-        distances = topology.hop_distances(u)
-        if v not in distances:
-            continue
-        # Walk back a shortest path greedily and take the minimum degree on it.
-        path = [v]
-        current = v
-        while current != u:
-            next_hop = min(
-                (
-                    neighbor
-                    for neighbor in topology.neighbors(current)
-                    if distances.get(neighbor, float("inf")) == distances[current] - 1
-                ),
-                key=repr,
-                default=None,
-            )
-            if next_hop is None:
-                break
-            path.append(next_hop)
-            current = next_hop
-        if current != u:
-            continue
-        total += min(topology.degree(n) for n in path)
-        count += 1
-    return total / count if count else 0.0

@@ -61,22 +61,6 @@ def laplacian_spectrum(topology: Topology, normalized: bool = True) -> List[floa
     return sorted(float(v) for v in eigenvalues)
 
 
-def spectral_gap(topology: Topology) -> float:
-    """Difference between the two largest adjacency eigenvalues."""
-    spectrum = adjacency_spectrum(topology)
-    if len(spectrum) < 2:
-        return 0.0
-    return spectrum[0] - spectrum[1]
-
-
-def algebraic_connectivity(topology: Topology, normalized: bool = True) -> float:
-    """Second-smallest Laplacian eigenvalue (0 iff the graph is disconnected)."""
-    spectrum = laplacian_spectrum(topology, normalized=normalized)
-    if len(spectrum) < 2:
-        return 0.0
-    return spectrum[1]
-
-
 def spectral_summary(topology: Topology) -> Dict[str, float]:
     """Scalar spectral fingerprint used in the generator-comparison tables."""
     adjacency = adjacency_spectrum(topology)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..topology.graph import Topology
 from .comparison import evaluate_topology
@@ -201,29 +201,3 @@ def validate_topology(
             )
         )
     return report
-
-
-def best_matching_target(
-    topology: Topology,
-    targets: Optional[Dict[str, ValidationTarget]] = None,
-    sample_size: int = 50,
-    seed: int = 0,
-) -> Tuple[str, ValidationReport]:
-    """Classify a topology by the built-in target it matches best.
-
-    Returns the name of the target with the highest pass fraction and its
-    report; ties break toward the earlier target in the registry.
-    """
-    targets = BUILTIN_TARGETS if targets is None else targets
-    if not targets:
-        raise ValueError("at least one validation target is required")
-    metrics = evaluate_topology(topology, sample_size=sample_size, seed=seed).metrics
-    best_name = None
-    best_report = None
-    for name, target in targets.items():
-        report = validate_topology(topology, target, precomputed_metrics=metrics)
-        if best_report is None or report.pass_fraction > best_report.pass_fraction:
-            best_name = name
-            best_report = report
-    assert best_name is not None and best_report is not None
-    return best_name, best_report

@@ -4,46 +4,22 @@ from .mst import (
     UnionFind,
     euclidean_mst_length,
     kruskal_edges,
-    lazy_prim_edges,
     minimum_spanning_tree,
     prim_mst_points,
-    prim_mst_topology_from_points,
 )
 from .shortest_path import (
     all_pairs_length_matrix,
     all_pairs_shortest_lengths,
-    dijkstra,
-    eccentricity,
-    hop_count_paths,
-    multi_source_dijkstra,
-    path_length,
-    reconstruct_path,
-    shortest_path,
-)
-from .steiner import (
-    geometric_steiner_backbone,
-    metric_closure_steiner_tree,
-    steiner_tree_cost,
-    takahashi_matsuyama_steiner_tree,
 )
 from .facility_location import (
     FacilitySolution,
     choose_concentrator_count,
-    greedy_facility_location,
     k_median,
-)
-from .flow import (
-    FlowNetwork,
-    cheapest_routing_cost,
-    network_from_topology,
-    pairwise_min_cut,
 )
 from .local_search import (
     AnnealingSchedule,
     SearchResult,
     hill_climb_moves,
-    multi_start_moves,
-    pareto_front,
     simulated_annealing_moves,
 )
 from .incremental import (
@@ -60,36 +36,16 @@ __all__ = [
     "UnionFind",
     "euclidean_mst_length",
     "kruskal_edges",
-    "lazy_prim_edges",
     "minimum_spanning_tree",
     "prim_mst_points",
-    "prim_mst_topology_from_points",
     "all_pairs_length_matrix",
     "all_pairs_shortest_lengths",
-    "dijkstra",
-    "eccentricity",
-    "hop_count_paths",
-    "multi_source_dijkstra",
-    "path_length",
-    "reconstruct_path",
-    "shortest_path",
-    "geometric_steiner_backbone",
-    "metric_closure_steiner_tree",
-    "steiner_tree_cost",
-    "takahashi_matsuyama_steiner_tree",
     "FacilitySolution",
     "choose_concentrator_count",
-    "greedy_facility_location",
     "k_median",
-    "FlowNetwork",
-    "cheapest_routing_cost",
-    "network_from_topology",
-    "pairwise_min_cut",
     "AnnealingSchedule",
     "SearchResult",
     "hill_climb_moves",
-    "multi_start_moves",
-    "pareto_front",
     "simulated_annealing_moves",
     "AddLink",
     "AddNode",

@@ -3,9 +3,8 @@
 The paper argues that real topologies are *approximately* optimal solutions
 found by designers under constraints.  The generators therefore need generic
 approximate optimizers for the problems that are NP-hard (buy-at-bulk, access
-design): this module provides a hill climber, a simulated annealer and a
-multi-start search, used by the design-refinement passes and by the ablation
-benchmarks.
+design): this module provides a hill climber and a simulated annealer, used
+by the design-refinement passes and by the ablation benchmarks.
 
 Every search takes a proposal function: ``propose(state, rng)`` returns a
 typed :class:`~repro.optimization.incremental.Move`, the state applies it in
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..topology.graph import Topology, TopologyError
 from .incremental import Move
@@ -220,51 +219,3 @@ def simulated_annealing_moves(
         accepted_moves=accepted,
         history=history,
     )
-
-
-def multi_start_moves(
-    states: List[MoveState],
-    propose: MoveProposal,
-    max_iterations: int = 500,
-    rng: Optional[random.Random] = None,
-) -> SearchResult:
-    """Hill-climb each starting state and keep the best result."""
-    if not states:
-        raise ValueError("at least one starting state is required")
-    rng = rng or random.Random()
-    best_result: Optional[SearchResult] = None
-    total_iterations = 0
-    total_accepted = 0
-    combined_history: List[float] = []
-    for state in states:
-        result = hill_climb_moves(
-            state, propose, max_iterations=max_iterations, rng=rng
-        )
-        total_iterations += result.iterations
-        total_accepted += result.accepted_moves
-        combined_history.extend(result.history)
-        if best_result is None or result.best_cost < best_result.best_cost:
-            best_result = result
-    assert best_result is not None
-    return SearchResult(
-        best_solution=best_result.best_solution,
-        best_cost=best_result.best_cost,
-        iterations=total_iterations,
-        accepted_moves=total_accepted,
-        history=combined_history,
-    )
-
-
-def pareto_front(points: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    """Non-dominated subset of (objective1, objective2) pairs, both minimized.
-
-    Used by the multi-objective analysis of the FKP tradeoff (distance vs
-    centrality) and by the cost/performance frontier plots.
-    """
-    front: List[Tuple[float, float]] = []
-    best_second = float("inf")
-    for candidate in sorted(points):
-        if candidate[1] < best_second:
-            front.append(candidate)
-            best_second = candidate[1]
-    return front

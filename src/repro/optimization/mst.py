@@ -8,7 +8,6 @@ lower/upper bounds used when assessing approximation quality (E3, E8).
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..geography.points import euclidean
@@ -158,54 +157,3 @@ def euclidean_mst_length(points: Sequence[Tuple[float, float]]) -> float:
     """
     edges = prim_mst_points(points)
     return sum(euclidean(points[u], points[v]) for u, v in edges)
-
-
-def prim_mst_topology_from_points(
-    points: Sequence[Tuple[float, float]],
-    name: str = "euclidean-mst",
-) -> Topology:
-    """Build a :class:`Topology` whose links are the Euclidean MST edges."""
-    topology = Topology(name=name)
-    for index, location in enumerate(points):
-        topology.add_node(index, location=location)
-    for u, v in prim_mst_points(points):
-        topology.add_link(u, v)
-    return topology
-
-
-def lazy_prim_edges(
-    nodes: Sequence[Hashable],
-    adjacency: Dict[Hashable, List[Tuple[Hashable, float]]],
-    source: Optional[Hashable] = None,
-) -> List[Tuple[Hashable, Hashable, float]]:
-    """Heap-based Prim for sparse adjacency structures.
-
-    Args:
-        nodes: All nodes (used to detect disconnection).
-        adjacency: ``node -> [(neighbor, weight), ...]``.
-        source: Starting node; defaults to the first of ``nodes``.
-
-    Returns:
-        MST edges of the component containing ``source``.
-    """
-    if not nodes:
-        return []
-    source = source if source is not None else nodes[0]
-    visited = {source}
-    heap: List[Tuple[float, int, Hashable, Hashable]] = []
-    counter = 0
-    for neighbor, weight in adjacency.get(source, []):
-        heapq.heappush(heap, (weight, counter, source, neighbor))
-        counter += 1
-    edges = []
-    while heap and len(visited) < len(nodes):
-        weight, _, u, v = heapq.heappop(heap)
-        if v in visited:
-            continue
-        visited.add(v)
-        edges.append((u, v, weight))
-        for neighbor, next_weight in adjacency.get(v, []):
-            if neighbor not in visited:
-                heapq.heappush(heap, (next_weight, counter, v, neighbor))
-                counter += 1
-    return edges

@@ -10,142 +10,14 @@ only at the boundary.
 from __future__ import annotations
 
 from math import inf
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..topology.compiled import (
-    batch_shortest_lengths,
-    default_link_weight,
-    dijkstra_indices,
-    multi_source_dijkstra_indices,
-)
+from ..topology.compiled import batch_shortest_lengths, default_link_weight
 from ..topology.graph import Topology, TopologyError
 from ..topology.link import Link
 
 #: Default link weight (alias of the library-wide definition).
 _default_weight = default_link_weight
-
-
-def dijkstra(
-    topology: Topology,
-    source: Any,
-    weight: Optional[Callable[[Link], float]] = None,
-) -> Tuple[Dict[Any, float], Dict[Any, Any]]:
-    """Single-source shortest paths.
-
-    Args:
-        topology: The graph to search.
-        source: Source node identifier.
-        weight: Link weight function; defaults to physical length, falling
-            back to 1.0 for zero-length links so that purely logical graphs
-            still produce hop-count paths.
-
-    Returns:
-        ``(distances, predecessors)`` where unreachable nodes are absent from
-        both dictionaries and the source has no predecessor entry.
-
-    Raises:
-        ValueError: if any link weight is negative.
-        TopologyError: if the source node does not exist.
-    """
-    graph = topology.compiled()
-    if source not in graph.index_of:
-        raise TopologyError(f"node {source!r} is not in the topology")
-    weights = graph.edge_weights(weight)
-    dist, pred, _ = dijkstra_indices(graph, graph.index_of[source], weights)
-    ids = graph.ids
-    distances: Dict[Any, float] = {}
-    predecessors: Dict[Any, Any] = {}
-    for i in range(graph.num_nodes):
-        d = dist[i]
-        if d != inf:
-            distances[ids[i]] = d
-            p = pred[i]
-            if p >= 0:
-                predecessors[ids[i]] = ids[p]
-    return distances, predecessors
-
-
-def multi_source_dijkstra(
-    topology: Topology,
-    sources: Iterable[Any],
-    weight: Optional[Callable[[Link], float]] = None,
-) -> Tuple[Dict[Any, float], Dict[Any, Any], Dict[Any, Any]]:
-    """Shortest paths from the *nearest* of several sources, in one search.
-
-    Replaces ``len(sources)`` independent Dijkstra runs with a single sweep:
-    every source starts at distance zero and the searches grow together.
-
-    Returns:
-        ``(distances, predecessors, nearest_source)``: for each reachable
-        node, the distance to its nearest source, its predecessor on that
-        path (sources have none), and which source it is attached to.
-        For strictly positive weights, exact distance ties are resolved
-        toward sources earlier in ``sources``.
-
-    Raises:
-        ValueError: if any link weight is negative.
-        TopologyError: if any source node does not exist.
-    """
-    graph = topology.compiled()
-    source_indices: List[int] = []
-    for source in sources:
-        if source not in graph.index_of:
-            raise TopologyError(f"node {source!r} is not in the topology")
-        source_indices.append(graph.index_of[source])
-    weights = graph.edge_weights(weight)
-    dist, pred, _, origin = multi_source_dijkstra_indices(graph, source_indices, weights)
-    ids = graph.ids
-    distances: Dict[Any, float] = {}
-    predecessors: Dict[Any, Any] = {}
-    nearest: Dict[Any, Any] = {}
-    for i in range(graph.num_nodes):
-        d = dist[i]
-        if d != inf:
-            distances[ids[i]] = d
-            nearest[ids[i]] = ids[origin[i]]
-            p = pred[i]
-            if p >= 0:
-                predecessors[ids[i]] = ids[p]
-    return distances, predecessors, nearest
-
-
-def shortest_path(
-    topology: Topology,
-    source: Any,
-    target: Any,
-    weight: Optional[Callable[[Link], float]] = None,
-) -> Optional[List[Any]]:
-    """Shortest path between two nodes as a node list, or ``None`` if unreachable."""
-    distances, predecessors = dijkstra(topology, source, weight)
-    if target not in distances:
-        return None
-    return reconstruct_path(predecessors, source, target)
-
-
-def reconstruct_path(predecessors: Dict[Any, Any], source: Any, target: Any) -> List[Any]:
-    """Rebuild a path from a predecessor map produced by :func:`dijkstra`."""
-    path = [target]
-    while path[-1] != source:
-        previous = predecessors.get(path[-1])
-        if previous is None:
-            raise ValueError(f"no path from {source!r} to {target!r} in predecessor map")
-        path.append(previous)
-    path.reverse()
-    return path
-
-
-def path_length(
-    topology: Topology,
-    path: List[Any],
-    weight: Optional[Callable[[Link], float]] = None,
-) -> float:
-    """Total weight of a node path in the topology."""
-    if weight is None:
-        weight = _default_weight
-    total = 0.0
-    for u, v in zip(path, path[1:]):
-        total += weight(topology.link(u, v))
-    return total
 
 
 def all_pairs_length_matrix(
@@ -198,24 +70,3 @@ def all_pairs_shortest_lengths(
         else:
             result[source] = dict(zip(ids, row))
     return result
-
-
-def hop_count_paths(topology: Topology, source: Any) -> Dict[Any, int]:
-    """Hop distances from a source (unweighted BFS); wrapper for symmetry."""
-    return topology.hop_distances(source)
-
-
-def eccentricity(
-    topology: Topology, node: Any, weight: Optional[Callable[[Link], float]] = None
-) -> float:
-    """Greatest shortest-path distance from ``node`` to any reachable node."""
-    graph = topology.compiled()
-    if node not in graph.index_of:
-        raise TopologyError(f"node {node!r} is not in the topology")
-    weights = graph.edge_weights(weight)
-    dist, _, _ = dijkstra_indices(graph, graph.index_of[node], weights)
-    best = 0.0
-    for d in dist:
-        if d != inf and d > best:
-            best = d
-    return best

@@ -3,9 +3,9 @@
 The hot path is the vectorized traffic engine (:mod:`repro.routing.engine`):
 demand compiles to int-indexed arrays, routing batches one search per unique
 source, and loads live in per-edge columns until a single flush annotates the
-object graph.  :mod:`repro.routing.paths` resolves individual node paths
-(cached shortest paths, node-disjoint alternatives) for callers that need the
-path itself.
+object graph.  :mod:`repro.routing.paths` maps weight names (``"length"``,
+``"hops"``, ``"inverse-capacity"``) to the link-weight functions the kernels
+evaluate.
 
 :func:`route_demand` is the façade for one demand snapshot;
 :mod:`repro.routing.temporal` extends it along the time axis
@@ -22,12 +22,8 @@ from .options import (
     RoutingOptions,
 )
 from .paths import (
-    PathCache,
-    RoutedPath,
     WEIGHT_FUNCTIONS,
-    k_shortest_node_disjoint_paths,
     resolve_weight,
-    shortest_path_between,
 )
 from .engine import (
     CompiledDemand,
@@ -63,7 +59,6 @@ from .assignment import (
 from .utilization import (
     UtilizationReport,
     load_concentration,
-    most_loaded_links,
     utilization_bin,
     utilization_report,
 )
@@ -84,12 +79,8 @@ __all__ = [
     "failure_cascade",
     "flash_crowd",
     "route_series",
-    "PathCache",
-    "RoutedPath",
     "WEIGHT_FUNCTIONS",
-    "k_shortest_node_disjoint_paths",
     "resolve_weight",
-    "shortest_path_between",
     "CompiledDemand",
     "FlowResult",
     "compile_demand",
@@ -104,7 +95,6 @@ __all__ = [
     "route_customer_demand_to_core",
     "UtilizationReport",
     "load_concentration",
-    "most_loaded_links",
     "utilization_bin",
     "utilization_report",
 ]

@@ -265,8 +265,8 @@ def _elect_core_mask(graph: CompiledGraph) -> List[bool]:
     """BFS-from-hubs fallback for graphs without core/backbone annotations.
 
     Elects the top-degree nodes (ties to the lower index) as cores and marks
-    every node within :data:`CORE_CUT_RANK` hops of one — the same level
-    semantics as :func:`~repro.topology.hierarchy.assign_levels_by_distance`.
+    every node within :data:`CORE_CUT_RANK` hops of one, reading hop
+    distance d from the nearest hub as level ``LEVEL_NAMES[d]``.
     """
     n = graph.num_nodes
     degrees = list(graph.degrees())

@@ -81,7 +81,7 @@ from dataclasses import dataclass, field
 from math import pi, sin
 from random import Random
 from types import SimpleNamespace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..geography.demand import DemandMatrix
 from ..topology.compiled import CompiledGraph, KERNEL_COUNTERS, have_numpy_backend
@@ -278,11 +278,6 @@ class CompiledSeries:
     unmatched: List[List[Tuple[str, str, float]]] = field(default_factory=list)
 
     @property
-    def num_steps(self) -> int:
-        """Number of time steps."""
-        return len(self.step_volumes)
-
-    @property
     def num_pairs(self) -> int:
         """Number of union (routable-endpoint) pairs."""
         return len(self.sources)
@@ -368,23 +363,6 @@ class TemporalStepResult(FlowResult):
         """
         return hashlib.sha256(array("d", self.edge_loads).tobytes()).hexdigest()
 
-    def overloaded_edges(self, capacities: Sequence[Optional[float]]) -> List[int]:
-        """Edge indices whose load exceeds the aligned capacity column.
-
-        ``None`` capacities mean unbounded and never overload; the comparison
-        uses the cascade's :data:`TRIP_TOLERANCE`.
-        """
-        loads = self.edge_loads
-        if len(capacities) != len(loads):
-            raise ValueError(
-                f"capacities column has {len(capacities)} entries for {len(loads)} edges"
-            )
-        return [
-            e
-            for e, capacity in enumerate(capacities)
-            if capacity is not None and loads[e] > capacity + TRIP_TOLERANCE
-        ]
-
 
 @dataclass
 class TemporalFlowResult:
@@ -417,10 +395,6 @@ class TemporalFlowResult:
     def served_fractions(self) -> List[float]:
         """Per-step served fraction (routed volume over offered volume)."""
         return [step.served_fraction for step in self.steps]
-
-    def overload_counts(self, capacities: Sequence[Optional[float]]) -> List[int]:
-        """Per-step count of overloaded edges against one capacity column."""
-        return [len(step.overloaded_edges(capacities)) for step in self.steps]
 
 
 @dataclass

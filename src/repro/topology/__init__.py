@@ -4,11 +4,10 @@ Public API:
 
 * :class:`Topology` — the central annotated graph type.
 * :class:`Node`, :class:`NodeRole`, :class:`Link` — node/link annotations.
-* :class:`TopologyBuilder` — fluent construction helper.
 * :class:`DynamicConnectivity` — HDT fully-dynamic connectivity with exact
   per-component service aggregates and O(polylog) deletions.
 * :func:`summarize_hierarchy` — WAN/MAN/LAN hierarchy statistics.
-* serialization helpers (``topology_to_dict``, ``save_json``, ``to_networkx``, ...).
+* JSON serialization (``topology_to_dict``, ``save_json``, ``load_json``, ...).
 """
 
 from .compiled import CompiledGraph, KERNEL_COUNTERS, KernelCounters
@@ -16,22 +15,14 @@ from .dynconn import ComponentSummary, DynamicConnectivity
 from .graph import Topology, TopologyError, union
 from .link import Link, edge_key
 from .node import Node, NodeRole, ROLE_RANK
-from .builder import TopologyBuilder
 from .hierarchy import (
     HierarchySummary,
-    assign_levels_by_distance,
-    is_downward_tree,
     level_of,
-    relabel_roles_from_levels,
     summarize_hierarchy,
 )
 from .serialization import (
-    from_networkx,
     load_json,
-    save_edge_list,
     save_json,
-    to_edge_list,
-    to_networkx,
     topology_from_dict,
     topology_to_dict,
 )
@@ -50,19 +41,11 @@ __all__ = [
     "Node",
     "NodeRole",
     "ROLE_RANK",
-    "TopologyBuilder",
     "HierarchySummary",
-    "assign_levels_by_distance",
-    "is_downward_tree",
     "level_of",
-    "relabel_roles_from_levels",
     "summarize_hierarchy",
-    "from_networkx",
     "load_json",
-    "save_edge_list",
     "save_json",
-    "to_edge_list",
-    "to_networkx",
     "topology_from_dict",
     "topology_to_dict",
 ]

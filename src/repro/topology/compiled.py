@@ -30,8 +30,8 @@ The contract between the two layers:
   The exception is the *named structural* columns cached by
   :meth:`CompiledGraph.edge_weight_column` (``"length"``/``"hops"``), which
   derive from immutable link geometry.  Code that mutates annotations and
-  holds a long-lived weight array (such as ``PathCache``) can force a rebuild
-  with ``Topology.touch()``.
+  holds a long-lived weight array can force a rebuild with
+  ``Topology.touch()``.
 
 Backend selection
 -----------------
@@ -127,7 +127,6 @@ __all__ = [
     "resolve_backend",
     "dijkstra_indices",
     "multi_source_dijkstra_indices",
-    "multi_source_distances",
     "batch_shortest_lengths",
     "batch_hop_lengths",
     "bfs_indices",
@@ -702,8 +701,7 @@ def multi_source_dijkstra_indices(
 
     Always pure Python: the origin/predecessor tie contract above is part of
     the public API (customer→core attribution depends on it), and scipy's
-    ``min_only`` path does not honor it.  Distance-only consumers can use
-    :func:`multi_source_distances` for the batch path.
+    ``min_only`` path does not honor it.
     """
     KERNEL_COUNTERS.multi_source += 1
     n = graph.num_nodes
@@ -752,40 +750,6 @@ def multi_source_dijkstra_indices(
                 pred_edge[v] = e
                 origin[v] = origin_u
     return dist, pred, pred_edge, origin
-
-
-def multi_source_distances(
-    graph: CompiledGraph,
-    sources: Sequence[int],
-    weights: Any,
-    mask: Optional[bytearray] = None,
-    backend: Optional[str] = None,
-) -> List[float]:
-    """Distance to the nearest source per node (``inf`` when unreachable).
-
-    The distance-only projection of :func:`multi_source_dijkstra_indices`:
-    distances are backend-identical (both backends take the float minimum over
-    the same relaxation sums), so the numpy path — one ``min_only``
-    ``csgraph.dijkstra`` over all sources — engages whenever scipy is
-    available, the graph is unmasked, and weights are strictly positive.
-    """
-    if (
-        resolve_backend(backend) == "numpy"
-        and mask is None
-        and graph.num_edges > 0
-        and len(sources) > 0
-        and _column_min(weights) > 0
-    ):
-        KERNEL_COUNTERS.multi_source += 1
-        KERNEL_COUNTERS.batch_dijkstra_calls += 1
-        KERNEL_COUNTERS.batch_sources_total += len(sources)
-        matrix = graph.scipy_csr(weights)
-        dist = _scipy_dijkstra(
-            matrix, directed=False, indices=list(sources), min_only=True
-        )
-        return dist.tolist()
-    dist, _, _, _ = multi_source_dijkstra_indices(graph, sources, weights, mask)
-    return dist
 
 
 def _batch_chunks(sources: Sequence[int], num_nodes: int) -> Iterable[List[int]]:

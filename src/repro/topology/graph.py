@@ -8,8 +8,7 @@ descriptive baselines in :mod:`repro.generators` — produce ``Topology``
 instances, and all metrics in :mod:`repro.metrics` consume them.
 
 The implementation is a plain adjacency-dictionary graph, independent of
-networkx; :mod:`repro.topology.serialization` provides conversion helpers for
-interoperability.
+networkx; :mod:`repro.topology.serialization` saves and loads it as JSON.
 """
 
 from __future__ import annotations
@@ -71,8 +70,8 @@ class Topology:
         """Monotonically increasing structural version.
 
         Bumped by every mutating method (node/link addition or removal), so
-        caches keyed on it — :meth:`compiled`, ``PathCache`` — know exactly
-        when their snapshot went stale.
+        caches keyed on it, such as :meth:`compiled`, know exactly when their
+        snapshot went stale.
         """
         return self._version
 

@@ -16,11 +16,11 @@ O(V + E) kernels the hierarchical routing overlay
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .compiled import CompiledGraph, multi_source_bfs_indices
 from .graph import Topology
-from .node import NodeRole, ROLE_RANK
+from .node import NodeRole
 
 #: Human-readable level names, ordered from the core outwards.
 LEVEL_NAMES: Tuple[str, ...] = ("core", "backbone", "distribution", "access", "customer")
@@ -158,74 +158,3 @@ def _mean_customer_depth(topology: Topology) -> float:
     if not depths:
         return float("nan")
     return sum(depths) / len(depths)
-
-
-def assign_levels_by_distance(
-    topology: Topology, core_nodes: Sequence[Any]
-) -> Dict[Any, str]:
-    """Assign hierarchy levels from BFS distance to the nearest core node.
-
-    This is useful for topologies produced by generators that do not annotate
-    roles (e.g. the descriptive baselines): nodes at distance 0 are ``core``,
-    distance 1 ``backbone``, distance 2 ``distribution``, distance 3
-    ``access``, and everything further is ``customer``.
-
-    Implemented as one multi-source BFS over the compiled graph (the
-    nearest-core distance per node) rather than one BFS per core —
-    assignments are bit-identical to the per-core minimum.
-
-    Returns:
-        Mapping from node identifier to level name; unreachable nodes map to
-        ``customer``.
-    """
-    for core in core_nodes:
-        if not topology.has_node(core):
-            raise ValueError(f"core node {core!r} is not in the topology")
-    if topology.num_nodes == 0:
-        return {}
-    graph = topology.compiled()
-    index_of = graph.index_of
-    dist = multi_source_bfs_indices(graph, [index_of[core] for core in core_nodes])
-    deepest = len(LEVEL_NAMES) - 1
-    assignment: Dict[Any, str] = {}
-    for i, node_id in enumerate(graph.ids):
-        d = dist[i]
-        if d == -1:
-            assignment[node_id] = "customer"
-        else:
-            assignment[node_id] = LEVEL_NAMES[min(d, deepest)]
-    return assignment
-
-
-def relabel_roles_from_levels(topology: Topology, assignment: Dict[Any, str]) -> None:
-    """Overwrite node roles in-place according to a level assignment."""
-    level_to_role = {
-        "core": NodeRole.CORE,
-        "backbone": NodeRole.BACKBONE,
-        "distribution": NodeRole.DISTRIBUTION,
-        "access": NodeRole.ACCESS,
-        "customer": NodeRole.CUSTOMER,
-    }
-    for node_id, level in assignment.items():
-        node = topology.node(node_id)
-        node.role = level_to_role[level]
-
-
-def is_downward_tree(topology: Topology) -> bool:
-    """Check whether every non-core node has exactly one neighbor closer to the core.
-
-    This is the structural signature of a clean hierarchical (tree-like)
-    design in which traffic flows strictly up/down the hierarchy.
-    Nodes are compared by role rank (see :data:`repro.topology.node.ROLE_RANK`).
-    """
-    for node in topology.nodes():
-        if node.role == NodeRole.CORE:
-            continue
-        uplinks = 0
-        for neighbor_id in topology.neighbors(node.node_id):
-            neighbor = topology.node(neighbor_id)
-            if ROLE_RANK[neighbor.role] < ROLE_RANK[node.role]:
-                uplinks += 1
-        if uplinks > 1:
-            return False
-    return True

@@ -8,6 +8,7 @@ length, and cost components.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Any, Dict, Optional, Tuple
 
 
@@ -52,24 +53,26 @@ class Link:
     def __post_init__(self) -> None:
         if self.source == self.target:
             raise ValueError(f"self-loops are not allowed (node {self.source!r})")
-        if self.capacity is not None and self.capacity <= 0:
-            raise ValueError(f"link capacity must be positive, got {self.capacity}")
-        if self.length < 0:
-            raise ValueError(f"link length must be non-negative, got {self.length}")
-        if self.install_cost < 0 or self.usage_cost < 0:
-            raise ValueError("link costs must be non-negative")
-        if self.load < 0:
-            raise ValueError(f"link load must be non-negative, got {self.load}")
+        # Written so that NaN fails every check: a NaN compares false.
+        if self.capacity is not None and not 0 < self.capacity < inf:
+            raise ValueError(f"link capacity must be positive and finite, got {self.capacity}")
+        if not 0 <= self.length < inf:
+            raise ValueError(f"link length must be finite and non-negative, got {self.length}")
+        if not 0 <= self.install_cost < inf:
+            raise ValueError(
+                f"link install_cost must be finite and non-negative, got {self.install_cost}"
+            )
+        if not 0 <= self.usage_cost < inf:
+            raise ValueError(
+                f"link usage_cost must be finite and non-negative, got {self.usage_cost}"
+            )
+        if not 0 <= self.load < inf:
+            raise ValueError(f"link load must be finite and non-negative, got {self.load}")
 
     @property
     def key(self) -> Tuple[Any, Any]:
         """Canonical undirected edge key."""
         return edge_key(self.source, self.target)
-
-    @property
-    def endpoints(self) -> Tuple[Any, Any]:
-        """The two endpoints as given at construction time."""
-        return (self.source, self.target)
 
     def other_end(self, node_id: Any) -> Any:
         """Return the endpoint opposite to ``node_id``.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import inf
 from typing import Any, Dict, Optional, Tuple
 
 
@@ -72,15 +73,21 @@ class Node:
     attributes: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.demand < 0:
-            raise ValueError(f"node demand must be non-negative, got {self.demand}")
-        if self.capacity is not None and self.capacity < 0:
-            raise ValueError(f"node capacity must be non-negative, got {self.capacity}")
+        # Written so that NaN fails every check: a NaN compares false.
+        if not 0 <= self.demand < inf:
+            raise ValueError(f"node demand must be finite and non-negative, got {self.demand}")
+        if self.capacity is not None and not 0 <= self.capacity < inf:
+            raise ValueError(
+                f"node capacity must be finite and non-negative, got {self.capacity}"
+            )
         if self.max_degree is not None and self.max_degree < 1:
             raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
         if self.location is not None:
             x, y = self.location
-            self.location = (float(x), float(y))
+            x, y = float(x), float(y)
+            if not (-inf < x < inf and -inf < y < inf):
+                raise ValueError(f"node location must be finite, got {(x, y)}")
+            self.location = (x, y)
 
     @property
     def rank(self) -> int:

@@ -1,15 +1,13 @@
-"""Serialization and interoperability for :class:`~repro.topology.graph.Topology`.
+"""Serialization for :class:`~repro.topology.graph.Topology`.
 
-Supports round-tripping through plain dictionaries and JSON files, a simple
-edge-list text format, and conversion to/from ``networkx`` graphs (networkx is
-imported lazily so the core library does not depend on it).
+Supports round-tripping through plain dictionaries and JSON files.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Union
 
 from .graph import Topology
 from .link import Link
@@ -47,100 +45,3 @@ def load_json(path: Union[str, Path]) -> Topology:
     """Read a topology from a JSON file written by :func:`save_json`."""
     data = json.loads(Path(path).read_text())
     return topology_from_dict(data)
-
-
-def to_edge_list(topology: Topology) -> List[str]:
-    """Render the topology as ``u v length capacity`` text lines.
-
-    Node identifiers are converted with ``str``; capacity ``None`` is rendered
-    as ``inf``.  Useful for feeding external tools.
-    """
-    lines = []
-    for link in topology.links():
-        capacity = "inf" if link.capacity is None else f"{link.capacity:g}"
-        lines.append(f"{link.source} {link.target} {link.length:.6f} {capacity}")
-    return lines
-
-
-def save_edge_list(topology: Topology, path: Union[str, Path]) -> None:
-    """Write the edge-list rendering to a text file."""
-    Path(path).write_text("\n".join(to_edge_list(topology)) + "\n")
-
-
-def to_networkx(topology: Topology):
-    """Convert to a ``networkx.Graph`` with node/link annotations as attributes.
-
-    Raises:
-        ImportError: if networkx is not installed.
-    """
-    import networkx as nx
-
-    graph = nx.Graph(name=topology.name)
-    for node in topology.nodes():
-        graph.add_node(
-            node.node_id,
-            role=node.role.value,
-            location=node.location,
-            capacity=node.capacity,
-            demand=node.demand,
-            city=node.city,
-        )
-    for link in topology.links():
-        graph.add_edge(
-            link.source,
-            link.target,
-            capacity=link.capacity,
-            length=link.length,
-            cable=link.cable,
-            install_cost=link.install_cost,
-            usage_cost=link.usage_cost,
-            load=link.load,
-        )
-    return graph
-
-
-def from_networkx(graph, name: str = "networkx-import") -> Topology:
-    """Convert a ``networkx.Graph`` into a :class:`Topology`.
-
-    Recognized node attributes: ``location``, ``capacity``, ``demand``,
-    ``city``.  Recognized edge attributes: ``capacity``, ``length``,
-    ``cable``, ``install_cost``, ``usage_cost``, ``load``.  Unknown attributes
-    are preserved in the ``attributes`` dictionaries.
-    """
-    from .node import NodeRole
-
-    topology = Topology(name=name)
-    for node_id, attrs in graph.nodes(data=True):
-        known = {"role", "location", "capacity", "demand", "city"}
-        extra = {k: v for k, v in attrs.items() if k not in known}
-        role_value = attrs.get("role", NodeRole.GENERIC.value)
-        try:
-            role = NodeRole(role_value)
-        except ValueError:
-            role = NodeRole.GENERIC
-        topology.add_node(
-            node_id,
-            role=role,
-            location=attrs.get("location"),
-            capacity=attrs.get("capacity"),
-            demand=attrs.get("demand", 0.0),
-            city=attrs.get("city"),
-            **extra,
-        )
-    for u, v, attrs in graph.edges(data=True):
-        if u == v:
-            continue
-        known = {"capacity", "length", "cable", "install_cost", "usage_cost", "load"}
-        extra = {k: v2 for k, v2 in attrs.items() if k not in known}
-        topology.add_link(
-            u,
-            v,
-            capacity=attrs.get("capacity"),
-            length=attrs.get("length"),
-            cable=attrs.get("cable"),
-            install_cost=attrs.get("install_cost", 0.0),
-            usage_cost=attrs.get("usage_cost", 0.0),
-            load=attrs.get("load", 0.0),
-            **extra,
-        )
-    return topology

@@ -7,11 +7,8 @@ from .cities import (
     scaled_population,
 )
 from .matrices import (
-    demand_locality_fraction,
     hub_and_spoke_matrix,
     hub_skewed_matrix,
-    national_gravity_matrix,
-    national_uniform_matrix,
 )
 from .scenarios import (
     SCENARIO_FACTORIES,
@@ -40,11 +37,8 @@ __all__ = [
     "metro_customers",
     "reference_population",
     "scaled_population",
-    "demand_locality_fraction",
     "hub_and_spoke_matrix",
     "hub_skewed_matrix",
-    "national_gravity_matrix",
-    "national_uniform_matrix",
     "Scenario",
     "all_scenarios",
     "buy_at_bulk_scenario",

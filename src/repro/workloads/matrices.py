@@ -2,31 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..geography.demand import DemandMatrix, gravity_demand, uniform_demand
-from ..geography.population import City, PopulationModel
-
-
-def national_gravity_matrix(
-    population: PopulationModel,
-    num_cities: Optional[int] = None,
-    total_volume: float = 10_000.0,
-    distance_exponent: float = 1.0,
-) -> DemandMatrix:
-    """Gravity demand over the largest cities of a population model."""
-    cities = population.largest(num_cities) if num_cities else list(population.cities)
-    return gravity_demand(cities, total_volume=total_volume, distance_exponent=distance_exponent)
-
-
-def national_uniform_matrix(
-    population: PopulationModel,
-    num_cities: Optional[int] = None,
-    total_volume: float = 10_000.0,
-) -> DemandMatrix:
-    """Uniform all-pairs demand over the largest cities (gravity-model ablation)."""
-    cities = population.largest(num_cities) if num_cities else list(population.cities)
-    return uniform_demand([c.name for c in cities], total_volume=total_volume)
+from ..geography.demand import DemandMatrix, gravity_demand
+from ..geography.population import City
 
 
 def hub_and_spoke_matrix(
@@ -88,28 +67,3 @@ def hub_skewed_matrix(
         [j for (_, j), _ in pairs],
         [volume for _, volume in pairs],
     )
-
-
-def demand_locality_fraction(matrix: DemandMatrix, cities: Sequence[City], radius: float) -> float:
-    """Fraction of traffic between city pairs closer than ``radius``.
-
-    Quantifies how "local" a demand matrix is; gravity matrices are far more
-    local than uniform ones, which is what makes regional aggregation pay off.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    locations = {c.name: c.location for c in cities}
-    total = 0.0
-    local = 0.0
-    for a, b, volume in matrix.pairs():
-        if a not in locations or b not in locations:
-            continue
-        dx = locations[a][0] - locations[b][0]
-        dy = locations[a][1] - locations[b][1]
-        distance = (dx * dx + dy * dy) ** 0.5
-        total += volume
-        if distance <= radius:
-            local += volume
-    if total <= 0:
-        return 0.0
-    return local / total

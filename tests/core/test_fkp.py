@@ -9,8 +9,6 @@ from repro.core.fkp import (
     FKPParameters,
     FKPState,
     alpha_regime,
-    alpha_sweep,
-    characteristic_alphas,
     euclidean_centrality,
     generate_fkp_tree,
     subtree_load_centrality,
@@ -167,16 +165,6 @@ class TestSubtreePropagation:
 
 
 class TestVariants:
-    def test_alpha_sweep_returns_all_alphas(self):
-        sweep = alpha_sweep(50, [0.1, 4.0, 50.0], seed=1)
-        assert set(sweep) == {0.1, 4.0, 50.0}
-        assert all(t.is_tree() for t in sweep.values())
-
-    def test_characteristic_alphas_cover_regimes(self):
-        alphas = characteristic_alphas(1000)
-        assert alpha_regime(alphas["star"], 1000) == "star"
-        assert alpha_regime(alphas["exponential"], 1000) == "exponential"
-
     def test_euclidean_centrality_variant(self):
         model = FKPModel(
             FKPParameters(num_nodes=60, alpha=4.0, seed=2),

@@ -50,18 +50,8 @@ class TestBuyAtBulk:
         best = generator.solve_buy_at_bulk(instance, algorithm="meyerson", seed=1, best_of=4)
         assert best.total_cost() <= single.total_cost() + 1e-9
 
-    def test_compare_algorithms_returns_all(self, generator):
-        instance = random_instance(30, seed=5)
-        results = generator.compare_buy_at_bulk_algorithms(instance, seed=1)
-        assert set(results) == {"meyerson", "greedy", "mst", "star"}
-        assert all(solution.is_feasible() for solution in results.values())
-
 
 class TestMetroAndISP:
-    def test_generate_metro(self, generator):
-        result = generator.generate_metro(30)
-        assert result.topology.is_connected()
-
     def test_generate_isp(self, generator):
         design = generator.generate_isp(num_cities=6, customers_per_city_scale=2.0)
         assert design.topology.is_connected()

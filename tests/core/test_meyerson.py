@@ -11,7 +11,6 @@ from repro.core.meyerson import (
     MeyersonBuyAtBulk,
     MeyersonParameters,
     best_of_runs,
-    expected_approximation_factor,
     solve_meyerson,
 )
 from repro.metrics.fits import classify_tail
@@ -108,15 +107,10 @@ class TestBestOfRuns:
 
 
 class TestApproximationFactor:
-    def test_monotone_in_layers(self):
-        assert expected_approximation_factor(1) < expected_approximation_factor(8)
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            expected_approximation_factor(0)
-
     def test_measured_ratio_within_indicative_bound(self, medium_instance):
-        factor = expected_approximation_factor(len(medium_instance.catalog))
+        # The indicative expected factor of layered sampling over K cable
+        # types, 2 * (1 + log2(K + 1)); a sanity figure, not a proof.
+        factor = 2.0 * (1.0 + math.log2(len(medium_instance.catalog) + 1))
         cost = best_of_runs(medium_instance, num_runs=3, seed=1).total_cost()
         bound = trivial_lower_bound(medium_instance)
         # The trivial lower bound is loose, so allow a generous multiple.

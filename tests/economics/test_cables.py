@@ -6,9 +6,7 @@ from repro.economics.cables import (
     CableCatalog,
     CableType,
     default_catalog,
-    flat_catalog,
     linear_catalog,
-    scaled_catalog,
 )
 
 
@@ -133,19 +131,7 @@ class TestCableCatalog:
 
 
 class TestSpecialCatalogs:
-    def test_flat_catalog_single_type(self):
-        assert len(flat_catalog()) == 1
-
     def test_linear_catalog_has_no_fixed_cost(self):
         catalog = linear_catalog(usage_cost=2.0)
         assert catalog.smallest.install_cost == 0.0
         assert catalog.cost_per_unit_length(10.0) == pytest.approx(20.0)
-
-    def test_scaled_catalog(self):
-        base = default_catalog()
-        scaled = scaled_catalog(base, factor=2.0)
-        assert scaled.smallest.install_cost == pytest.approx(2 * base.smallest.install_cost)
-
-    def test_scaled_catalog_invalid_factor(self):
-        with pytest.raises(ValueError):
-            scaled_catalog(factor=0.0)

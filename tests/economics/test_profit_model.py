@@ -1,16 +1,8 @@
 """Tests for repro.economics.profit_model."""
 
-import math
-
 import pytest
 
-from repro.economics.profit_model import (
-    CustomerProspect,
-    RevenueModel,
-    analyze_prospects,
-    breakeven_distance,
-    marginal_profit,
-)
+from repro.economics.profit_model import RevenueModel
 
 
 class TestRevenueModel:
@@ -36,75 +28,3 @@ class TestRevenueModel:
             RevenueModel(subscription=-1.0)
         with pytest.raises(ValueError):
             RevenueModel(discount_threshold=0.0)
-
-
-class TestProspects:
-    def test_negative_values_rejected(self):
-        with pytest.raises(ValueError):
-            CustomerProspect("c", demand=-1.0, connection_cost=0.0)
-        with pytest.raises(ValueError):
-            CustomerProspect("c", demand=1.0, connection_cost=-1.0)
-
-    def test_marginal_profit(self):
-        model = RevenueModel(subscription=10.0, price_per_unit=1.0)
-        prospect = CustomerProspect("c", demand=5.0, connection_cost=12.0)
-        assert marginal_profit(prospect, model) == pytest.approx(3.0)
-
-
-class TestAnalyzeProspects:
-    def model(self):
-        return RevenueModel(subscription=10.0, price_per_unit=1.0)
-
-    def test_accepts_profitable_rejects_unprofitable(self):
-        prospects = [
-            CustomerProspect("good", demand=10.0, connection_cost=5.0),
-            CustomerProspect("bad", demand=1.0, connection_cost=100.0),
-        ]
-        analysis = analyze_prospects(prospects, self.model())
-        assert [p.customer_id for p in analysis.accepted] == ["good"]
-        assert [p.customer_id for p in analysis.rejected] == ["bad"]
-        assert analysis.profit > 0
-
-    def test_budget_limits_acceptance(self):
-        prospects = [
-            CustomerProspect("a", demand=10.0, connection_cost=8.0),
-            CustomerProspect("b", demand=10.0, connection_cost=8.0),
-        ]
-        analysis = analyze_prospects(prospects, self.model(), budget=10.0)
-        assert len(analysis.accepted) == 1
-        assert analysis.total_cost <= 10.0
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            analyze_prospects([], self.model(), budget=-1.0)
-
-    def test_acceptance_rate(self):
-        prospects = [
-            CustomerProspect("a", demand=10.0, connection_cost=1.0),
-            CustomerProspect("b", demand=1.0, connection_cost=1000.0),
-        ]
-        analysis = analyze_prospects(prospects, self.model())
-        assert analysis.acceptance_rate == pytest.approx(0.5)
-
-    def test_empty_prospects(self):
-        analysis = analyze_prospects([], self.model())
-        assert analysis.profit == 0.0
-        assert analysis.acceptance_rate == 0.0
-
-    def test_profit_equals_revenue_minus_cost(self):
-        prospects = [CustomerProspect("a", demand=4.0, connection_cost=3.0)]
-        analysis = analyze_prospects(prospects, self.model())
-        assert analysis.profit == pytest.approx(analysis.total_revenue - analysis.total_cost)
-
-
-class TestBreakevenDistance:
-    def test_finite(self):
-        model = RevenueModel(subscription=10.0, price_per_unit=0.0)
-        assert breakeven_distance(5.0, model, cost_per_unit_length=2.0) == pytest.approx(5.0)
-
-    def test_zero_rate_is_infinite(self):
-        assert math.isinf(breakeven_distance(1.0, RevenueModel(), 0.0))
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            breakeven_distance(1.0, RevenueModel(), -1.0)

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.economics.cables import default_catalog
-from repro.economics.provisioning import (
-    capacity_violations,
-    peak_utilization,
-    provision_topology,
-    provisioning_cost,
-)
+from repro.economics.provisioning import provision_topology
 from repro.topology.graph import Topology
 
 
@@ -74,37 +69,3 @@ class TestProvisionTopology:
     def test_overprovisioning_at_least_one(self):
         report = provision_topology(loaded_topology(), default_catalog())
         assert report.overprovisioning >= 1.0
-
-
-class TestProvisioningHelpers:
-    def test_provisioning_cost_does_not_mutate(self):
-        topo = loaded_topology()
-        cost = provisioning_cost(topo, default_catalog())
-        assert cost > 0
-        assert all(link.capacity is None for link in topo.links())
-
-    def test_capacity_violations(self):
-        topo = Topology()
-        topo.add_node("a")
-        topo.add_node("b")
-        link = topo.add_link("a", "b", capacity=10.0)
-        link.load = 15.0
-        violations = capacity_violations(topo)
-        assert link.key in violations
-        assert violations[link.key] == pytest.approx(5.0)
-
-    def test_peak_utilization(self):
-        topo = Topology()
-        topo.add_node("a")
-        topo.add_node("b")
-        topo.add_node("c")
-        topo.add_link("a", "b", capacity=10.0, load=5.0)
-        topo.add_link("b", "c", capacity=10.0, load=9.0)
-        assert peak_utilization(topo) == pytest.approx(0.9)
-
-    def test_peak_utilization_none_without_capacities(self):
-        topo = Topology()
-        topo.add_node("a")
-        topo.add_node("b")
-        topo.add_link("a", "b")
-        assert peak_utilization(topo) is None

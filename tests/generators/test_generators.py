@@ -15,7 +15,6 @@ from repro.generators import (
     WaxmanGenerator,
     available_generators,
     ensure_connected,
-    generate_ensemble,
     make_generator,
 )
 from repro.generators.plrg import power_law_degree_sequence
@@ -306,15 +305,6 @@ class TestTransitStub:
 
 
 class TestEnsembleAndConnectivity:
-    def test_generate_ensemble(self):
-        ensemble = generate_ensemble(ErdosRenyiGenerator(), 50, 3, seed=1)
-        assert len(ensemble) == 3
-        assert ensemble.generator_name == "erdos-renyi"
-
-    def test_generate_ensemble_invalid(self):
-        with pytest.raises(ValueError):
-            generate_ensemble(ErdosRenyiGenerator(), 50, 0)
-
     def test_ensure_connected_joins_components(self):
         topo = Topology()
         for i in range(6):

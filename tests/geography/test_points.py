@@ -6,16 +6,9 @@ import pytest
 
 from repro.geography.points import (
     Point,
-    bounding_box,
-    centroid,
     clustered_points,
     euclidean,
-    grid_points,
-    manhattan,
-    nearest_point_index,
-    pairwise_distances,
     random_points,
-    total_length,
 )
 
 
@@ -38,39 +31,6 @@ class TestPoint:
 class TestDistanceHelpers:
     def test_euclidean(self):
         assert euclidean((0, 0), (3, 4)) == pytest.approx(5.0)
-
-    def test_manhattan(self):
-        assert manhattan((1, 1), (4, 5)) == pytest.approx(7.0)
-
-    def test_centroid(self):
-        assert centroid([(0, 0), (2, 0), (1, 3)]) == pytest.approx((1.0, 1.0))
-
-    def test_centroid_empty_raises(self):
-        with pytest.raises(ValueError):
-            centroid([])
-
-    def test_bounding_box(self):
-        assert bounding_box([(1, 2), (-1, 5), (3, 0)]) == (-1, 0, 3, 5)
-
-    def test_bounding_box_empty_raises(self):
-        with pytest.raises(ValueError):
-            bounding_box([])
-
-    def test_nearest_point_index(self):
-        assert nearest_point_index((0, 0), [(5, 5), (1, 1), (2, 2)]) == 1
-
-    def test_nearest_point_index_empty_raises(self):
-        with pytest.raises(ValueError):
-            nearest_point_index((0, 0), [])
-
-    def test_pairwise_distances_symmetric(self):
-        matrix = pairwise_distances([(0, 0), (1, 0), (0, 1)])
-        assert matrix[0][1] == pytest.approx(1.0)
-        assert matrix[1][0] == matrix[0][1]
-        assert matrix[2][2] == 0.0
-
-    def test_total_length(self):
-        assert total_length([(0, 0), (1, 0), (1, 1)]) == pytest.approx(2.0)
 
 
 class TestSampling:
@@ -107,12 +67,3 @@ class TestSampling:
     def test_clustered_invalid_clusters_raises(self):
         with pytest.raises(ValueError):
             clustered_points(10, 0)
-
-    def test_grid_points(self):
-        points = grid_points(2, 3)
-        assert len(points) == 6
-        assert all(0 < x < 1 and 0 < y < 1 for x, y in points)
-
-    def test_grid_points_invalid(self):
-        with pytest.raises(ValueError):
-            grid_points(0, 3)

@@ -88,12 +88,6 @@ class TestPopulationModel:
             counts[model.sample_city(rng).name] += 1
         assert counts["big"] > counts["mid"] > counts["small"]
 
-    def test_sample_customer_locations_in_region(self):
-        model = self.build()
-        locations = model.sample_customer_locations(100, random.Random(1))
-        assert len(locations) == 100
-        assert all(model.region.contains(p) for p in locations)
-
 
 class TestSyntheticPopulation:
     def test_city_count_and_names_unique(self):

@@ -44,17 +44,6 @@ class TestRegion:
         points = region.sample_clustered(50, 3, random.Random(1))
         assert all(region.contains(p) for p in points)
 
-    def test_subdivide(self):
-        region = Region(width=4.0, height=2.0)
-        cells = region.subdivide(2, 2)
-        assert len(cells) == 4
-        assert sum(c.area for c in cells) == pytest.approx(region.area)
-        assert all(c.width == 2.0 and c.height == 1.0 for c in cells)
-
-    def test_subdivide_invalid(self):
-        with pytest.raises(ValueError):
-            Region().subdivide(0, 1)
-
 
 class TestNamedRegions:
     def test_unit_square(self):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.metrics.clustering import (
     average_clustering,
-    clustering_by_degree,
     clustering_by_node,
     local_clustering,
     transitivity,
@@ -67,14 +66,3 @@ class TestGlobalClustering:
         topo.add_link(0, "pendant")
         value = transitivity(topo)
         assert 0.0 < value < 1.0
-
-
-class TestClusteringByDegree:
-    def test_groups_by_degree(self, star_topology):
-        by_degree = clustering_by_degree(star_topology)
-        assert set(by_degree) == {1, 5}
-        assert by_degree[1] == 0.0
-
-    def test_complete_graph_single_group(self):
-        by_degree = clustering_by_degree(complete_graph(4))
-        assert by_degree == {3: pytest.approx(1.0)}

@@ -5,7 +5,6 @@ import pytest
 from repro.metrics.degree import (
     degree_ccdf,
     degree_histogram,
-    degree_rank_curve,
     degree_statistics,
     leaf_fraction,
     max_degree_share,
@@ -70,9 +69,3 @@ class TestShapeHelpers:
 
     def test_max_degree_share_path(self, path_topology):
         assert max_degree_share(path_topology) == pytest.approx(2 / 10)
-
-    def test_degree_rank_curve_sorted(self, star_topology):
-        curve = degree_rank_curve(star_topology)
-        assert curve[0] == (1, 5)
-        degrees = [d for _, d in curve]
-        assert degrees == sorted(degrees, reverse=True)

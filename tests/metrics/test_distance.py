@@ -1,16 +1,8 @@
 """Tests for repro.metrics.distance."""
 
-import math
-
 import pytest
 
-from repro.metrics.distance import (
-    average_shortest_path_hops,
-    eccentricity_distribution,
-    geographic_stretch,
-    hop_diameter,
-    weighted_diameter,
-)
+from repro.metrics.distance import average_shortest_path_hops, hop_diameter
 from repro.topology.graph import Topology
 
 
@@ -36,39 +28,3 @@ class TestAveragePathAndDiameter:
         topo.add_node("only")
         assert average_shortest_path_hops(topo) == 0.0
         assert hop_diameter(topo) == 0
-
-    def test_weighted_diameter(self, triangle_topology):
-        assert weighted_diameter(triangle_topology) == pytest.approx(2 ** 0.5)
-
-
-class TestEccentricity:
-    def test_path_eccentricities(self, path_topology):
-        eccentricities = eccentricity_distribution(path_topology)
-        assert eccentricities[0] == 5
-        assert eccentricities[2] == 3
-        assert eccentricities[5] == 5
-
-
-class TestGeographicStretch:
-    def test_straight_line_topology_has_stretch_one(self):
-        topo = Topology()
-        topo.add_node("a", location=(0.0, 0.0))
-        topo.add_node("b", location=(1.0, 0.0))
-        topo.add_node("c", location=(2.0, 0.0))
-        topo.add_link("a", "b")
-        topo.add_link("b", "c")
-        stretch = geographic_stretch(topo, pairs=[("a", "c")])
-        assert stretch == pytest.approx(1.0)
-
-    def test_detour_increases_stretch(self):
-        topo = Topology()
-        topo.add_node("a", location=(0.0, 0.0))
-        topo.add_node("b", location=(1.0, 1.0))
-        topo.add_node("c", location=(2.0, 0.0))
-        topo.add_link("a", "b")
-        topo.add_link("b", "c")
-        stretch = geographic_stretch(topo, pairs=[("a", "c")])
-        assert stretch > 1.3
-
-    def test_without_locations_returns_nan(self, path_topology):
-        assert math.isnan(geographic_stretch(path_topology))

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.generators import ErdosRenyiGenerator
-from repro.metrics.distortion import cycle_edge_fraction, is_tree_like, tree_distortion
+from repro.metrics.distortion import cycle_edge_fraction, tree_distortion
 from repro.topology.graph import Topology
 
 
@@ -41,14 +41,6 @@ class TestTreeDistortion:
         tree = minimum_spanning_tree(triangle_topology)
         value = tree_distortion(triangle_topology, sample_pairs=30, spanning_tree=tree)
         assert value >= 1.0
-
-
-class TestIsTreeLike:
-    def test_tree_is_tree_like(self, star_topology):
-        assert is_tree_like(star_topology)
-
-    def test_cycle_is_not_tree_like(self):
-        assert not is_tree_like(cycle_graph(30), threshold=1.1)
 
 
 class TestCycleEdgeFraction:

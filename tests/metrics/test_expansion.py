@@ -4,12 +4,7 @@ import pytest
 
 from repro.core.fkp import generate_fkp_tree
 from repro.generators import ErdosRenyiGenerator
-from repro.metrics.expansion import (
-    ball_sizes,
-    expansion_at,
-    expansion_curve,
-    expansion_exponent,
-)
+from repro.metrics.expansion import ball_sizes, expansion_at, expansion_curve
 from repro.topology.graph import Topology
 
 
@@ -59,9 +54,3 @@ class TestExpansionContrast:
         assert expansion_at(random_graph, hops=3, sample_size=30) > expansion_at(
             tree, hops=3, sample_size=30
         )
-
-    def test_exponent_finite_for_tree(self):
-        tree = generate_fkp_tree(200, alpha=20.0, seed=2)
-        exponent = expansion_exponent(tree, sample_size=20)
-        assert exponent == exponent  # not NaN
-        assert exponent > 0

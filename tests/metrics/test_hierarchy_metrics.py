@@ -9,9 +9,6 @@ from repro.generators import BarabasiAlbertGenerator, ErdosRenyiGenerator
 from repro.metrics.hierarchy_metrics import (
     core_periphery_ratio,
     degree_assortativity,
-    hierarchy_depth,
-    hierarchy_report,
-    rich_club_coefficient,
 )
 from repro.topology.graph import Topology
 
@@ -37,23 +34,6 @@ class TestAssortativity:
         assert degree_assortativity(ba) < degree_assortativity(er) + 0.05
 
 
-class TestRichClub:
-    def test_star_rich_club_zero(self, star_topology):
-        # Only the hub exceeds the threshold, so the "club" has fewer than 2 members.
-        assert rich_club_coefficient(star_topology, degree_threshold=2) == 0.0
-
-    def test_clique_rich_club_one(self):
-        topo = Topology()
-        for i in range(4):
-            topo.add_node(i)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                topo.add_link(i, j)
-        topo.add_node("pendant")
-        topo.add_link(0, "pendant")
-        assert rich_club_coefficient(topo, degree_threshold=2) == pytest.approx(1.0)
-
-
 class TestCorePeriphery:
     def test_star_core_touches_everything(self, star_topology):
         assert core_periphery_ratio(star_topology, core_fraction=0.2) == pytest.approx(1.0)
@@ -66,32 +46,8 @@ class TestCorePeriphery:
         assert core_periphery_ratio(Topology()) == 0.0
 
 
-class TestHierarchyDepth:
-    def test_star_depth_one(self, star_topology):
-        assert hierarchy_depth(star_topology) == 1
-
-    def test_path_depth(self, path_topology):
-        # Every node has degree <= 2; the max-degree node is an interior one.
-        assert hierarchy_depth(path_topology) >= 3
-
-    def test_empty(self):
-        assert hierarchy_depth(Topology()) == 0
-
-
-class TestHierarchyReport:
-    def test_report_keys(self, star_topology):
-        report = hierarchy_report(star_topology)
-        assert {
-            "assortativity",
-            "rich_club",
-            "core_periphery_ratio",
-            "hierarchy_depth",
-            "backbone_fraction",
-            "mean_customer_depth",
-        } <= set(report)
-
+class TestFKPHierarchy:
     def test_fkp_tree_is_hierarchical(self):
         tree = generate_fkp_tree(300, alpha=4.0, seed=4)
-        report = hierarchy_report(tree)
-        assert report["assortativity"] < 0
-        assert report["core_periphery_ratio"] > 0.4
+        assert degree_assortativity(tree) < 0
+        assert core_periphery_ratio(tree) > 0.4

@@ -4,11 +4,7 @@ import pytest
 
 from repro.core.fkp import generate_fkp_tree
 from repro.generators import ErdosRenyiGenerator
-from repro.metrics.resilience import (
-    removal_trace,
-    resilience_metric,
-    robustness_summary,
-)
+from repro.metrics.resilience import removal_trace, robustness_summary
 from repro.topology.graph import Topology
 from repro.topology.node import NodeRole
 
@@ -88,14 +84,3 @@ class TestRobustnessSummary:
         tree_gap = robustness_summary(tree, steps=5, max_fraction=0.2)["fragility_gap"]
         mesh_gap = robustness_summary(mesh, steps=5, max_fraction=0.2)["fragility_gap"]
         assert tree_gap > mesh_gap
-
-
-class TestResilienceMetric:
-    def test_higher_for_denser_graphs(self):
-        mesh = ErdosRenyiGenerator(target_mean_degree=8.0).generate(150, seed=3)
-        tree = generate_fkp_tree(150, alpha=30.0, seed=3)
-        assert resilience_metric(mesh, seed=1) > resilience_metric(tree, seed=1)
-
-    def test_small_graph(self, path_topology):
-        value = resilience_metric(path_topology, sample_size=10)
-        assert value >= 1.0

@@ -6,10 +6,8 @@ import pytest
 from repro.metrics.spectrum import (
     adjacency_matrix,
     adjacency_spectrum,
-    algebraic_connectivity,
     laplacian_matrix,
     laplacian_spectrum,
-    spectral_gap,
     spectral_summary,
 )
 from repro.topology.graph import Topology
@@ -53,20 +51,6 @@ class TestSpectra:
     def test_empty_topology(self):
         assert adjacency_spectrum(Topology()) == []
         assert laplacian_spectrum(Topology()) == []
-
-    def test_algebraic_connectivity_zero_for_disconnected(self):
-        topo = Topology()
-        for i in range(4):
-            topo.add_node(i)
-        topo.add_link(0, 1)
-        topo.add_link(2, 3)
-        assert algebraic_connectivity(topo, normalized=False) == pytest.approx(0.0, abs=1e-9)
-
-    def test_algebraic_connectivity_positive_for_connected(self, triangle_topology):
-        assert algebraic_connectivity(triangle_topology) > 0.1
-
-    def test_spectral_gap_nonnegative(self, star_topology):
-        assert spectral_gap(star_topology) >= 0.0
 
     def test_summary_keys(self, triangle_topology):
         summary = spectral_summary(triangle_topology)

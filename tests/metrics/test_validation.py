@@ -1,9 +1,7 @@
 """Tests for repro.metrics.validation."""
 
-import pytest
-
 from repro.core import generate_fkp_tree, random_instance, solve_meyerson
-from repro.generators import BarabasiAlbertGenerator, ErdosRenyiGenerator
+from repro.generators import BarabasiAlbertGenerator
 from repro.metrics.comparison import evaluate_topology
 from repro.metrics.validation import (
     BUILTIN_TARGETS,
@@ -11,7 +9,6 @@ from repro.metrics.validation import (
     ValidationTarget,
     as_graph_target,
     backbone_target,
-    best_matching_target,
     router_access_target,
     validate_topology,
 )
@@ -82,21 +79,3 @@ class TestValidateTopology:
         text = "\n".join(report.summary_lines())
         for check in router_access_target().checks:
             assert check.metric in text
-
-
-class TestBestMatchingTarget:
-    def test_access_tree_classified_as_router_access(self):
-        solution = solve_meyerson(random_instance(200, seed=6), seed=6)
-        name, report = best_matching_target(solution.topology, sample_size=30)
-        assert name == "router-access"
-        assert report.pass_fraction > 0.8
-
-    def test_random_mesh_not_classified_as_router_access(self):
-        topology = ErdosRenyiGenerator(target_mean_degree=6.0).generate(300, seed=7)
-        name, _ = best_matching_target(topology, sample_size=30)
-        assert name != "router-access"
-
-    def test_empty_target_registry_rejected(self):
-        topology = generate_fkp_tree(50, alpha=10.0, seed=8)
-        with pytest.raises(ValueError):
-            best_matching_target(topology, targets={})

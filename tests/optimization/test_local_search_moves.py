@@ -1,4 +1,4 @@
-"""Tests for the move-based local search API (hill_climb_moves & friends).
+"""Tests for the move-based local search API (hill climbing and annealing).
 
 The headline property — copy-based and move-based annealing follow identical
 trajectories for the same seed — is exercised through the E10 suite helpers,
@@ -13,13 +13,11 @@ from repro.core.objectives import CostObjective
 from repro.experiments.suites.e10_local_search import (
     build_anneal_instance,
     draw_move,
-    edge_signature,
     run_anneal_pair,
 )
 from repro.optimization.incremental import IncrementalState, UpgradeCable
 from repro.optimization.local_search import (
     hill_climb_moves,
-    multi_start_moves,
     simulated_annealing_moves,
 )
 
@@ -108,28 +106,6 @@ class TestSimulatedAnnealingMoves:
         payload = run_anneal_pair(100, "profit", iterations=200, seed=13, audit=False)
         assert payload["scores_equal"]
         assert payload["identical_edges"]
-
-
-class TestMultiStartMoves:
-    def test_keeps_best_of_several_states(self):
-        # Three independent working copies of the same instance; the shared
-        # rng stream makes each climb explore a different trajectory.
-        states = []
-        context = None
-        for _ in range(3):
-            topology, context = build_anneal_instance(40, seed=0)
-            states.append(IncrementalState(topology, CostObjective()))
-        start = states[0].score
-        result = multi_start_moves(
-            states, upgrade_proposal(context), max_iterations=150, rng=random.Random(5)
-        )
-        assert result.best_cost == min(s.score for s in states)
-        assert result.best_cost < start
-        assert edge_signature(result.best_solution)
-
-    def test_empty_start_list_rejected(self):
-        with pytest.raises(ValueError):
-            multi_start_moves([], lambda s, r: None)
 
 
 class TestUpgradeOnlySearch:

@@ -9,10 +9,8 @@ from repro.optimization.mst import (
     UnionFind,
     euclidean_mst_length,
     kruskal_edges,
-    lazy_prim_edges,
     minimum_spanning_tree,
     prim_mst_points,
-    prim_mst_topology_from_points,
 )
 from repro.topology.graph import Topology
 
@@ -86,12 +84,6 @@ class TestPrimPoints:
         square = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
         assert euclidean_mst_length(square) == pytest.approx(3.0)
 
-    def test_topology_from_points_is_tree(self):
-        points = random_points(20, random.Random(3))
-        topo = prim_mst_topology_from_points(points)
-        assert topo.is_tree()
-        assert topo.num_nodes == 20
-
 
 class TestMinimumSpanningTreeOfTopology:
     def test_removes_heaviest_cycle_edge(self):
@@ -119,18 +111,3 @@ class TestMinimumSpanningTreeOfTopology:
     def test_preserves_all_nodes(self, triangle_topology):
         mst = minimum_spanning_tree(triangle_topology)
         assert mst.num_nodes == triangle_topology.num_nodes
-
-
-class TestLazyPrim:
-    def test_sparse_adjacency(self):
-        adjacency = {
-            "a": [("b", 1.0), ("c", 4.0)],
-            "b": [("a", 1.0), ("c", 2.0)],
-            "c": [("a", 4.0), ("b", 2.0)],
-        }
-        edges = lazy_prim_edges(["a", "b", "c"], adjacency)
-        assert len(edges) == 2
-        assert sum(w for _, _, w in edges) == pytest.approx(3.0)
-
-    def test_empty_nodes(self):
-        assert lazy_prim_edges([], {}) == []

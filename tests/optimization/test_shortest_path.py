@@ -1,15 +1,11 @@
-"""Tests for repro.optimization.shortest_path."""
+"""Tests for repro.optimization.shortest_path and the Dijkstra kernel it runs."""
+
+from math import inf
 
 import pytest
 
-from repro.optimization.shortest_path import (
-    all_pairs_shortest_lengths,
-    dijkstra,
-    eccentricity,
-    path_length,
-    reconstruct_path,
-    shortest_path,
-)
+from repro.optimization.shortest_path import all_pairs_shortest_lengths
+from repro.topology.compiled import dijkstra_indices
 from repro.topology.graph import Topology
 
 
@@ -26,65 +22,51 @@ def weighted_square() -> Topology:
     return topo
 
 
+def search(topo: Topology, source, weight=None):
+    """``dijkstra_indices`` from ``source``: ``(graph, dist, pred)``."""
+    graph = topo.compiled()
+    dist, pred, _ = dijkstra_indices(graph, graph.index_of[source], graph.edge_weights(weight))
+    return graph, dist, pred
+
+
 class TestDijkstra:
+    # A negative weight is rejected by ``CompiledGraph.edge_weights`` before any
+    # search runs: test_compiled.py's test_edge_weights_default_and_negative.
+
     def test_distances(self):
-        distances, _ = dijkstra(weighted_square(), "a")
-        assert distances["c"] == pytest.approx(2.0)
-        assert distances["b"] == pytest.approx(1.0)
+        graph, dist, _ = search(weighted_square(), "a")
+        assert dist[graph.index_of["c"]] == pytest.approx(2.0)
+        assert dist[graph.index_of["b"]] == pytest.approx(1.0)
 
     def test_prefers_cheaper_multi_hop_path(self):
-        path = shortest_path(weighted_square(), "a", "c")
-        assert path in (["a", "b", "c"], ["a", "d", "c"])
+        graph, _, pred = search(weighted_square(), "a")
+        via = graph.ids[pred[graph.index_of["c"]]]
+        assert via in ("b", "d")
+        assert graph.ids[pred[graph.index_of[via]]] == "a"
 
     def test_unreachable_returns_none(self):
         topo = Topology()
         topo.add_node("x")
         topo.add_node("y")
-        assert shortest_path(topo, "x", "y") is None
+        graph, dist, pred = search(topo, "x")
+        assert dist[graph.index_of["y"]] == inf
+        assert pred[graph.index_of["y"]] == -1
 
     def test_zero_length_links_count_as_one_hop(self, path_topology):
-        distances, _ = dijkstra(path_topology, 0)
-        assert distances[5] == pytest.approx(5.0)
-
-    def test_negative_weight_rejected(self):
-        topo = Topology()
-        topo.add_node("a")
-        topo.add_node("b")
-        topo.add_link("a", "b")
-        with pytest.raises(ValueError):
-            dijkstra(topo, "a", weight=lambda link: -1.0)
+        graph, dist, _ = search(path_topology, 0)
+        assert dist[graph.index_of[5]] == pytest.approx(5.0)
 
     def test_custom_weight(self):
         # With hop-count weights the long diagonal a-c becomes the best route.
-        topo = weighted_square()
-        distances, _ = dijkstra(topo, "a", weight=lambda link: 1.0)
-        assert distances["c"] == pytest.approx(1.0)
-        assert distances["b"] == pytest.approx(1.0)
+        graph, dist, pred = search(weighted_square(), "a", weight=lambda link: 1.0)
+        assert dist[graph.index_of["c"]] == pytest.approx(1.0)
+        assert dist[graph.index_of["b"]] == pytest.approx(1.0)
+        assert graph.ids[pred[graph.index_of["c"]]] == "a"
 
 
 class TestPathUtilities:
-    def test_reconstruct_path(self):
-        topo = weighted_square()
-        distances, predecessors = dijkstra(topo, "a")
-        path = reconstruct_path(predecessors, "a", "c")
-        assert path[0] == "a" and path[-1] == "c"
-        assert len(path) == 3
-
-    def test_reconstruct_missing_raises(self):
-        with pytest.raises(ValueError):
-            reconstruct_path({}, "a", "b")
-
-    def test_path_length(self):
-        topo = weighted_square()
-        assert path_length(topo, ["a", "b", "c"]) == pytest.approx(2.0)
-        assert path_length(topo, ["a", "c"]) == pytest.approx(5.0)
-
     def test_all_pairs_subset_sources(self):
         topo = weighted_square()
         lengths = all_pairs_shortest_lengths(topo, sources=["a"])
         assert set(lengths) == {"a"}
         assert lengths["a"]["d"] == pytest.approx(1.0)
-
-    def test_eccentricity(self, path_topology):
-        assert eccentricity(path_topology, 0) == pytest.approx(5.0)
-        assert eccentricity(path_topology, 2) == pytest.approx(3.0)

@@ -5,7 +5,7 @@ replaced.  The production path must reproduce it exactly, except Waxman's,
 which reproduces it in distribution.  Nothing under ``src/`` imports this
 module.  Benchmarks import it after putting ``tests/`` on ``sys.path``.
 
-* :func:`per_pair_assign` — one cached path resolution per demand pair, the
+* :func:`per_pair_assign` — one shortest-path resolution per demand pair, the
   reference for :func:`repro.routing.assignment.assign_demand`.
 * :func:`naive_waxman` — the O(n^2) pair loop, one draw per pair, the
   reference for :class:`repro.generators.WaxmanGenerator`.
@@ -33,7 +33,8 @@ from repro.geography.demand import DemandMatrix
 from repro.geography.points import euclidean
 from repro.geography.regions import Region, unit_square
 from repro.routing.assignment import AssignmentResult
-from repro.routing.paths import PathCache, resolve_weight
+from repro.routing.paths import resolve_weight
+from repro.topology.compiled import dijkstra_indices
 from repro.topology.graph import Topology
 
 
@@ -44,16 +45,20 @@ def per_pair_assign(
     weight: Optional[str] = None,
     reset_loads: bool = True,
 ) -> AssignmentResult:
-    """The seed assignment: one cached path resolution per demand pair.
+    """The seed assignment: one shortest-path resolution per demand pair.
 
-    Loads are added link by link in pair order, and the node path of every
-    routed pair is recorded in ``paths``.
+    Each source's search runs once (``dijkstra_indices`` on the compiled
+    view) and is reused by every pair from that source.  Loads are added link
+    by link in pair order, and the node path of every routed pair is recorded
+    in ``paths``.
     """
     endpoint_map = endpoint_map or {}
-    cache = PathCache(topology, resolve_weight(weight))
     if reset_loads:
         for link in topology.links():
             link.load = 0.0
+    graph = topology.compiled()
+    weights = graph.edge_weights(resolve_weight(weight))
+    searches: Dict[int, tuple] = {}
 
     result = AssignmentResult()
     link_loads = result.link_loads
@@ -63,14 +68,26 @@ def per_pair_assign(
         if not (topology.has_node(node_a) and topology.has_node(node_b)):
             result.unrouted_pairs.append((a, b, volume))
             continue
-        routed = cache.route(node_a, node_b)
-        if routed is None:
+        source = graph.index_of[node_a]
+        if source not in searches:
+            searches[source] = dijkstra_indices(graph, source, weights)
+        dist, pred, pred_edge = searches[source]
+        current = graph.index_of[node_b]
+        if dist[current] == math.inf:
             result.unrouted_pairs.append((a, b, volume))
             continue
-        for link, key in zip(routed.links, routed.keys):
-            link.load += volume
+        nodes = [node_b]
+        edges: List[int] = []
+        while current != source:
+            edges.append(pred_edge[current])
+            current = pred[current]
+            nodes.append(graph.ids[current])
+        for edge in reversed(edges):
+            graph.links[edge].load += volume
+            key = graph.edge_keys[edge]
             link_loads[key] = link_loads.get(key, 0.0) + volume
-        result.paths[(a, b)] = routed.nodes
+        nodes.reverse()
+        result.paths[(a, b)] = nodes
         result.routed_volume += volume
     return result
 

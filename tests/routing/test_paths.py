@@ -2,27 +2,7 @@
 
 import pytest
 
-from repro.routing.paths import (
-    PathCache,
-    WEIGHT_FUNCTIONS,
-    k_shortest_node_disjoint_paths,
-    resolve_weight,
-    shortest_path_between,
-)
-from repro.topology.graph import Topology
-
-
-def diamond() -> Topology:
-    """a connected to d by two disjoint 2-hop paths and one direct long link."""
-    topo = Topology()
-    for n in "abcd":
-        topo.add_node(n)
-    topo.add_link("a", "b", length=1.0)
-    topo.add_link("b", "d", length=1.0)
-    topo.add_link("a", "c", length=1.0)
-    topo.add_link("c", "d", length=1.0)
-    topo.add_link("a", "d", length=10.0)
-    return topo
+from repro.routing.paths import WEIGHT_FUNCTIONS, resolve_weight
 
 
 class TestWeights:
@@ -36,94 +16,3 @@ class TestWeights:
     def test_unknown_weight_raises(self):
         with pytest.raises(KeyError):
             resolve_weight("congestion")
-
-
-class TestPathCache:
-    def test_path_and_distance(self):
-        topo = diamond()
-        cache = PathCache(topo, resolve_weight("length"))
-        assert cache.distance("a", "d") == pytest.approx(2.0)
-        path = cache.path("a", "d")
-        assert path[0] == "a" and path[-1] == "d" and len(path) == 3
-
-    def test_unreachable(self):
-        topo = Topology()
-        topo.add_node("x")
-        topo.add_node("y")
-        cache = PathCache(topo, resolve_weight("length"))
-        assert cache.path("x", "y") is None
-        assert cache.distance("x", "y") == float("inf")
-
-    def test_invalidate(self):
-        topo = diamond()
-        cache = PathCache(topo, resolve_weight("length"))
-        assert cache.distance("a", "d") == pytest.approx(2.0)
-        topo.remove_link("a", "b")
-        topo.remove_link("a", "c")
-        cache.invalidate()
-        assert cache.distance("a", "d") == pytest.approx(10.0)
-
-    def test_shortest_path_between_hops_weight(self):
-        path = shortest_path_between(diamond(), "a", "d", weight="hops")
-        assert path == ["a", "d"]
-
-
-class TestDisjointPaths:
-    def test_finds_disjoint_paths(self):
-        paths = k_shortest_node_disjoint_paths(diamond(), "a", "d", k=3)
-        assert len(paths) == 3
-        interiors = [tuple(p[1:-1]) for p in paths]
-        assert len(set(interiors)) == len(interiors)
-
-    def test_limited_by_graph(self, path_topology):
-        paths = k_shortest_node_disjoint_paths(path_topology, 0, 5, k=3)
-        assert len(paths) == 1
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            k_shortest_node_disjoint_paths(diamond(), "a", "d", k=0)
-
-    def test_does_not_mutate_topology(self):
-        topo = diamond()
-        k_shortest_node_disjoint_paths(topo, "a", "d", k=3)
-        assert topo.num_links == 5
-
-
-class TestPathCacheVersionedInvalidation:
-    """Structural mutations invalidate the cache without calling invalidate()."""
-
-    def test_mutation_auto_invalidates(self):
-        topo = diamond()
-        cache = PathCache(topo, resolve_weight("length"))
-        assert cache.distance("a", "d") == pytest.approx(2.0)
-        topo.remove_link("a", "b")
-        topo.remove_link("a", "c")
-        # No manual invalidate(): the version check must catch the mutation.
-        assert cache.distance("a", "d") == pytest.approx(10.0)
-        assert cache.path("a", "d") == ["a", "d"]
-
-    def test_added_shortcut_used_immediately(self):
-        topo = diamond()
-        cache = PathCache(topo, resolve_weight("length"))
-        assert cache.distance("a", "d") == pytest.approx(2.0)
-        topo.add_link("b", "c", length=0.1)
-        assert cache.distance("b", "c") == pytest.approx(0.1)
-
-    def test_route_resolves_links_and_keys(self):
-        topo = diamond()
-        cache = PathCache(topo, resolve_weight("length"))
-        routed = cache.route("a", "d")
-        assert routed.nodes[0] == "a" and routed.nodes[-1] == "d"
-        assert len(routed.links) == len(routed.nodes) - 1
-        for (u, v), link, key in zip(
-            zip(routed.nodes, routed.nodes[1:]), routed.links, routed.keys
-        ):
-            assert link is topo.link(u, v)
-            assert key == link.key
-
-    def test_route_source_equals_target(self):
-        topo = diamond()
-        cache = PathCache(topo, resolve_weight("length"))
-        routed = cache.route("a", "a")
-        assert routed.nodes == ["a"]
-        assert routed.links == [] and routed.keys == []

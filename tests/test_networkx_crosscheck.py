@@ -16,8 +16,16 @@ from repro.metrics.clustering import average_clustering, transitivity
 from repro.metrics.degree import degree_histogram
 from repro.metrics.distance import average_shortest_path_hops, hop_diameter
 from repro.optimization.mst import minimum_spanning_tree
-from repro.optimization.shortest_path import dijkstra
-from repro.topology.serialization import to_networkx
+from repro.optimization.shortest_path import all_pairs_shortest_lengths
+
+
+def to_networkx(topology):
+    """The topology as a ``networkx.Graph`` whose edges carry ``length``."""
+    graph = networkx.Graph()
+    graph.add_nodes_from(topology.node_ids())
+    for link in topology.links():
+        graph.add_edge(link.source, link.target, length=link.length)
+    return graph
 
 
 @pytest.fixture(scope="module", params=[0, 1, 2])
@@ -74,7 +82,7 @@ class TestAlgorithmAgreement:
         topology = WaxmanGenerator(alpha_w=0.3, beta=0.6).generate(60, seed=3)
         graph = to_networkx(topology)
         source = 0
-        ours, _ = dijkstra(topology, source)
+        ours = all_pairs_shortest_lengths(topology, sources=[source])[source]
         theirs = networkx.single_source_dijkstra_path_length(
             graph, source, weight=lambda u, v, data: data["length"] or 1.0
         )

@@ -1,8 +1,8 @@
 """Property tests: compiled kernels agree with pure-Python references.
 
 Seeded random topologies (~200 nodes) are run through both the compiled
-CSR kernels (as exposed by the public APIs) and straightforward object-graph
-reference implementations kept here: dictionary Dijkstra, dictionary BFS,
+CSR kernels (directly, or as exposed by the public APIs) and straightforward
+object-graph reference implementations kept here: dictionary Dijkstra, dictionary BFS,
 set-based components, and a copy-per-step removal trace.  Agreement is exact,
 including after mutations that bump ``Topology.version``.
 """
@@ -13,11 +13,8 @@ import random
 import pytest
 
 from repro.metrics.resilience import removal_trace
-from repro.optimization.shortest_path import (
-    all_pairs_shortest_lengths,
-    dijkstra,
-    multi_source_dijkstra,
-)
+from repro.optimization.shortest_path import all_pairs_shortest_lengths
+from repro.topology.compiled import dijkstra_indices, multi_source_dijkstra_indices
 from repro.topology.graph import Topology
 from repro.topology.node import NodeRole
 
@@ -195,6 +192,33 @@ def mutate(topology: Topology, seed: int) -> None:
 
 
 # ----------------------------------------------------------------------
+# Compiled kernels, translated back to node ids
+# ----------------------------------------------------------------------
+def dijkstra(topology, source):
+    """``dijkstra_indices`` from ``source`` as id-keyed ``(distances, predecessors)``.
+
+    Unreachable nodes are absent from both maps; the source has no predecessor.
+    """
+    graph = topology.compiled()
+    dist, pred, _ = dijkstra_indices(graph, graph.index_of[source], graph.edge_weights())
+    ids = graph.ids
+    distances = {ids[i]: d for i, d in enumerate(dist) if d != float("inf")}
+    predecessors = {ids[i]: ids[p] for i, p in enumerate(pred) if p >= 0}
+    return distances, predecessors
+
+
+def multi_source_dijkstra(topology, sources):
+    """``multi_source_dijkstra_indices`` as id-keyed ``(distances, nearest_source)``."""
+    graph = topology.compiled()
+    indices = [graph.index_of[s] for s in sources]
+    dist, _, _, origin = multi_source_dijkstra_indices(graph, indices, graph.edge_weights())
+    ids = graph.ids
+    distances = {ids[i]: d for i, d in enumerate(dist) if d != float("inf")}
+    nearest = {ids[i]: ids[o] for i, o in enumerate(origin) if o >= 0}
+    return distances, nearest
+
+
+# ----------------------------------------------------------------------
 # Properties
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -239,7 +263,7 @@ def test_multi_source_matches_min_over_single_sources(seed):
     topo = random_topology(seed)
     rng = random.Random(seed)
     sources = rng.sample(list(topo.node_ids()), 6)
-    distances, _, nearest = multi_source_dijkstra(topo, sources)
+    distances, nearest = multi_source_dijkstra(topo, sources)
     per_source = {s: reference_dijkstra(topo, s) for s in sources}
     for node, distance in distances.items():
         best = min(per_source[s].get(node, float("inf")) for s in sources)

@@ -1,4 +1,4 @@
-"""Property-based tests on routing, flow, and Steiner-tree invariants."""
+"""Property-based tests on routing and spanning-tree invariants."""
 
 import random
 
@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from repro.geography.demand import DemandMatrix
 from repro.geography.points import euclidean
-from repro.optimization.flow import network_from_topology
 from repro.optimization.mst import euclidean_mst_length, prim_mst_points
-from repro.optimization.steiner import geometric_steiner_backbone
 from repro.routing.assignment import assign_demand
 from repro.routing.engine import compile_demand, route_demand
 from repro.routing.utilization import utilization_report
@@ -179,57 +177,12 @@ class TestBatchedEngineProperties:
         )
 
 
-class TestFlowProperties:
-    @given(
-        st.integers(min_value=3, max_value=12),
-        st.integers(min_value=1, max_value=8),
-        st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_max_flow_bounded_by_source_capacity(self, n, extra_links, seed):
-        """Max flow never exceeds the total capacity leaving the source."""
-        rng = random.Random(seed)
-        topology = random_connected_topology(rng, n, extra_links)
-        for link in topology.links():
-            link.capacity = rng.uniform(1.0, 10.0)
-        network = network_from_topology(topology)
-        source, sink = 0, n - 1
-        out_capacity = sum(link.capacity for link in topology.incident_links(source))
-        in_capacity = sum(link.capacity for link in topology.incident_links(sink))
-        flow = network.max_flow(source, sink)
-        assert flow <= out_capacity + 1e-9
-        assert flow <= in_capacity + 1e-9
-        assert flow >= 0.0
-
-    @given(
-        st.integers(min_value=3, max_value=10),
-        st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_min_cost_flow_never_cheaper_than_unit_shortest_path(self, n, seed):
-        """For one unit of demand, min-cost flow equals the cheapest path cost."""
-        rng = random.Random(seed)
-        topology = random_connected_topology(rng, n, extra_links=3)
-        for link in topology.links():
-            link.capacity = 100.0
-            link.usage_cost = rng.uniform(0.1, 2.0)
-        from repro.optimization.shortest_path import dijkstra
-
-        distances, _ = dijkstra(topology, 0, weight=lambda link: link.usage_cost)
-        network = network_from_topology(topology)
-        sent, cost = network.min_cost_flow(0, n - 1, 1.0)
-        assert sent == 1.0
-        assert abs(cost - distances[n - 1]) < 1e-6
-
-
-class TestSteinerProperties:
+class TestMSTProperties:
     @given(st.lists(coordinates, min_size=3, max_size=15))
     @settings(max_examples=40, deadline=None)
-    def test_backbone_length_equals_mst_and_bounds_tour(self, points):
-        """The geometric backbone has MST length, which lower-bounds any tour."""
-        backbone = geometric_steiner_backbone(points)
+    def test_mst_length_bounds_tour(self, points):
+        """The Euclidean MST length lower-bounds any path through the points."""
         mst_length = euclidean_mst_length(points)
-        assert abs(backbone.total_length() - mst_length) < 1e-9
         tour = sum(euclidean(points[i], points[i + 1]) for i in range(len(points) - 1))
         assert mst_length <= tour + 1e-9
 

@@ -8,13 +8,9 @@ import pytest
 
 from repro.topology.graph import Topology
 from repro.topology.hierarchy import (
-    LEVEL_NAMES,
     LEVEL_RANKS,
-    assign_levels_by_distance,
     compiled_level_ranks,
-    is_downward_tree,
     level_of,
-    relabel_roles_from_levels,
     summarize_hierarchy,
 )
 from repro.topology.node import NodeRole
@@ -76,34 +72,6 @@ class TestSummarizeHierarchy:
         assert summary.level_link_matrix[("customer", "distribution")] == 2
 
 
-class TestAssignLevels:
-    def test_levels_follow_distance(self, path_topology):
-        assignment = assign_levels_by_distance(path_topology, [0])
-        assert assignment[0] == "core"
-        assert assignment[1] == "backbone"
-        assert assignment[2] == "distribution"
-        assert assignment[3] == "access"
-        assert assignment[4] == "customer"
-        assert assignment[5] == "customer"
-
-    def test_unknown_core_raises(self, path_topology):
-        with pytest.raises(ValueError):
-            assign_levels_by_distance(path_topology, ["nope"])
-
-    def test_unreachable_nodes_are_customers(self):
-        topo = Topology()
-        topo.add_node("a")
-        topo.add_node("b")
-        assignment = assign_levels_by_distance(topo, ["a"])
-        assert assignment["b"] == "customer"
-
-    def test_relabel_roles(self, path_topology):
-        assignment = assign_levels_by_distance(path_topology, [0])
-        relabel_roles_from_levels(path_topology, assignment)
-        assert path_topology.node(0).role == NodeRole.CORE
-        assert path_topology.node(5).role == NodeRole.CUSTOMER
-
-
 def build_random_topology(num_nodes: int, seed: int, extra_links: int = 0) -> Topology:
     """Random tree plus chords with random roles (plus a detached island)."""
     rng = random.Random(seed)
@@ -139,22 +107,6 @@ def bfs_hops(topology: Topology, source) -> dict:
 class TestAgainstPerCoreReference:
     """The single multi-source-BFS rewrites are bit-identical to the
     per-core-minimum loops they replaced."""
-
-    @pytest.mark.parametrize("seed", [1, 7, 23, 61])
-    def test_assign_levels_matches_per_core_minimum(self, seed):
-        topo = build_random_topology(80, seed, extra_links=25)
-        rng = random.Random(seed + 1)
-        cores = rng.sample(range(80), rng.randint(1, 5))
-        assignment = assign_levels_by_distance(topo, cores)
-        per_core = [bfs_hops(topo, core) for core in cores]
-        deepest = len(LEVEL_NAMES) - 1
-        for node in topo.nodes():
-            best = min(
-                (dist[node.node_id] for dist in per_core if node.node_id in dist),
-                default=None,
-            )
-            expected = "customer" if best is None else LEVEL_NAMES[min(best, deepest)]
-            assert assignment[node.node_id] == expected, node.node_id
 
     @pytest.mark.parametrize("seed", [2, 13, 47])
     def test_mean_customer_depth_matches_per_core_minimum(self, seed):
@@ -202,15 +154,3 @@ class TestAgainstPerCoreReference:
         assert len(ranks) == graph.num_nodes
         for node, rank in zip(graph.nodes, ranks):
             assert rank == LEVEL_RANKS[level_of(node.role)]
-
-
-class TestDownwardTree:
-    def test_clean_hierarchy_is_downward(self):
-        assert is_downward_tree(build_isp_like_tree())
-
-    def test_double_uplink_is_not_downward(self):
-        topo = build_isp_like_tree()
-        topo.add_node("bb2", role=NodeRole.BACKBONE)
-        topo.add_link("core", "bb2")
-        topo.add_link("bb2", "dist")  # dist now has two uplinks
-        assert not is_downward_tree(topo)

@@ -47,6 +47,14 @@ class TestLink:
         with pytest.raises(ValueError):
             Link(source="a", target="b", load=-2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field", ["length", "capacity", "install_cost", "usage_cost", "load"]
+    )
+    def test_non_finite_values_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            Link(source="a", target="b", **{field: bad})
+
     def test_key_matches_edge_key(self):
         link = Link(source="z", target="a")
         assert link.key == edge_key("z", "a")

@@ -1,5 +1,7 @@
 """Tests for repro.topology.node."""
 
+import math
+
 import pytest
 
 from repro.topology.node import Node, NodeRole, ROLE_RANK
@@ -43,6 +45,21 @@ class TestNode:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             Node(node_id=1, capacity=-5.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["demand", "capacity"])
+    def test_non_finite_values_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            Node(node_id=1, **{field: bad})
+
+    @pytest.mark.parametrize(
+        "location",
+        [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)],
+        ids=["nan_x", "inf_y", "neg_inf_x"],
+    )
+    def test_non_finite_location_rejected(self, location):
+        with pytest.raises(ValueError, match="location"):
+            Node(node_id=1, location=location)
 
     def test_zero_max_degree_rejected(self):
         with pytest.raises(ValueError):

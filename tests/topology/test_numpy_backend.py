@@ -35,7 +35,6 @@ from repro.topology.compiled import (
     components_indices,
     have_numpy_backend,
     multi_source_bfs_indices,
-    multi_source_distances,
     resolve_backend,
 )
 from repro.topology.graph import Topology
@@ -194,15 +193,6 @@ class TestDistanceParity:
             row = batch_shortest_lengths(graph, [0], weights, backend=backend)[0]
             assert sum(1 for d in row if math.isinf(d)) == 5
 
-    def test_multi_source_distances_parity(self):
-        graph = random_topology(LARGE, isolated=3).compiled()
-        weights = graph.edge_weight_column("length")
-        sources = sample_sources(graph, 9)
-        python_dist = multi_source_distances(graph, sources, weights, backend="python")
-        numpy_dist = multi_source_distances(graph, sources, weights, backend="numpy")
-        for a, b in zip(python_dist, numpy_dist):
-            assert a == b or abs(a - b) <= 1e-9
-
     def test_hop_rows_exact(self):
         graph = random_topology(LARGE, isolated=4).compiled()
         sources = sample_sources(graph, 16)
@@ -249,7 +239,6 @@ class TestBatchCounters:
         sources = sample_sources(graph, 12)
         KERNEL_COUNTERS.reset()
         batch_shortest_lengths(graph, sources, weights, backend="python")
-        multi_source_distances(graph, sources, weights, backend="python")
         batch_hop_lengths(graph, sources, backend="python")
         counters = KERNEL_COUNTERS.snapshot()
         assert counters["batch_dijkstra_calls"] == 0

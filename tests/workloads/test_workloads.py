@@ -8,12 +8,7 @@ from repro.workloads.cities import (
     reference_population,
     scaled_population,
 )
-from repro.workloads.matrices import (
-    demand_locality_fraction,
-    hub_and_spoke_matrix,
-    national_gravity_matrix,
-    national_uniform_matrix,
-)
+from repro.workloads.matrices import hub_and_spoke_matrix
 from repro.workloads.scenarios import all_scenarios, fkp_phase_scenario
 
 
@@ -68,16 +63,6 @@ class TestMetroCustomers:
 
 
 class TestMatrices:
-    def test_gravity_matrix_total(self):
-        population = reference_population()
-        matrix = national_gravity_matrix(population, num_cities=10, total_volume=500.0)
-        assert matrix.total() == pytest.approx(500.0)
-
-    def test_uniform_matrix_total(self):
-        population = reference_population()
-        matrix = national_uniform_matrix(population, num_cities=6, total_volume=60.0)
-        assert matrix.total() == pytest.approx(60.0)
-
     def test_hub_and_spoke(self):
         population = reference_population()
         cities = population.largest(5)
@@ -112,22 +97,6 @@ class TestMatrices:
         cities = reference_population().largest(3)
         with pytest.raises(ValueError):
             hub_skewed_matrix(cities, cities[0].name, hub_fraction=1.5)
-
-    def test_gravity_more_local_than_uniform(self):
-        population = reference_population()
-        cities = population.largest(12)
-        gravity = national_gravity_matrix(population, num_cities=12)
-        uniform = national_uniform_matrix(population, num_cities=12)
-        radius = 0.3 * population.region.diagonal
-        assert demand_locality_fraction(gravity, cities, radius) >= demand_locality_fraction(
-            uniform, cities, radius
-        )
-
-    def test_locality_invalid_radius(self):
-        population = reference_population()
-        matrix = national_uniform_matrix(population, num_cities=4)
-        with pytest.raises(ValueError):
-            demand_locality_fraction(matrix, population.largest(4), radius=0.0)
 
 
 class TestScenarios:
