@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
+from ..topology.compiled import bfs_indices
 from ..topology.graph import Topology
 
 
@@ -68,3 +69,19 @@ def core_periphery_ratio(topology: Topology, core_fraction: float = 0.1) -> floa
         if core[graph.edge_u[e]] or core[graph.edge_v[e]]
     )
     return touching / graph.num_edges
+
+
+def hierarchy_depth(topology: Topology) -> int:
+    """Largest hop distance from the highest-degree node (the first, on ties).
+
+    A proxy for the number of hierarchy levels when explicit roles are absent:
+    star graphs have depth 1, balanced trees have depth ~log(n), and chains
+    have depth ~n.
+    """
+    if topology.num_nodes == 0:
+        return 0
+    graph = topology.compiled()
+    degrees = graph.degrees()
+    hub = max(range(graph.num_nodes), key=degrees.__getitem__)
+    dist, order = bfs_indices(graph, hub)
+    return dist[order[-1]] if order else 0

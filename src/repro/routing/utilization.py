@@ -126,6 +126,18 @@ def utilization_report(topology: Topology, flow: Any = None) -> UtilizationRepor
     )
 
 
+def most_loaded_links(topology: Topology, k: int = 10) -> List[Tuple[Tuple, float]]:
+    """The ``k`` links carrying the most traffic, as (key, load) pairs."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    ranked = sorted(
+        ((link.key, link.load) for link in topology.links()),
+        key=lambda item: item[1],
+        reverse=True,
+    )
+    return ranked[:k]
+
+
 def load_concentration(
     topology: Topology,
     top_fraction: float = 0.1,

@@ -440,10 +440,9 @@ class CompiledGraph:
 
         ``None`` selects the library default (physical length, falling back to
         1.0 for zero-length links).  Raises :class:`ValueError` on a negative
-        weight, mirroring the object-graph Dijkstra.  Returns a float64 numpy
-        array when numpy is available, else ``array('d')`` — always freshly
-        computed, so annotation mutations are visible (see
-        :meth:`edge_weight_column` for the cached named columns).
+        weight.  Returns a float64 numpy array when numpy is available, else
+        ``array('d')`` — always freshly computed, so annotation mutations are
+        visible (see :meth:`edge_weight_column` for the cached named columns).
         """
         m = self.num_edges
         if _HAVE_NUMPY:

@@ -178,3 +178,10 @@ class TestVariants:
             centrality=subtree_load_centrality,
         )
         assert model.generate().is_tree()
+
+    def test_alpha_sweep_returns_all_alphas(self):
+        # One tree per alpha from one seed: the node placement ignores alpha.
+        sweep = {alpha: generate_fkp_tree(50, alpha, seed=1) for alpha in (0.1, 4.0, 50.0)}
+        assert all(t.is_tree() for t in sweep.values())
+        placements = [[(n.node_id, n.location) for n in t.nodes()] for t in sweep.values()]
+        assert placements[0] == placements[1] == placements[2]

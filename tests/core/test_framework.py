@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.access_design import design_access_network
 from repro.core.buyatbulk import random_instance
 from repro.core.framework import BUY_AT_BULK_SOLVERS, HOTGenerator
 from repro.core.objectives import ProfitObjective
@@ -50,8 +51,18 @@ class TestBuyAtBulk:
         best = generator.solve_buy_at_bulk(instance, algorithm="meyerson", seed=1, best_of=4)
         assert best.total_cost() <= single.total_cost() + 1e-9
 
+    def test_compare_algorithms_returns_all(self, generator):
+        instance = random_instance(30, seed=5)
+        for algorithm in BUY_AT_BULK_SOLVERS:
+            solution = generator.solve_buy_at_bulk(instance, algorithm=algorithm, seed=1)
+            assert solution.is_feasible(), algorithm
+
 
 class TestMetroAndISP:
+    def test_generate_metro(self, generator):
+        result = design_access_network(30, seed=generator.seed, catalog=generator.catalog)
+        assert result.topology.is_connected()
+
     def test_generate_isp(self, generator):
         design = generator.generate_isp(num_cities=6, customers_per_city_scale=2.0)
         assert design.topology.is_connected()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.economics.cables import default_catalog
 from repro.economics.provisioning import provision_topology
+from repro.routing.utilization import utilization_report
 from repro.topology.graph import Topology
 
 
@@ -69,3 +70,41 @@ class TestProvisionTopology:
     def test_overprovisioning_at_least_one(self):
         report = provision_topology(loaded_topology(), default_catalog())
         assert report.overprovisioning >= 1.0
+
+
+class TestProvisioningHelpers:
+    def test_provisioning_cost_does_not_mutate(self):
+        # Pricing a candidate design provisions a copy; the input gets no cables.
+        topo = loaded_topology()
+        cost = provision_topology(topo.copy(), default_catalog()).total_cost
+        assert cost > 0
+        assert all(link.capacity is None for link in topo.links())
+
+    def test_capacity_violations(self):
+        topo = Topology()
+        topo.add_node("a")
+        topo.add_node("b")
+        link = topo.add_link("a", "b", capacity=10.0)
+        link.load = 15.0
+        report = utilization_report(topo)
+        assert report.overloaded_links == [link.key]
+        assert report.peak_utilization == pytest.approx(1.5)
+
+    def test_peak_utilization(self):
+        topo = Topology()
+        topo.add_node("a")
+        topo.add_node("b")
+        topo.add_node("c")
+        topo.add_link("a", "b", capacity=10.0, load=5.0)
+        topo.add_link("b", "c", capacity=10.0, load=9.0)
+        assert utilization_report(topo).peak_utilization == pytest.approx(0.9)
+
+    def test_peak_utilization_none_without_capacities(self):
+        topo = Topology()
+        topo.add_node("a")
+        topo.add_node("b")
+        topo.add_link("a", "b")
+        report = utilization_report(topo)
+        assert report.total_capacity == 0.0
+        assert report.peak_utilization == 0.0
+        assert not any(report.utilization_histogram.values())

@@ -1,8 +1,11 @@
-"""Tests for repro.metrics.distance."""
+"""Tests for repro.metrics.distance and the batch kernels its metrics run."""
+
+from math import inf
 
 import pytest
 
 from repro.metrics.distance import average_shortest_path_hops, hop_diameter
+from repro.topology.compiled import batch_hop_lengths, batch_shortest_lengths
 from repro.topology.graph import Topology
 
 
@@ -28,3 +31,19 @@ class TestAveragePathAndDiameter:
         topo.add_node("only")
         assert average_shortest_path_hops(topo) == 0.0
         assert hop_diameter(topo) == 0
+
+    def test_weighted_diameter(self, triangle_topology):
+        graph = triangle_topology.compiled()
+        weights = graph.edge_weight_column(None)
+        rows = batch_shortest_lengths(graph, range(graph.num_nodes), weights)
+        assert max(d for row in rows for d in row if d != inf) == pytest.approx(2 ** 0.5)
+
+
+class TestEccentricity:
+    def test_path_eccentricities(self, path_topology):
+        graph = path_topology.compiled()
+        rows = batch_hop_lengths(graph, range(graph.num_nodes))
+        eccentricities = {graph.ids[index]: max(row) for index, row in enumerate(rows)}
+        assert eccentricities[0] == 5
+        assert eccentricities[2] == 3
+        assert eccentricities[5] == 5

@@ -43,6 +43,16 @@ class TestTreeDistortion:
         assert value >= 1.0
 
 
+class TestIsTreeLike:
+    """Tree-like means a distortion within 10% of a tree's (exactly 1)."""
+
+    def test_tree_is_tree_like(self, star_topology):
+        assert tree_distortion(star_topology, sample_pairs=100) <= 1.1
+
+    def test_cycle_is_not_tree_like(self):
+        assert tree_distortion(cycle_graph(30), sample_pairs=100) > 1.1
+
+
 class TestCycleEdgeFraction:
     def test_tree_has_zero(self, path_topology):
         assert cycle_edge_fraction(path_topology) == 0.0

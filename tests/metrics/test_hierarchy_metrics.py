@@ -9,6 +9,7 @@ from repro.generators import BarabasiAlbertGenerator, ErdosRenyiGenerator
 from repro.metrics.hierarchy_metrics import (
     core_periphery_ratio,
     degree_assortativity,
+    hierarchy_depth,
 )
 from repro.topology.graph import Topology
 
@@ -46,7 +47,19 @@ class TestCorePeriphery:
         assert core_periphery_ratio(Topology()) == 0.0
 
 
-class TestFKPHierarchy:
+class TestHierarchyDepth:
+    def test_star_depth_one(self, star_topology):
+        assert hierarchy_depth(star_topology) == 1
+
+    def test_path_depth(self, path_topology):
+        # Every node has degree <= 2; the max-degree node is an interior one.
+        assert hierarchy_depth(path_topology) >= 3
+
+    def test_empty(self):
+        assert hierarchy_depth(Topology()) == 0
+
+
+class TestHierarchyReport:
     def test_fkp_tree_is_hierarchical(self):
         tree = generate_fkp_tree(300, alpha=4.0, seed=4)
         assert degree_assortativity(tree) < 0

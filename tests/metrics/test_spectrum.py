@@ -52,6 +52,21 @@ class TestSpectra:
         assert adjacency_spectrum(Topology()) == []
         assert laplacian_spectrum(Topology()) == []
 
+    def test_algebraic_connectivity_zero_for_disconnected(self):
+        topo = Topology()
+        for i in range(4):
+            topo.add_node(i)
+        topo.add_link(0, 1)
+        topo.add_link(2, 3)
+        assert laplacian_spectrum(topo, normalized=False)[1] == pytest.approx(0.0, abs=1e-9)
+        assert spectral_summary(topo)["algebraic_connectivity"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_algebraic_connectivity_positive_for_connected(self, triangle_topology):
+        assert spectral_summary(triangle_topology)["algebraic_connectivity"] > 0.1
+
+    def test_spectral_gap_nonnegative(self, star_topology):
+        assert spectral_summary(star_topology)["spectral_gap"] >= 0.0
+
     def test_summary_keys(self, triangle_topology):
         summary = spectral_summary(triangle_topology)
         assert set(summary) == {

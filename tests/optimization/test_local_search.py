@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.optimization.local_search import AnnealingSchedule
+from repro.optimization.local_search import AnnealingSchedule, pareto_front
 
 
 class TestAnnealingSchedule:
@@ -33,3 +33,20 @@ class TestAnnealingSchedule:
     def test_temperatures_capped(self):
         temps = AnnealingSchedule(cooling_rate=0.999999).temperatures(10)
         assert len(temps) == 10
+
+
+class TestParetoFront:
+    def test_removes_dominated_points(self):
+        points = [(1.0, 5.0), (2.0, 3.0), (3.0, 4.0), (4.0, 1.0)]
+        front = pareto_front(points)
+        assert (3.0, 4.0) not in front
+        assert (1.0, 5.0) in front and (4.0, 1.0) in front
+
+    def test_front_is_monotone(self):
+        points = [(float(i), float(10 - i)) for i in range(10)]
+        front = pareto_front(points)
+        ys = [y for _, y in front]
+        assert ys == sorted(ys, reverse=True)
+
+    def test_empty(self):
+        assert pareto_front([]) == []

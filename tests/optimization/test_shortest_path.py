@@ -30,9 +30,6 @@ def search(topo: Topology, source, weight=None):
 
 
 class TestDijkstra:
-    # A negative weight is rejected by ``CompiledGraph.edge_weights`` before any
-    # search runs: test_compiled.py's test_edge_weights_default_and_negative.
-
     def test_distances(self):
         graph, dist, _ = search(weighted_square(), "a")
         assert dist[graph.index_of["c"]] == pytest.approx(2.0)
@@ -56,6 +53,15 @@ class TestDijkstra:
         graph, dist, _ = search(path_topology, 0)
         assert dist[graph.index_of[5]] == pytest.approx(5.0)
 
+    def test_negative_weight_rejected(self):
+        # ``CompiledGraph.edge_weights`` rejects the column before any search.
+        topo = Topology()
+        topo.add_node("a")
+        topo.add_node("b")
+        topo.add_link("a", "b")
+        with pytest.raises(ValueError):
+            search(topo, "a", weight=lambda link: -1.0)
+
     def test_custom_weight(self):
         # With hop-count weights the long diagonal a-c becomes the best route.
         graph, dist, pred = search(weighted_square(), "a", weight=lambda link: 1.0)
@@ -65,8 +71,22 @@ class TestDijkstra:
 
 
 class TestPathUtilities:
+    def test_reconstruct_path(self):
+        graph, _, pred = search(weighted_square(), "a")
+        path = [graph.index_of["c"]]
+        while pred[path[-1]] != -1:
+            path.append(pred[path[-1]])
+        path = [graph.ids[index] for index in reversed(path)]
+        assert path[0] == "a" and path[-1] == "c"
+        assert len(path) == 3
+
     def test_all_pairs_subset_sources(self):
         topo = weighted_square()
         lengths = all_pairs_shortest_lengths(topo, sources=["a"])
         assert set(lengths) == {"a"}
         assert lengths["a"]["d"] == pytest.approx(1.0)
+
+    def test_eccentricity(self, path_topology):
+        lengths = all_pairs_shortest_lengths(path_topology, sources=[0, 2])
+        assert max(lengths[0].values()) == pytest.approx(5.0)
+        assert max(lengths[2].values()) == pytest.approx(3.0)

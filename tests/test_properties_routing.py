@@ -177,12 +177,19 @@ class TestBatchedEngineProperties:
         )
 
 
-class TestMSTProperties:
+class TestSteinerProperties:
     @given(st.lists(coordinates, min_size=3, max_size=15))
     @settings(max_examples=40, deadline=None)
-    def test_mst_length_bounds_tour(self, points):
-        """The Euclidean MST length lower-bounds any path through the points."""
+    def test_backbone_length_equals_mst_and_bounds_tour(self, points):
+        """The Euclidean-MST backbone spans the sites, and its length bounds any tour."""
+        backbone = Topology()
+        for index, point in enumerate(points):
+            backbone.add_node(index, location=point)
+        for u, v in prim_mst_points(points):
+            backbone.add_link(u, v)
         mst_length = euclidean_mst_length(points)
+        assert backbone.is_tree()
+        assert abs(backbone.total_length() - mst_length) < 1e-9
         tour = sum(euclidean(points[i], points[i + 1]) for i in range(len(points) - 1))
         assert mst_length <= tour + 1e-9
 

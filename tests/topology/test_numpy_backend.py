@@ -35,6 +35,7 @@ from repro.topology.compiled import (
     components_indices,
     have_numpy_backend,
     multi_source_bfs_indices,
+    multi_source_dijkstra_indices,
     resolve_backend,
 )
 from repro.topology.graph import Topology
@@ -192,6 +193,18 @@ class TestDistanceParity:
         for backend in ("python", "numpy"):
             row = batch_shortest_lengths(graph, [0], weights, backend=backend)[0]
             assert sum(1 for d in row if math.isinf(d)) == 5
+
+    def test_multi_source_distances_parity(self):
+        # The python multi-source search against the per-node minimum over
+        # the numpy backend's batched single-source rows.
+        graph = random_topology(LARGE, isolated=3).compiled()
+        weights = graph.edge_weight_column("length")
+        sources = sample_sources(graph, 9)
+        python_dist = multi_source_dijkstra_indices(graph, sources, weights)[0]
+        numpy_rows = batch_shortest_lengths(graph, sources, weights, backend="numpy")
+        numpy_dist = [min(column) for column in zip(*numpy_rows)]
+        for a, b in zip(python_dist, numpy_dist):
+            assert a == b or abs(a - b) <= 1e-9
 
     def test_hop_rows_exact(self):
         graph = random_topology(LARGE, isolated=4).compiled()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.geography.demand import gravity_demand, uniform_demand
 from repro.workloads.cities import (
     REFERENCE_CITIES,
     metro_customers,
@@ -63,6 +64,16 @@ class TestMetroCustomers:
 
 
 class TestMatrices:
+    def test_gravity_matrix_total(self):
+        cities = reference_population().largest(10)
+        matrix = gravity_demand(cities, total_volume=500.0)
+        assert matrix.total() == pytest.approx(500.0)
+
+    def test_uniform_matrix_total(self):
+        cities = reference_population().largest(6)
+        matrix = uniform_demand([c.name for c in cities], total_volume=60.0)
+        assert matrix.total() == pytest.approx(60.0)
+
     def test_hub_and_spoke(self):
         population = reference_population()
         cities = population.largest(5)
