@@ -7,6 +7,7 @@ backbone-design problem (Section 2.2).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -31,8 +32,14 @@ class Region:
     origin: Tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("region width and height must be positive")
+        # Written so that NaN fails every check: a NaN compares false.
+        if not 0 < self.width < math.inf:
+            raise ValueError(f"region width must be finite and positive, got {self.width}")
+        if not 0 < self.height < math.inf:
+            raise ValueError(f"region height must be finite and positive, got {self.height}")
+        ox, oy = self.origin
+        if not (-math.inf < ox < math.inf and -math.inf < oy < math.inf):
+            raise ValueError(f"region origin must be finite, got {self.origin}")
 
     @property
     def area(self) -> float:
@@ -77,9 +84,7 @@ class Region:
         spread: float = 0.05,
     ) -> List[Tuple[float, float]]:
         """Draw ``n`` points clustered around random centers inside the region."""
-        return clustered_points(
-            n, num_clusters, rng, self.width, self.height, spread, self.origin
-        )
+        return clustered_points(n, num_clusters, rng, self.width, self.height, spread, self.origin)
 
 
 def unit_square(name: str = "unit-square") -> Region:
@@ -104,17 +109,13 @@ def national_region(
     return Region(name=name, width=width_km, height=height_km)
 
 
-def bounding_region(
-    points: Sequence[Tuple[float, float]], name: str = "bounding-box"
-) -> Region:
+def bounding_region(points: Sequence[Tuple[float, float]], name: str = "bounding-box") -> Region:
     """The axis-aligned bounding box of a point set, as a :class:`Region`.
 
-    The box is what :class:`~repro.geography.spatial_index.SpatialGridIndex`
-    needs for its exactness guarantee: every indexed/queried point must lie
-    inside the region, otherwise the clamped cell assignment could overstate
-    a cell's distance lower bound.  Both sides are set to the larger span
-    (square cells suit the grid's ring expansion), with a small positive
-    floor so degenerate point sets (collinear or identical) stay valid.
+    Both sides are set to the larger span (square cells suit the ring
+    expansion of :class:`~repro.geography.spatial_index.SpatialGridIndex`),
+    with a small positive floor so degenerate point sets (collinear or
+    identical) stay valid.
     """
     if not points:
         raise ValueError("bounding_region requires at least one point")

@@ -5,11 +5,11 @@ Two geometric access patterns dominate topology generation:
 * The FKP growth model attaches each arriving node to the existing node
   minimizing ``alpha * d(i, j) + h(j)`` — a nearest-neighbour query with an
   additive per-point penalty.  :class:`SpatialGridIndex` answers it *exactly*
-  via ring expansion over a uniform grid: a cell is skipped when even its
-  best case ``alpha * d_min(cell) + min_h(cell)`` strictly exceeds the best
-  objective found so far, and ties between surviving candidates break toward
-  the lowest id, so the pruned argmin returns the identical node the seed's
-  full O(n) scan returned.
+  via ring expansion over the occupied cells of a uniform grid: a cell is
+  skipped when even its best case ``alpha * d_min(cell) + min_h(cell)``
+  strictly exceeds the best objective found so far, and ties between
+  surviving candidates break toward the lowest id, so the pruned argmin
+  returns the identical node the seed's full O(n) scan returned.
 * The Waxman model connects node pairs with a distance-decaying probability.
   :class:`GridBuckets` partitions the points into cells so the pair loop can
   run per cell pair with a probability upper bound derived from the minimum
@@ -17,22 +17,30 @@ Two geometric access patterns dominate topology generation:
 
 Exactness notes for the argmin: cell rectangles are expanded by a small
 epsilon before computing ``d_min`` so float rounding in the point-to-cell
-assignment can never make the lower bound exceed a member's true distance,
-and pruning uses a strict ``>`` so an equal-objective candidate with a lower
-id is never discarded.  Both bounds use monotone correctly-rounded operations
-(``math.hypot``, one multiply, one add), so ``bound <= objective`` holds in
-float arithmetic, not just in exact arithmetic.
+assignment can never make the lower bound exceed a member's true distance.
+The border cells' rectangles extend to infinity on their outer sides, since a
+point outside the region is clamped into a border cell; for a query inside
+the region this leaves every bound unchanged.  Pruning uses a strict ``>`` so
+an equal-objective candidate with a lower id is never discarded.  Both
+bounds use monotone correctly-rounded operations (``math.hypot``, one
+multiply, one add), so ``bound <= objective`` holds in float arithmetic, not
+just in exact arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Container, Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Container, Dict, List, Optional, Sequence, Tuple
 
 from ..topology.compiled import KERNEL_COUNTERS
 from .regions import Region
 
 __all__ = ["SpatialGridIndex", "GridBuckets"]
+
+#: Merge keys of a ring walk: a bucket's grid column and row.
+_COLUMN = itemgetter(6)
+_ROW = itemgetter(7)
 
 
 def _cell_coordinate(value: float, origin: float, cell_size: float, cells: int) -> int:
@@ -53,8 +61,20 @@ class SpatialGridIndex:
     ``alpha * d(query, point) + score`` with ties broken toward the lowest id
     — exactly the answer of a full scan in ascending-id order.
 
+    Each occupied cell holds one bucket, ``[min_score, x_lo, x_hi, y_lo, y_hi,
+    entries, column, row]``: the lowest score in the cell, its rectangle
+    (epsilon-expanded, and open to infinity on the grid's outer sides so a
+    point outside the region still lies inside its cell's rectangle), its
+    ``(id, x, y, score)`` entries in insertion order, and its grid coordinates.
+    The buckets sit in two flat lists, ``None`` for an empty cell: one in
+    row-major order and one in column-major order.  Each side of a ring is
+    then one list slice whose empty cells ``filter`` drops in C, so the
+    Python loop of a query visits only occupied cells.
+
     The grid resizes itself (rebuilding in O(n)) whenever average occupancy
-    exceeds ~2 points per cell, keeping ring queries near O(sqrt(n)) cells.
+    exceeds ~2 points per cell.  A query walks Chebyshev rings outward until
+    no farther ring can beat the incumbent, so its cost grows with the number
+    of rings that takes, not with the number of points.
     """
 
     def __init__(self, region: Region, expected_points: int = 64) -> None:
@@ -75,8 +95,9 @@ class SpatialGridIndex:
         # Slack added around each cell rectangle before computing d_min, so
         # rounding in the point-to-cell assignment cannot break the bound.
         self._eps = (self._cell_w + self._cell_h) * 1e-9
-        self._cells: Dict[Tuple[int, int], List[Tuple[int, float, float, float]]] = {}
-        self._cell_min_score: Dict[Tuple[int, int], float] = {}
+        # Cell (ix, iy) is _rows[iy * nx + ix] and _cols[ix * ny + iy].
+        self._rows: List[Optional[list]] = [None] * (side * side)
+        self._cols: List[Optional[list]] = [None] * (side * side)
         for entry in self._points:
             self._place(entry)
 
@@ -87,15 +108,22 @@ class SpatialGridIndex:
         )
 
     def _place(self, entry: Tuple[int, float, float, float]) -> None:
-        key = self._cell_of(entry[1], entry[2])
-        bucket = self._cells.get(key)
+        ix, iy = self._cell_of(entry[1], entry[2])
+        bucket = self._rows[iy * self._nx + ix]
         if bucket is None:
-            self._cells[key] = [entry]
-            self._cell_min_score[key] = entry[3]
+            eps = self._eps
+            inf = math.inf
+            x_lo = self._ox + ix * self._cell_w - eps if ix > 0 else -inf
+            x_hi = self._ox + (ix + 1) * self._cell_w + eps if ix < self._nx - 1 else inf
+            y_lo = self._oy + iy * self._cell_h - eps if iy > 0 else -inf
+            y_hi = self._oy + (iy + 1) * self._cell_h + eps if iy < self._ny - 1 else inf
+            bucket = [entry[3], x_lo, x_hi, y_lo, y_hi, [entry], ix, iy]
+            self._rows[iy * self._nx + ix] = bucket
+            self._cols[ix * self._ny + iy] = bucket
         else:
-            bucket.append(entry)
-            if entry[3] < self._cell_min_score[key]:
-                self._cell_min_score[key] = entry[3]
+            bucket[5].append(entry)
+            if entry[3] < bucket[0]:
+                bucket[0] = entry[3]
 
     def __len__(self) -> int:
         return len(self._points)
@@ -139,80 +167,72 @@ class SpatialGridIndex:
             raise ValueError("cannot query an empty spatial index")
         KERNEL_COUNTERS.spatial_queries += 1
         qx, qy = query
-        cells = self._cells
-        cell_min_score = self._cell_min_score
+        nx, ny = self._nx, self._ny
+        rows, cols = self._rows, self._cols
         hypot = math.hypot
+        inf = math.inf
+        eps = self._eps
+        lowest_score = self._min_score
         qix, qiy = self._cell_of(qx, qy)
-        best_obj = math.inf
+        best_obj = inf
         best_id: Optional[int] = None
         limit = stop_above
         ring_step = min(self._cell_w, self._cell_h)
-        max_ring = max(
-            qix, self._nx - 1 - qix, qiy, self._ny - 1 - qiy
-        )
+        max_ring = max(qix, nx - 1 - qix, qiy, ny - 1 - qiy)
         scanned = 0
         for ring in range(max_ring + 1):
-            if ring > 1 and limit < math.inf:
+            if ring > 1 and limit < inf:
                 # No cell at Chebyshev ring r can hold a point closer than
                 # (r-1) cell sides; once even that plus the global best score
                 # cannot beat the incumbent, no farther ring can either.
-                ring_gap = (ring - 1) * ring_step - self._eps
-                if alpha * ring_gap + self._min_score > limit:
+                ring_gap = (ring - 1) * ring_step - eps
+                if alpha * ring_gap + lowest_score > limit:
                     break
-            for key in self._ring_cells(qix, qiy, ring):
-                bucket = cells.get(key)
-                if bucket is None:
+            if ring == 0:
+                center = rows[qiy * nx + qix]
+                ring_cells = [] if center is None else [center]
+            else:
+                # The ring's occupied cells, in the order of a walk over its
+                # bottom and top rows by column (bottom first on a shared
+                # column), then over its left and right columns by row.
+                left, right = qix - ring, qix + ring
+                bottom, top = qiy - ring, qiy + ring
+                first = left if left > 0 else 0
+                stop = right + 1 if right < nx else nx
+                ring_cells = []
+                if bottom >= 0:
+                    ring_cells = list(filter(None, rows[bottom * nx + first : bottom * nx + stop]))
+                if top < ny:
+                    top_cells = list(filter(None, rows[top * nx + first : top * nx + stop]))
+                    if top_cells:
+                        ring_cells = sorted(ring_cells + top_cells, key=_COLUMN)
+                first = bottom + 1 if bottom >= 0 else 0
+                stop = top if top < ny else ny
+                column_cells = []
+                if left >= 0:
+                    column_cells = list(filter(None, cols[left * ny + first : left * ny + stop]))
+                if right < nx:
+                    right_cells = list(filter(None, cols[right * ny + first : right * ny + stop]))
+                    if right_cells:
+                        column_cells = sorted(column_cells + right_cells, key=_ROW)
+                ring_cells += column_cells
+            for min_score, x_lo, x_hi, y_lo, y_hi, entries, _, _ in ring_cells:
+                dx = x_lo - qx if qx < x_lo else (qx - x_hi if qx > x_hi else 0.0)
+                dy = y_lo - qy if qy < y_lo else (qy - y_hi if qy > y_hi else 0.0)
+                if alpha * hypot(dx, dy) + min_score > limit:
                     continue
-                bound = alpha * self._cell_min_distance(qx, qy, key)
-                bound += cell_min_score[key]
-                if bound > limit:
-                    continue
-                for item_id, x, y, score in bucket:
+                for item_id, x, y, score in entries:
                     if exclude is not None and item_id in exclude:
                         continue
                     objective = alpha * hypot(qx - x, qy - y) + score
-                    if objective < best_obj or (
-                        objective == best_obj and item_id < best_id
-                    ):
+                    if objective < best_obj or (objective == best_obj and item_id < best_id):
                         best_obj = objective
                         best_id = item_id
-                scanned += len(bucket)
+                scanned += len(entries)
                 if best_obj < limit:
                     limit = best_obj
         KERNEL_COUNTERS.spatial_candidates += scanned
         return best_id, best_obj
-
-    def _ring_cells(self, cx: int, cy: int, ring: int) -> Iterator[Tuple[int, int]]:
-        """Grid cells at Chebyshev distance ``ring`` from ``(cx, cy)``."""
-        nx, ny = self._nx, self._ny
-        if ring == 0:
-            yield (cx, cy)
-            return
-        x_lo, x_hi = cx - ring, cx + ring
-        y_lo, y_hi = cy - ring, cy + ring
-        for ix in range(max(0, x_lo), min(nx - 1, x_hi) + 1):
-            if 0 <= y_lo:
-                yield (ix, y_lo)
-            if y_hi < ny:
-                yield (ix, y_hi)
-        for iy in range(max(0, y_lo + 1), min(ny - 1, y_hi - 1) + 1):
-            if 0 <= x_lo:
-                yield (x_lo, iy)
-            if x_hi < nx:
-                yield (x_hi, iy)
-
-    def _cell_min_distance(self, qx: float, qy: float, key: Tuple[int, int]) -> float:
-        """Lower bound on the distance from the query to any point in the cell."""
-        ix, iy = key
-        x_lo = self._ox + ix * self._cell_w - self._eps
-        x_hi = self._ox + (ix + 1) * self._cell_w + self._eps
-        y_lo = self._oy + iy * self._cell_h - self._eps
-        y_hi = self._oy + (iy + 1) * self._cell_h + self._eps
-        dx = x_lo - qx if qx < x_lo else (qx - x_hi if qx > x_hi else 0.0)
-        dy = y_lo - qy if qy < y_lo else (qy - y_hi if qy > y_hi else 0.0)
-        if dx == 0.0 and dy == 0.0:
-            return 0.0
-        return math.hypot(dx, dy)
 
 
 class GridBuckets:

@@ -1,5 +1,6 @@
 """Tests for repro.geography.regions."""
 
+import math
 import random
 
 import pytest
@@ -13,6 +14,15 @@ class TestRegion:
             Region(width=0.0)
         with pytest.raises(ValueError):
             Region(height=-1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="width"):
+                Region(width=bad)
+            with pytest.raises(ValueError, match="height"):
+                Region(height=bad)
+            with pytest.raises(ValueError, match="origin"):
+                Region(origin=(bad, 0.0))
+            with pytest.raises(ValueError, match="origin"):
+                Region(origin=(0.0, bad))
 
     def test_area_and_center(self):
         region = Region(width=4.0, height=2.0, origin=(1.0, 1.0))
