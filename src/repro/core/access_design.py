@@ -103,32 +103,6 @@ class AccessDesignResult:
         """Cable cost plus concentrator equipment cost."""
         return self.topology.total_cost() + self.equipment_cost
 
-    def customers_per_concentrator(self) -> Dict[Any, int]:
-        """Number of customers attached (directly or transitively) below each concentrator."""
-        counts: Dict[Any, int] = {}
-        for concentrator in self.concentrator_ids:
-            reachable = self._downstream_customers(concentrator)
-            counts[concentrator] = len(reachable)
-        return counts
-
-    def _downstream_customers(self, concentrator: Any) -> List[Any]:
-        core_ids = [
-            n.node_id for n in self.topology.nodes() if n.role == NodeRole.CORE
-        ]
-        # Customers whose path to the core passes through this concentrator:
-        # remove the concentrator and see who loses core connectivity.
-        trimmed = self.topology.copy()
-        trimmed.remove_node(concentrator)
-        still_connected = set()
-        for core in core_ids:
-            if trimmed.has_node(core):
-                still_connected.update(trimmed.bfs_order(core))
-        return [
-            n.node_id
-            for n in self.topology.nodes()
-            if n.role == NodeRole.CUSTOMER and n.node_id not in still_connected
-        ]
-
 
 class AccessNetworkDesigner:
     """Designs a metro access network for a set of customers.

@@ -192,14 +192,6 @@ class BuyAtBulkSolution:
         """Total (installation + usage) cost of the solution topology."""
         return self.topology.total_cost()
 
-    def cost_breakdown(self) -> Dict[str, float]:
-        """Cost split into installation and usage components."""
-        return {
-            "install": self.topology.total_install_cost(),
-            "usage": self.topology.total_usage_cost(),
-            "total": self.topology.total_cost(),
-        }
-
 
 def route_tree_flows(
     topology: Topology, instance: BuyAtBulkInstance

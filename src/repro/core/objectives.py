@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from ..economics.cables import CableCatalog, default_catalog
 from ..economics.cost_model import CostModel
@@ -43,10 +43,6 @@ class Objective(abc.ABC):
     @abc.abstractmethod
     def evaluate(self, topology: Topology) -> float:
         """Scalar score of a candidate topology (lower is better)."""
-
-    def describe(self) -> Dict[str, object]:
-        """Human-readable description used in experiment reports."""
-        return {"name": self.name}
 
 
 @dataclass
@@ -79,13 +75,6 @@ class CostObjective(Objective):
         cost += self.demand_penalty * unserved_demand(topology)
         return cost
 
-    def describe(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "cable_types": [cable.name for cable in self.catalog],
-            "demand_penalty": self.demand_penalty,
-        }
-
 
 @dataclass
 class ProfitObjective(Objective):
@@ -116,47 +105,6 @@ class ProfitObjective(Objective):
                 revenue += self.revenue_model.revenue_for_demand(node.demand)
         return cost - revenue
 
-    def profit(self, topology: Topology) -> float:
-        """Convenience accessor returning the (positive) profit."""
-        return -self.evaluate(topology)
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "subscription": self.revenue_model.subscription,
-            "price_per_unit": self.revenue_model.price_per_unit,
-        }
-
-
-@dataclass
-class PerformanceCostObjective(Objective):
-    """Weighted blend of cost and average customer path length to the core.
-
-    This is the multi-objective flavour the FKP model abstracts: cost of the
-    physical plant traded off against the performance (delay proxy) customers
-    experience.  Weight ``performance_weight`` plays the role of the FKP
-    ``alpha`` at the whole-network level.
-    """
-
-    catalog: CableCatalog = field(default_factory=default_catalog)
-    performance_weight: float = 1.0
-    demand_penalty: float = 1e6
-    name: str = "cost+performance"
-
-    def __post_init__(self) -> None:
-        if self.performance_weight < 0:
-            raise ValueError("performance_weight must be non-negative")
-        # Hoisted: one CostObjective (and hence one CostModel) for the
-        # objective's lifetime instead of a fresh pair per evaluate() call.
-        self.cost_objective = CostObjective(
-            catalog=self.catalog, demand_penalty=self.demand_penalty
-        )
-
-    def evaluate(self, topology: Topology) -> float:
-        # The delegated cost_objective.evaluate records the full evaluation.
-        cost_part = self.cost_objective.evaluate(topology)
-        return cost_part + self.performance_weight * mean_customer_hops(topology)
-
 
 def unserved_demand(topology: Topology) -> float:
     """Total demand of customer nodes that cannot reach any core node."""
@@ -168,43 +116,20 @@ def unserved_demand(topology: Topology) -> float:
     )
 
 
-def core_reachability_hops(topology: Topology) -> Dict[Any, int]:
-    """Hop distance to the nearest core node for every core-reachable node.
+def served_customers(topology: Topology) -> set:
+    """Identifiers of customer nodes connected (by any path) to a core node.
 
-    One mask-free multi-source BFS over the compiled graph — the shared kernel
-    behind :func:`served_customers` and :func:`mean_customer_hops`, replacing
-    the seed's one-BFS-per-core loops.  Returns an empty mapping when the
-    topology has no core nodes.
+    One multi-source BFS from every core over the compiled graph, instead of
+    one BFS per core.
     """
     cores = [n.node_id for n in topology.nodes() if n.role == NodeRole.CORE]
     if not cores:
-        return {}
+        return set()
     graph = topology.compiled()
     index_of = graph.index_of
     dist = multi_source_bfs_indices(graph, [index_of[c] for c in cores])
-    ids = graph.ids
-    return {ids[i]: d for i, d in enumerate(dist) if d != -1}
-
-
-def served_customers(topology: Topology) -> set:
-    """Identifiers of customer nodes connected (by any path) to a core node."""
-    reachable = core_reachability_hops(topology)
     return {
         node.node_id
         for node in topology.nodes()
-        if node.role == NodeRole.CUSTOMER and node.node_id in reachable
+        if node.role == NodeRole.CUSTOMER and dist[index_of[node.node_id]] != -1
     }
-
-
-def mean_customer_hops(topology: Topology) -> float:
-    """Mean hop distance from customers to their nearest core (0 if none)."""
-    customers = [n.node_id for n in topology.nodes() if n.role == NodeRole.CUSTOMER]
-    if not customers:
-        return 0.0
-    best = core_reachability_hops(topology)
-    if not best:
-        return 0.0
-    reachable = [best[c] for c in customers if c in best]
-    if not reachable:
-        return 0.0
-    return sum(reachable) / len(reachable)

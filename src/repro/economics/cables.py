@@ -59,10 +59,6 @@ class CableType:
         copies = math.ceil(flow / self.capacity)
         return copies * self.install_cost + flow * self.usage_cost
 
-    def cost_per_unit_capacity(self) -> float:
-        """Installation cost per unit of capacity (a measure of bulk discount)."""
-        return self.install_cost / self.capacity
-
 
 class CableCatalog:
     """An ordered set of cable types exhibiting economies of scale.

@@ -49,15 +49,6 @@ class CostBreakdown:
         """Grand total cost."""
         return self.link_install + self.link_usage + self.node_equipment
 
-    def as_dict(self) -> Dict[str, float]:
-        """Breakdown as a plain dictionary (for reports and benchmarks)."""
-        return {
-            "link_install": self.link_install,
-            "link_usage": self.link_usage,
-            "node_equipment": self.node_equipment,
-            "total": self.total,
-        }
-
 
 @dataclass
 class CostModel:
@@ -78,12 +69,6 @@ class CostModel:
         default_factory=lambda: dict(DEFAULT_NODE_COSTS)
     )
     fiber_cost_per_length: float = 0.0
-
-    def link_cost(self, load: float, length: float) -> float:
-        """Cost of a link carrying ``load`` over ``length`` using the catalog."""
-        if self.catalog is None:
-            raise ValueError("link_cost requires a cable catalog")
-        return self.catalog.link_cost(load, length) + self.fiber_cost_per_length * length
 
     def link_contribution(self, link) -> Tuple[float, float]:
         """One link's ``(install, usage)`` contribution to the breakdown.

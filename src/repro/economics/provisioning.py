@@ -11,6 +11,7 @@ the paper calls a topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Any, Dict
 
 from ..routing.utilization import _resolve_flow_loads
@@ -74,8 +75,9 @@ def provision_topology(
     """
     if not 0 < utilization_target <= 1:
         raise ValueError("utilization_target must be in (0, 1]")
-    if headroom < 0:
-        raise ValueError("headroom must be non-negative")
+    # Written so that NaN fails: a NaN compares false.
+    if not 0 <= headroom < inf:
+        raise ValueError(f"headroom must be finite and non-negative, got {headroom}")
 
     loads = _resolve_flow_loads(topology, flow, "provision_topology")
     if loads is None:

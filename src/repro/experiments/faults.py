@@ -147,9 +147,7 @@ def apply_execution_fault(plan: Optional[FaultPlan], digest: str, attempt: int) 
     if fault is None or fault.kind == "corrupt":
         return
     if fault.kind == "raise":
-        raise InjectedFault(
-            fault.message or f"injected failure ({digest[:12]}, attempt {attempt})"
-        )
+        raise InjectedFault(fault.message or f"injected failure ({digest[:12]}, attempt {attempt})")
     if fault.kind == "interrupt":
         raise KeyboardInterrupt(fault.message or "injected interrupt")
     if fault.kind == "kill":

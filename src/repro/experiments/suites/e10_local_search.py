@@ -342,9 +342,7 @@ def run_anneal_pair(
     audited_moves = 0
     if audit:
         audit_topology, audit_context = build_anneal_instance(size, seed)
-        audit_state = AuditedState(
-            IncrementalState(audit_topology, make_objective(objective_name))
-        )
+        audit_state = AuditedState(IncrementalState(audit_topology, make_objective(objective_name)))
         simulated_annealing_moves(
             audit_state,
             lambda st, prng: draw_move(st.topology, prng, audit_context),
@@ -361,9 +359,7 @@ def run_anneal_pair(
         "iterations": iterations,
         "baseline_best": baseline.best_cost,
         "incremental_best": incremental.best_cost,
-        "scores_equal": bool(
-            abs(baseline.best_cost - incremental.best_cost) <= SCORE_RTOL * scale
-        ),
+        "scores_equal": bool(abs(baseline.best_cost - incremental.best_cost) <= SCORE_RTOL * scale),
         "identical_edges": bool(
             edge_signature(baseline.best_solution)
             == edge_signature(incremental.best_solution)

@@ -62,9 +62,7 @@ SCENARIO_ID = "E11"
 ROUTE_WEIGHT = "hops"
 
 
-def build_backbone(
-    num_cities: int, shortcuts: int, seed: int
-) -> Tuple[Topology, List[City]]:
+def build_backbone(num_cities: int, shortcuts: int, seed: int) -> Tuple[Topology, List[City]]:
     """A deterministic national backbone: MST over cities + gravity shortcuts."""
     population = scaled_population(num_cities, seed=seed)
     cities = list(population.cities)
@@ -85,22 +83,16 @@ def build_backbone(
     return topology, cities
 
 
-def build_demand(
-    model: str, cities: List[City], total_volume: float
-) -> DemandMatrix:
+def build_demand(model: str, cities: List[City], total_volume: float) -> DemandMatrix:
     """The demand matrix for one swept demand-model name."""
     if model.startswith("gravity-"):
         exponent = float(model.split("-", 1)[1])
-        return gravity_demand(
-            cities, total_volume=total_volume, distance_exponent=exponent
-        )
+        return gravity_demand(cities, total_volume=total_volume, distance_exponent=exponent)
     if model == "uniform":
         return uniform_demand([c.name for c in cities], total_volume=total_volume)
     if model == "hub-skewed":
         hub = max(cities, key=lambda c: c.population)
-        return hub_skewed_matrix(
-            cities, hub.name, hub_fraction=0.6, total_volume=total_volume
-        )
+        return hub_skewed_matrix(cities, hub.name, hub_fraction=0.6, total_volume=total_volume)
     raise ValueError(f"unknown demand model {model!r}")
 
 
@@ -140,9 +132,7 @@ def run_point(point: Mapping[str, object], seed: int) -> Dict[str, object]:
     # batch path is gated separately by E12 and benchmarks/bench_traffic.py.
     flow = route_demand(
         compiled,
-        options=RoutingOptions(
-            weight=ROUTE_WEIGHT, mode=str(point["mode"]), backend="python"
-        ),
+        options=RoutingOptions(weight=ROUTE_WEIGHT, mode=str(point["mode"]), backend="python"),
     )
     after = KERNEL_COUNTERS.snapshot()
 

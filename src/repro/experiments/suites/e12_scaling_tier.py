@@ -152,9 +152,7 @@ def run_point(point: Mapping[str, object], seed: int) -> Dict[str, object]:
     backend = "numpy" if have_numpy_backend() else "python"
     method = "hierarchical" if routing == "hierarchical" else "flat"
     before = KERNEL_COUNTERS.snapshot()
-    flow = route_demand(
-        compiled, options=RoutingOptions(method=method, backend=backend)
-    )
+    flow = route_demand(compiled, options=RoutingOptions(method=method, backend=backend))
     after = KERNEL_COUNTERS.snapshot()
 
     # The equivalence gate: the hierarchical row *always* re-routes flat and
@@ -171,9 +169,7 @@ def run_point(point: Mapping[str, object], seed: int) -> Dict[str, object]:
     if parity_checked:
         loads = flow.loads_list()
         reference_loads = reference.loads_list()
-        parity_max_abs_diff = max(
-            (abs(a - b) for a, b in zip(loads, reference_loads)), default=0.0
-        )
+        parity_max_abs_diff = max((abs(a - b) for a, b in zip(loads, reference_loads)), default=0.0)
 
     report = provision_topology(topology, default_catalog(), flow=flow)
     utilization = utilization_report(topology, flow)
@@ -223,9 +219,7 @@ def run_point(point: Mapping[str, object], seed: int) -> Dict[str, object]:
             graph.edge_weight_column(None, resolve_weight(None)),
             backend=backend,
         )
-        payload.update(
-            {f"overlay_{key}": value for key, value in overlay.stats().items()}
-        )
+        payload.update({f"overlay_{key}": value for key, value in overlay.stats().items()})
     return payload
 
 

@@ -139,9 +139,7 @@ def expand(smoke: bool) -> List[Task]:
 
 def _build_instance(point: Mapping[str, object]):
     base_seed = int(point["seed"])
-    topology, cities = build_backbone(
-        int(point["num_cities"]), int(point["shortcuts"]), base_seed
-    )
+    topology, cities = build_backbone(int(point["num_cities"]), int(point["shortcuts"]), base_seed)
     matrix = integral_matrix(
         cities,
         pairs=4 * int(point["num_cities"]),
@@ -163,9 +161,7 @@ def _run_diurnal(point: Mapping[str, object]) -> Dict[str, object]:
     before = KERNEL_COUNTERS.snapshot()
     # Hop weights make the volume–hop conservation law exact for single-path
     # routing: every routed pair contributes volume * hop_distance.
-    result = route_series(
-        compiled, options=RoutingOptions(weight="hops", backend="python")
-    )
+    result = route_series(compiled, options=RoutingOptions(weight="hops", backend="python"))
     after = KERNEL_COUNTERS.snapshot()
     graph = compiled.graph
     weights = graph.edge_weight_column("hops", resolve_weight("hops"))
@@ -195,9 +191,7 @@ def _run_diurnal(point: Mapping[str, object]) -> Dict[str, object]:
         - before["temporal_resolved_sources"],
         "conservation_max_rel_err": float(max_rel_err),
         "min_served": round(min(result.served_fractions()), 6),
-        "peak_total_load": round(
-            max(sum(step.edge_loads) for step in result.steps), 6
-        ),
+        "peak_total_load": round(max(sum(step.edge_loads) for step in result.steps), 6),
     }
 
 
@@ -219,16 +213,10 @@ def _run_flash(point: Mapping[str, object]) -> Dict[str, object]:
     mid = KERNEL_COUNTERS.snapshot()
     full = route_series(compiled, options=options, reuse=False)
     after = KERNEL_COUNTERS.snapshot()
-    resolved_diff = (
-        mid["temporal_resolved_sources"] - before["temporal_resolved_sources"]
-    )
-    resolved_full = (
-        after["temporal_resolved_sources"] - mid["temporal_resolved_sources"]
-    )
+    resolved_diff = mid["temporal_resolved_sources"] - before["temporal_resolved_sources"]
+    resolved_full = after["temporal_resolved_sources"] - mid["temporal_resolved_sources"]
     scratch_identical = all(
-        _column_digest(
-            route_demand(topology, series.steps[t], options=options).edge_loads
-        )
+        _column_digest(route_demand(topology, series.steps[t], options=options).edge_loads)
         == diff.steps[t].load_hash()
         for t in range(len(series))
     )
@@ -239,9 +227,7 @@ def _run_flash(point: Mapping[str, object]) -> Dict[str, object]:
         "unique_sources": unique_sources,
         "resolved_diff": resolved_diff,
         "resolved_full": resolved_full,
-        "quiet_steps": sum(
-            1 for step in diff.steps[1:] if step.resolved_sources == 0
-        ),
+        "quiet_steps": sum(1 for step in diff.steps[1:] if step.resolved_sources == 0),
         "diff_engaged": resolved_diff < diff.num_steps * unique_sources,
         "bit_identical": diff.step_hashes() == full.step_hashes(),
         "scratch_identical": scratch_identical,

@@ -65,6 +65,3 @@ class BarabasiAlbertGenerator(TopologyGenerator):
                 sampler.add(target)
             sampler.add(new_id, m)
         return topology
-
-    def describe(self):
-        return {"name": self.name, "links_per_node": self.links_per_node}

@@ -27,10 +27,6 @@ class TopologyGenerator(abc.ABC):
     def generate(self, num_nodes: int, seed: Optional[int] = None) -> Topology:
         """Generate a topology with (approximately) ``num_nodes`` nodes."""
 
-    def describe(self) -> Dict[str, object]:
-        """Parameters of the generator, for experiment reports."""
-        return {"name": self.name}
-
 
 #: Global registry: generator name -> factory producing a default-configured instance.
 _REGISTRY: Dict[str, Callable[[], TopologyGenerator]] = {}

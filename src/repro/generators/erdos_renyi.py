@@ -59,10 +59,3 @@ class ErdosRenyiGenerator(TopologyGenerator):
         if self.connect:
             ensure_connected(topology, rng)
         return topology
-
-    def describe(self):
-        return {
-            "name": self.name,
-            "edge_probability": self.edge_probability,
-            "target_mean_degree": self.target_mean_degree,
-        }

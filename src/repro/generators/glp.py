@@ -133,11 +133,3 @@ class GLPGenerator(TopologyGenerator):
             if candidate not in chosen:
                 chosen.append(candidate)
         return chosen
-
-    def describe(self):
-        return {
-            "name": self.name,
-            "links_per_step": self.links_per_step,
-            "p_new": self.p_new,
-            "beta_glp": self.beta_glp,
-        }

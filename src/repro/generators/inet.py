@@ -131,11 +131,3 @@ class InetGenerator(TopologyGenerator):
                 open_weight_changed(u)
                 open_weight_changed(v)
         return topology
-
-    def describe(self):
-        return {
-            "name": self.name,
-            "exponent": self.exponent,
-            "min_degree": self.min_degree,
-            "max_degree_fraction": self.max_degree_fraction,
-        }

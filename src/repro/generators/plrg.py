@@ -108,11 +108,3 @@ class PLRGGenerator(TopologyGenerator):
         if self.connect:
             ensure_connected(topology, rng)
         return topology
-
-    def describe(self):
-        return {
-            "name": self.name,
-            "exponent": self.exponent,
-            "min_degree": self.min_degree,
-            "max_degree": self.max_degree,
-        }

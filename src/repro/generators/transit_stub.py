@@ -128,10 +128,3 @@ class TransitStubGenerator(TopologyGenerator):
                     extra_transit = transit_nodes[rng.randrange(len(transit_nodes))]
                     if not topology.has_link(extra_stub, extra_transit):
                         topology.add_link(extra_stub, extra_transit)
-
-    def describe(self):
-        return {
-            "name": self.name,
-            "num_stub_domains": self.num_stub_domains,
-            "transit_fraction": self.transit_fraction,
-        }

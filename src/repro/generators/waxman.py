@@ -124,10 +124,3 @@ class WaxmanGenerator(TopologyGenerator):
         total_pairs = len(members_a) * width
         for flat in skip_sampled_indices(total_pairs, p_max, rng):
             yield members_a[flat // width], members_b[flat % width]
-
-    def describe(self):
-        return {
-            "name": self.name,
-            "alpha_w": self.alpha_w,
-            "beta": self.beta,
-        }

@@ -1,24 +1,17 @@
 """Geographic substrate: points, regions, population centers, traffic demand."""
 
-from .points import (
-    Point,
-    clustered_points,
-    euclidean,
-    random_points,
-)
+from .points import clustered_points, euclidean, random_points
 from .regions import Region, bounding_region, metro_region, national_region, unit_square
 from .spatial_index import GridBuckets, SpatialGridIndex
 from .population import (
     City,
     PopulationModel,
-    population_weights,
     synthetic_population,
     zipf_populations,
 )
-from .demand import DemandMatrix, access_demands, gravity_demand, uniform_demand
+from .demand import DemandMatrix, gravity_demand, uniform_demand
 
 __all__ = [
-    "Point",
     "bounding_region",
     "clustered_points",
     "euclidean",
@@ -31,11 +24,9 @@ __all__ = [
     "SpatialGridIndex",
     "City",
     "PopulationModel",
-    "population_weights",
     "synthetic_population",
     "zipf_populations",
     "DemandMatrix",
-    "access_demands",
     "gravity_demand",
     "uniform_demand",
 ]

@@ -214,15 +214,3 @@ def uniform_demand(names: Sequence[str], total_volume: float = 1000.0) -> Demand
     sources = [i for i in range(n) for _ in range(i + 1, n)]
     targets = [j for i in range(n) for j in range(i + 1, n)]
     return DemandMatrix.from_arrays(names, sources, targets, [per_pair] * num_pairs)
-
-
-def access_demands(populations: Sequence[float], per_capita: float = 0.001) -> List[float]:
-    """Access-link demand of customer sites proportional to served population."""
-    if per_capita < 0:
-        raise ValueError("per_capita must be non-negative")
-    demands = []
-    for population in populations:
-        if population < 0:
-            raise ValueError("populations must be non-negative")
-        demands.append(population * per_capita)
-    return demands

@@ -1,4 +1,4 @@
-"""Geometric primitives: points, distances, and random point placement.
+"""Geometric primitives: distances and random point placement.
 
 The optimization-driven generators place customers, routers, and population
 centers in a two-dimensional region; this module provides the geometric
@@ -9,36 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
-
-
-@dataclass(frozen=True)
-class Point:
-    """An immutable point in the plane."""
-
-    x: float
-    y: float
-
-    def distance_to(self, other: "Point") -> float:
-        """Euclidean distance to another point."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def manhattan_distance_to(self, other: "Point") -> float:
-        """L1 (street-grid) distance to another point."""
-        return abs(self.x - other.x) + abs(self.y - other.y)
-
-    def midpoint(self, other: "Point") -> "Point":
-        """Midpoint of the segment between this point and ``other``."""
-        return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Point shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """The point as an ``(x, y)`` tuple."""
-        return (self.x, self.y)
 
 
 def euclidean(a: Tuple[float, float], b: Tuple[float, float]) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .points import euclidean
 from .regions import Region
@@ -38,10 +38,6 @@ class City:
         if self.population <= 0:
             raise ValueError(f"population must be positive, got {self.population}")
 
-    def distance_to(self, other: "City") -> float:
-        """Euclidean distance to another city."""
-        return euclidean(self.location, other.location)
-
 
 @dataclass
 class PopulationModel:
@@ -67,21 +63,11 @@ class PopulationModel:
                 return c
         raise KeyError(f"no city named {name!r}")
 
-    def major_cities(self) -> List[City]:
-        """Cities flagged as major (backbone/peering candidates)."""
-        return [c for c in self.cities if c.is_major]
-
     def largest(self, k: int) -> List[City]:
         """The ``k`` most populous cities, largest first."""
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
         return sorted(self.cities, key=lambda c: c.population, reverse=True)[:k]
-
-    def nearest_city(self, point: Tuple[float, float]) -> City:
-        """The city closest to a point."""
-        if not self.cities:
-            raise ValueError("population model has no cities")
-        return min(self.cities, key=lambda c: euclidean(c.location, point))
 
     def sample_city(self, rng: random.Random) -> City:
         """Sample a city with probability proportional to its population."""
@@ -168,11 +154,3 @@ def synthetic_population(
         for index in range(num_cities)
     ]
     return PopulationModel(region=region, cities=cities)
-
-
-def population_weights(cities: Sequence[City]) -> List[float]:
-    """Normalized population shares of a list of cities (sums to 1)."""
-    total = sum(c.population for c in cities)
-    if total <= 0:
-        raise ValueError("total population must be positive")
-    return [c.population / total for c in cities]

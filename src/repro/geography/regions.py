@@ -42,11 +42,6 @@ class Region:
             raise ValueError(f"region origin must be finite, got {self.origin}")
 
     @property
-    def area(self) -> float:
-        """Area of the region."""
-        return self.width * self.height
-
-    @property
     def center(self) -> Tuple[float, float]:
         """Center point of the region."""
         ox, oy = self.origin
@@ -62,13 +57,6 @@ class Region:
         ox, oy = self.origin
         x, y = point
         return ox <= x <= ox + self.width and oy <= y <= oy + self.height
-
-    def clamp(self, point: Tuple[float, float]) -> Tuple[float, float]:
-        """Project a point onto the region."""
-        ox, oy = self.origin
-        x = min(ox + self.width, max(ox, point[0]))
-        y = min(oy + self.height, max(oy, point[1]))
-        return (x, y)
 
     def sample_uniform(
         self, n: int, rng: Optional[random.Random] = None

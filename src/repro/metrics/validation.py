@@ -52,10 +52,6 @@ class ValidationTarget:
     description: str
     checks: List[RangeCheck] = field(default_factory=list)
 
-    def check_names(self) -> List[str]:
-        """Names (metrics) of all member checks."""
-        return [check.metric for check in self.checks]
-
 
 @dataclass
 class CheckResult:

@@ -4,8 +4,7 @@ Classic access-network design formulations "incorporate ... the cost of
 installing additional equipment, such as concentrators" (paper Section 4).
 Placing concentrators (or metro PoPs) is an uncapacitated facility location /
 k-median problem; this module provides the local-search (swap) k-median
-heuristic used by the access designer and by the ISP generator, and the
-classical greedy heuristic for the uncapacitated problem.
+heuristic used by the access designer and by the ISP generator.
 """
 
 from __future__ import annotations
@@ -26,18 +25,12 @@ class FacilitySolution:
     Attributes:
         facilities: Indices (into the candidate list) of the opened facilities.
         assignment: For each client index, the index of its assigned facility.
-        opening_cost: Total cost of opening the chosen facilities.
         connection_cost: Total weighted client-to-facility distance.
     """
 
     facilities: List[int]
     assignment: Dict[int, int]
-    opening_cost: float
     connection_cost: float
-
-    def clients_of(self, facility: int) -> List[int]:
-        """Client indices assigned to a given facility."""
-        return [client for client, assigned in self.assignment.items() if assigned == facility]
 
 
 def _client_weights(weights: Optional[Sequence[float]], num_clients: int) -> List[float]:
@@ -83,78 +76,6 @@ def _assign_clients(
         assignment[client_index] = best_facility
         connection_cost += weights[client_index] * best_distance
     return assignment, connection_cost
-
-
-def greedy_facility_location(
-    clients: Sequence[Tuple[float, float]],
-    candidates: Sequence[Tuple[float, float]],
-    opening_cost: float,
-    weights: Optional[Sequence[float]] = None,
-) -> FacilitySolution:
-    """Greedy uncapacitated facility location.
-
-    Repeatedly open the candidate facility whose opening reduces the total
-    (opening + weighted connection) cost the most, until no opening helps.
-    This is the classical ln(n)-approximation greedy.
-
-    Args:
-        clients: Client locations.
-        candidates: Candidate facility locations.
-        opening_cost: Cost of opening any one facility.
-        weights: Per-client demand weights (defaults to 1 each); each must
-            be finite and non-negative.
-
-    Client and candidate coordinates must be finite.
-    """
-    if not clients:
-        raise ValueError("at least one client is required")
-    if not candidates:
-        raise ValueError("at least one candidate facility is required")
-    if not (math.isfinite(opening_cost) and opening_cost >= 0):
-        raise ValueError(f"opening_cost must be finite and non-negative, got {opening_cost!r}")
-    _check_points("clients", clients)
-    _check_points("candidates", candidates)
-    weights = _client_weights(weights, len(clients))
-
-    open_facilities: List[int] = []
-    # Always open at least the single best facility so every client is served.
-    best_first = min(
-        range(len(candidates)),
-        key=lambda f: _assign_clients(clients, weights, candidates, [f])[1],
-    )
-    open_facilities.append(best_first)
-    _, current_cost = _assign_clients(clients, weights, candidates, open_facilities)
-    current_cost += opening_cost
-
-    improved = True
-    while improved:
-        improved = False
-        best_gain = 0.0
-        best_candidate = None
-        for facility_index in range(len(candidates)):
-            if facility_index in open_facilities:
-                continue
-            _, connection = _assign_clients(
-                clients, weights, candidates, open_facilities + [facility_index]
-            )
-            candidate_cost = connection + opening_cost * (len(open_facilities) + 1)
-            gain = current_cost - candidate_cost
-            if gain > best_gain + 1e-12:
-                best_gain = gain
-                best_candidate = facility_index
-        if best_candidate is not None:
-            open_facilities.append(best_candidate)
-            _, connection = _assign_clients(clients, weights, candidates, open_facilities)
-            current_cost = connection + opening_cost * len(open_facilities)
-            improved = True
-
-    assignment, connection_cost = _assign_clients(clients, weights, candidates, open_facilities)
-    return FacilitySolution(
-        facilities=sorted(open_facilities),
-        assignment=assignment,
-        opening_cost=opening_cost * len(open_facilities),
-        connection_cost=connection_cost,
-    )
 
 
 def k_median(
@@ -232,7 +153,6 @@ def k_median(
     return FacilitySolution(
         facilities=sorted(open_facilities),
         assignment=assignment,
-        opening_cost=0.0,
         connection_cost=connection_cost,
     )
 

@@ -25,10 +25,7 @@ move:
   additions are amortized O(log n) tree links, deletions are O(log n) for
   non-tree edges and a bounded replacement-edge search for tree edges, and
   every mutation returns an exact-undo token so rejected moves revert in
-  O(log n);
-* customer→core hop distances (for the performance-blended objective) via
-  **one** multi-source search on ``Topology.compiled()`` instead of one BFS
-  per core, cached per topology version.
+  O(log n).
 
 Moves are first-class (:class:`AddLink`, :class:`RemoveLink`,
 :class:`AddNode`, :class:`UpgradeCable`, :class:`Rewire`) with exact undo:
@@ -39,14 +36,10 @@ arithmetic), so a revert lands on bit-identical state.
 When the engine falls back to full recomputation
 ------------------------------------------------
 
-* **Hop distances**: any structural move invalidates the cached distances;
-  the next score of a performance-weighted objective runs one multi-source
-  search.  Pure cost/profit objectives never pay this.
-* **Everything else** (unknown objective types, out-of-band topology edits):
-  call :meth:`IncrementalState.rebuild`, which is exactly one canonical full
-  evaluation.
-
-Deletions are not on this list: ``RemoveLink``, the removal half of a
+Only out-of-band topology edits (unknown objective types, node demands,
+roles or link annotations changed behind the engine's back) need
+:meth:`IncrementalState.rebuild`, which is exactly one canonical full
+evaluation.  Deletions never do: ``RemoveLink``, the removal half of a
 ``Rewire`` and each ``RemoveLinks`` batch are polylogarithmic dynamic-forest
 deletions, and their undos replay the forest's exact-undo tokens.
 
@@ -312,7 +305,6 @@ class _UndoRecord:
 
     move: Move
     scalars: Tuple[float, float, float, float, float, float, float]
-    hops_cache: Optional[Tuple[int, float]]
     structure_undo: List[Callable[[], None]] = field(default_factory=list)
 
 
@@ -324,9 +316,8 @@ class IncrementalState:
 
     Args:
         topology: The topology the search mutates **in place**.
-        objective: A :class:`~repro.core.objectives.CostObjective`,
-            :class:`~repro.core.objectives.ProfitObjective`, or
-            :class:`~repro.core.objectives.PerformanceCostObjective`.
+        objective: A :class:`~repro.core.objectives.CostObjective` or
+            :class:`~repro.core.objectives.ProfitObjective`.
 
     Reachability lives in one fully-dynamic connectivity forest
     (:class:`~repro.topology.dynconn.DynamicConnectivity`), so additions and
@@ -341,12 +332,7 @@ class IncrementalState:
     def __init__(self, topology: Topology, objective: Any) -> None:
         self.topology = topology
         self.objective = objective
-        (
-            self._cost_model,
-            self._demand_penalty,
-            self._revenue_model,
-            self._performance_weight,
-        ) = _objective_spec(objective)
+        self._cost_model, self._demand_penalty, self._revenue_model = _objective_spec(objective)
         self._undo: List[_UndoRecord] = []
         self.rebuild()
 
@@ -373,7 +359,6 @@ class IncrementalState:
                 self._total_customer_demand += node.demand
                 self._total_customer_revenue += self._revenue_of(node)
         self._rebuild_dynconn()
-        self._hops_cache: Optional[Tuple[int, float]] = None
         self._undo.clear()
 
     def _rebuild_dynconn(self) -> None:
@@ -440,8 +425,6 @@ class IncrementalState:
             )
         if self._revenue_model is not None:
             value -= self._served_revenue
-        if self._performance_weight:
-            value += self._performance_weight * self._mean_customer_hops()
         return value
 
     @property
@@ -472,15 +455,6 @@ class IncrementalState:
     def is_served(self, node_id: Any) -> bool:
         """Whether ``node_id``'s component contains a core node."""
         return self._dyn.has_core_component(node_id)
-
-    def _mean_customer_hops(self) -> float:
-        version = self.topology.version
-        cached = self._hops_cache
-        if cached is None or cached[0] != version:
-            from ..core.objectives import mean_customer_hops
-
-            self._hops_cache = (version, mean_customer_hops(self.topology))
-        return self._hops_cache[1]
 
     def verify(self, tolerance: float = 1e-9) -> float:
         """Assert the incremental score matches a canonical full evaluation.
@@ -551,7 +525,6 @@ class IncrementalState:
                 self._served_demand,
                 self._served_revenue,
             ),
-            hops_cache=self._hops_cache,
         )
 
     def _unwind(self, record: _UndoRecord) -> None:
@@ -566,7 +539,6 @@ class IncrementalState:
             self._served_demand,
             self._served_revenue,
         ) = record.scalars
-        self._hops_cache = record.hops_cache
 
     def _add_link_inner(self, record: _UndoRecord, u: Any, v: Any, **link_kwargs) -> None:
         topology = self.topology
@@ -681,29 +653,17 @@ class IncrementalState:
 
 
 def _objective_spec(objective: Any):
-    """Extract ``(cost_model, demand_penalty, revenue_model, weight)``.
+    """Extract ``(cost_model, demand_penalty, revenue_model)``.
 
     Imported lazily to keep :mod:`repro.optimization` importable before
     :mod:`repro.core` (which itself imports optimization submodules).
     """
-    from ..core.objectives import (
-        CostObjective,
-        PerformanceCostObjective,
-        ProfitObjective,
-    )
+    from ..core.objectives import CostObjective, ProfitObjective
 
-    if isinstance(objective, PerformanceCostObjective):
-        inner = objective.cost_objective
-        return (
-            inner.cost_model,
-            inner.demand_penalty,
-            None,
-            objective.performance_weight,
-        )
     if isinstance(objective, ProfitObjective):
-        return objective.cost_model, None, objective.revenue_model, 0.0
+        return objective.cost_model, None, objective.revenue_model
     if isinstance(objective, CostObjective):
-        return objective.cost_model, objective.demand_penalty, None, 0.0
+        return objective.cost_model, objective.demand_penalty, None
     raise TypeError(
         f"IncrementalState supports the built-in objective types, got "
         f"{type(objective).__name__}; fall back to Objective.evaluate for "

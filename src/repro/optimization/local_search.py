@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..topology.graph import Topology, TopologyError
 from .incremental import Move
@@ -219,14 +219,3 @@ def simulated_annealing_moves(
         accepted_moves=accepted,
         history=history,
     )
-
-
-def pareto_front(points: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    """Non-dominated subset of (objective1, objective2) pairs, both minimized."""
-    front: List[Tuple[float, float]] = []
-    best_second = float("inf")
-    for candidate in sorted(points):
-        if candidate[1] < best_second:
-            front.append(candidate)
-            best_second = candidate[1]
-    return front

@@ -312,9 +312,7 @@ def _partition_cells(
         grouped = idx[_np.argsort(cell[idx], kind="stable")]
         # Sorted cell ids: region r occupies [boundaries[r-1], boundaries[r]);
         # the stable sort keeps each slice node-index-ascending.
-        boundaries = _np.searchsorted(
-            cell[grouped], _np.arange(1, num_regions + 2)
-        )
+        boundaries = _np.searchsorted(cell[grouped], _np.arange(1, num_regions + 2))
         for r in range(1, num_regions + 1):
             region_nodes[r] = grouped[int(boundaries[r - 1]) : int(boundaries[r])].tolist()
         return cell_of, num_regions, region_nodes
@@ -355,41 +353,12 @@ def _trivial_tables(tables: RegionTables) -> None:
 
 def _sweep_regions_python(overlay: HierarchicalOverlay, swept: List[RegionTables]) -> None:
     """Restricted heap-Dijkstra sweeps, one per (region, border) pair."""
-    graph = overlay.graph
-    rows = graph.adjacency_rows()
-    values = overlay.weight_values()
     cell_of = overlay.cell_of
-    region_local = overlay.region_local
     for tables in swept:
-        nodes = tables.nodes
-        size = len(nodes)
-        cell = cell_of[nodes[0]]
+        size = len(tables.nodes)
+        cell = cell_of[tables.nodes[0]]
         for border in tables.border_nodes:
-            KERNEL_COUNTERS.hier_region_sweeps += 1
-            dist = [inf] * size
-            pred = [-1] * size
-            pred_edge = [-1] * size
-            source_local = region_local[border]
-            dist[source_local] = 0.0
-            visited = bytearray(size)
-            heap: List[Tuple[float, int]] = [(0.0, source_local)]
-            while heap:
-                d, ul = heapq.heappop(heap)
-                if visited[ul]:
-                    continue
-                visited[ul] = 1
-                for vg, e in rows[nodes[ul]]:
-                    if cell_of[vg] != cell:
-                        continue
-                    vl = region_local[vg]
-                    if visited[vl]:
-                        continue
-                    nd = d + values[e]
-                    if nd < dist[vl]:
-                        dist[vl] = nd
-                        pred[vl] = ul
-                        pred_edge[vl] = e
-                        heapq.heappush(heap, (nd, vl))
+            dist, pred, pred_edge = _restricted_search(overlay, cell, border)
             tables.dist.append(dist)
             tables.pred.append(pred)
             tables.pred_edge.append(pred_edge)

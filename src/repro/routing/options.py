@@ -16,7 +16,7 @@ legacy ``None`` defaults through :meth:`RoutingOptions.normalize`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["RoutingOptions", "ROUTING_MODES", "ROUTING_METHODS", "ROUTING_BACKENDS"]
@@ -115,7 +115,3 @@ class RoutingOptions:
             method="auto" if method is None else method,
             backend="auto" if backend is None else backend,
         )
-
-    def with_(self, **changes: object) -> "RoutingOptions":
-        """A copy with the given fields replaced (re-validated)."""
-        return replace(self, **changes)

@@ -20,9 +20,7 @@ from ..topology.link import Link
 WEIGHT_FUNCTIONS: Dict[str, Callable[[Link], float]] = {
     "length": default_link_weight,
     "hops": lambda link: 1.0,
-    "inverse-capacity": lambda link: (
-        1.0 / link.capacity if link.capacity else 1.0
-    ),
+    "inverse-capacity": lambda link: (1.0 / link.capacity if link.capacity else 1.0),
 }
 
 

@@ -78,7 +78,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass, field
-from math import pi, sin
+from math import inf, pi, sin
 from random import Random
 from types import SimpleNamespace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -636,8 +636,9 @@ def failure_cascade(
         flow and ``served_fraction`` the survivability summary.
     """
     opts = _flat_options("failure_cascade", options, weight, mode, backend)
-    if headroom < 0:
-        raise ValueError(f"headroom must be non-negative, got {headroom}")
+    # Written so that NaN fails: a NaN or infinite headroom would never trip a link.
+    if not 0 <= headroom < inf:
+        raise ValueError(f"headroom must be finite and non-negative, got {headroom}")
     if max_rounds is not None and max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     compiled = _resolve_compiled(

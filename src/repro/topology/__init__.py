@@ -14,7 +14,7 @@ from .compiled import CompiledGraph, KERNEL_COUNTERS, KernelCounters
 from .dynconn import ComponentSummary, DynamicConnectivity
 from .graph import Topology, TopologyError, union
 from .link import Link, edge_key
-from .node import Node, NodeRole, ROLE_RANK
+from .node import Node, NodeRole
 from .hierarchy import (
     HierarchySummary,
     level_of,
@@ -40,7 +40,6 @@ __all__ = [
     "edge_key",
     "Node",
     "NodeRole",
-    "ROLE_RANK",
     "HierarchySummary",
     "level_of",
     "summarize_hierarchy",

@@ -52,10 +52,12 @@ Setting the environment variable ``REPRO_BACKEND=python`` masks numpy/scipy
 entirely (the no-scipy CI leg runs the whole test suite this way), while
 ``REPRO_BACKEND=numpy`` makes missing scipy a hard import error.
 
-All kernels take an optional ``mask`` (a ``bytearray`` with one truthy byte
-per *active* node index), which is how removal traces degrade a topology
-without copying it: flip bytes off instead of deleting nodes.  Masked calls
-always run the pure-Python path (scipy has no node-mask concept).
+:func:`components_indices` and :func:`multi_source_bfs_indices` take an
+optional ``mask`` (a ``bytearray`` with one truthy byte per *active* node
+index), which is how the removal traces of :mod:`repro.metrics.resilience`
+degrade a topology without copying it: flip bytes off instead of deleting
+nodes.  Masked calls always run the pure-Python path (scipy has no node-mask
+concept).
 """
 
 from __future__ import annotations
@@ -439,8 +441,9 @@ class CompiledGraph:
         """Per-edge weight column computed from the live :class:`Link` objects.
 
         ``None`` selects the library default (physical length, falling back to
-        1.0 for zero-length links).  Raises :class:`ValueError` on a negative
-        weight.  Returns a float64 numpy array when numpy is available, else
+        1.0 for zero-length links).  Raises :class:`ValueError` naming the link
+        on a negative, NaN or infinite weight from a ``weight`` callable.
+        Returns a float64 numpy array when numpy is available, else
         ``array('d')`` — always freshly computed, so annotation mutations are
         visible (see :meth:`edge_weight_column` for the cached named columns).
         """
@@ -455,10 +458,12 @@ class CompiledGraph:
             out = _np.fromiter(
                 (weight(link) for link in self.links), dtype=_np.float64, count=m
             )
-            if m and float(out.min()) < 0:
-                e = int(out.argmin())
+            # Written so that NaN fails: min() and max() propagate it.
+            if m and not (0 <= out.min() and out.max() < inf):
+                e = int(_np.flatnonzero(~((out >= 0) & (out < inf)))[0])
                 raise ValueError(
-                    f"negative link weight {out[e]} on {self.links[e].key}"
+                    f"link weight must be finite and non-negative, got {out[e]} "
+                    f"on {self.links[e].key}"
                 )
             return out
         out = array("d", [0.0]) * m
@@ -468,8 +473,10 @@ class CompiledGraph:
         else:
             for e, link in enumerate(self.links):
                 w = weight(link)
-                if w < 0:
-                    raise ValueError(f"negative link weight {w} on {link.key}")
+                if not 0 <= w < inf:
+                    raise ValueError(
+                        f"link weight must be finite and non-negative, got {w} on {link.key}"
+                    )
                 out[e] = w
         return out
 
@@ -622,10 +629,7 @@ class CompiledGraph:
 # Kernels (int-index world)
 # ----------------------------------------------------------------------
 def dijkstra_indices(
-    graph: CompiledGraph,
-    source: int,
-    weights: Any,
-    mask: Optional[bytearray] = None,
+    graph: CompiledGraph, source: int, weights: Any
 ) -> Tuple[List[float], List[int], List[int]]:
     """Single-source shortest paths over the compiled view (pure Python).
 
@@ -649,44 +653,25 @@ def dijkstra_indices(
     heap: List[Tuple[float, int]] = [(0.0, source)]
     push = heapq.heappush
     pop = heapq.heappop
-    if mask is None:
-        while heap:
-            d, u = pop(heap)
-            if visited[u]:
+    while heap:
+        d, u = pop(heap)
+        if visited[u]:
+            continue
+        visited[u] = 1
+        for w, v, e in rows[u]:
+            if visited[v]:
                 continue
-            visited[u] = 1
-            for w, v, e in rows[u]:
-                if visited[v]:
-                    continue
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    pred[v] = u
-                    pred_edge[v] = e
-                    push(heap, (nd, v))
-    else:
-        while heap:
-            d, u = pop(heap)
-            if visited[u]:
-                continue
-            visited[u] = 1
-            for w, v, e in rows[u]:
-                if visited[v] or not mask[v]:
-                    continue
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    pred[v] = u
-                    pred_edge[v] = e
-                    push(heap, (nd, v))
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                pred_edge[v] = e
+                push(heap, (nd, v))
     return dist, pred, pred_edge
 
 
 def multi_source_dijkstra_indices(
-    graph: CompiledGraph,
-    sources: Sequence[int],
-    weights: Any,
-    mask: Optional[bytearray] = None,
+    graph: CompiledGraph, sources: Sequence[int], weights: Any
 ) -> Tuple[List[float], List[int], List[int], List[int]]:
     """Multi-source shortest paths: one search growing from all sources at once.
 
@@ -714,8 +699,6 @@ def multi_source_dijkstra_indices(
     heap: List[Tuple[float, int, int]] = []
     counter = 0
     for s in sources:
-        if mask is not None and not mask[s]:
-            continue
         if dist[s] == 0.0 and origin[s] != -1:
             continue  # duplicate source
         dist[s] = 0.0
@@ -733,7 +716,7 @@ def multi_source_dijkstra_indices(
         visited[u] = 1
         origin_u = origin[u]
         for w, v, e in rows[u]:
-            if visited[v] or (mask is not None and not mask[v]):
+            if visited[v]:
                 continue
             nd = d + w
             if nd < dist[v]:
@@ -849,11 +832,7 @@ def batch_hop_lengths(
     return rows
 
 
-def bfs_indices(
-    graph: CompiledGraph,
-    source: int,
-    mask: Optional[bytearray] = None,
-) -> Tuple[List[int], List[int]]:
+def bfs_indices(graph: CompiledGraph, source: int) -> Tuple[List[int], List[int]]:
     """Breadth-first hop distances from one source (pure Python).
 
     Returns ``(dist, order)``: ``dist`` holds hop counts (-1 when
@@ -869,24 +848,14 @@ def bfs_indices(
     dist[source] = 0
     order = [source]
     head = 0
-    if mask is None:
-        while head < len(order):
-            u = order[head]
-            head += 1
-            du = dist[u] + 1
-            for v, _ in rows[u]:
-                if dist[v] == -1:
-                    dist[v] = du
-                    order.append(v)
-    else:
-        while head < len(order):
-            u = order[head]
-            head += 1
-            du = dist[u] + 1
-            for v, _ in rows[u]:
-                if dist[v] == -1 and mask[v]:
-                    dist[v] = du
-                    order.append(v)
+    while head < len(order):
+        u = order[head]
+        head += 1
+        du = dist[u] + 1
+        for v, _ in rows[u]:
+            if dist[v] == -1:
+                dist[v] = du
+                order.append(v)
     return dist, order
 
 

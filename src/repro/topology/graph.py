@@ -141,12 +141,6 @@ class Topology:
         self._bump_version()
         return node
 
-    def ensure_node(self, node_id: Any, **kwargs: Any) -> Node:
-        """Return the existing node, or add it if missing."""
-        if node_id in self._nodes:
-            return self._nodes[node_id]
-        return self.add_node(node_id, **kwargs)
-
     def remove_node(self, node_id: Any) -> None:
         """Remove a node and all links incident to it."""
         self._require_node(node_id)
@@ -172,10 +166,6 @@ class Topology:
     def node_ids(self) -> Iterator[Any]:
         """Iterate over node identifiers."""
         return iter(self._nodes.keys())
-
-    def nodes_by_role(self, role: NodeRole) -> List[Node]:
-        """Return all nodes with a given role."""
-        return [node for node in self._nodes.values() if node.role == role]
 
     @property
     def num_nodes(self) -> int:
@@ -338,12 +328,6 @@ class Topology:
         """Return the degree of every node, in node-insertion order."""
         return [len(self._adjacency[n]) for n in self._nodes]
 
-    def max_degree_node(self) -> Any:
-        """Return the identifier of a node of maximum degree."""
-        if not self._nodes:
-            raise TopologyError("topology has no nodes")
-        return max(self._nodes, key=lambda n: len(self._adjacency[n]))
-
     # ------------------------------------------------------------------
     # Traversal / structure
     # ------------------------------------------------------------------
@@ -396,10 +380,6 @@ class Topology:
             return False
         return self.is_connected() and self.num_links == self.num_nodes - 1
 
-    def is_forest(self) -> bool:
-        """Return True if the topology contains no cycles."""
-        return self.num_links == self.num_nodes - len(self.connected_components())
-
     def subgraph(self, node_ids: Iterable[Any], name: Optional[str] = None) -> "Topology":
         """Return the induced subgraph on ``node_ids`` (copies annotations).
 
@@ -445,17 +425,6 @@ class Topology:
     def total_length(self) -> float:
         """Sum of link lengths (total installed fiber mileage)."""
         return sum(link.length for link in self._links.values())
-
-    def total_demand(self) -> float:
-        """Sum of node demands (total customer traffic)."""
-        return sum(node.demand for node in self._nodes.values())
-
-    def role_counts(self) -> Dict[NodeRole, int]:
-        """Number of nodes per role."""
-        counts: Dict[NodeRole, int] = {}
-        for node in self._nodes.values():
-            counts[node.role] = counts.get(node.role, 0) + 1
-        return counts
 
     # ------------------------------------------------------------------
     # Validation

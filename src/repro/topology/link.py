@@ -86,24 +86,6 @@ class Link:
             return self.source
         raise ValueError(f"node {node_id!r} is not an endpoint of {self.key}")
 
-    @property
-    def utilization(self) -> float:
-        """Fraction of capacity in use; 0.0 when capacity is unbounded."""
-        if self.capacity is None or self.capacity == 0:
-            return 0.0
-        return self.load / self.capacity
-
-    @property
-    def residual_capacity(self) -> float:
-        """Capacity still available; ``inf`` when capacity is unbounded."""
-        if self.capacity is None:
-            return float("inf")
-        return max(0.0, self.capacity - self.load)
-
-    def total_cost(self) -> float:
-        """Installation cost plus usage cost for the current load."""
-        return self.install_cost + self.usage_cost * self.load
-
     def to_dict(self) -> Dict[str, Any]:
         """Serialize the link to a plain dictionary."""
         return {

@@ -30,22 +30,6 @@ class NodeRole(enum.Enum):
     PEERING = "peering"
     GENERIC = "generic"
 
-    def is_infrastructure(self) -> bool:
-        """Return True for nodes owned and operated by the ISP itself."""
-        return self not in (NodeRole.CUSTOMER, NodeRole.GENERIC)
-
-
-#: Hierarchy rank of each role, used to order levels from core outwards.
-ROLE_RANK: Dict[NodeRole, int] = {
-    NodeRole.CORE: 0,
-    NodeRole.BACKBONE: 1,
-    NodeRole.PEERING: 1,
-    NodeRole.DISTRIBUTION: 2,
-    NodeRole.ACCESS: 3,
-    NodeRole.CUSTOMER: 4,
-    NodeRole.GENERIC: 5,
-}
-
 
 @dataclass
 class Node:
@@ -88,28 +72,6 @@ class Node:
             if not (-inf < x < inf and -inf < y < inf):
                 raise ValueError(f"node location must be finite, got {(x, y)}")
             self.location = (x, y)
-
-    @property
-    def rank(self) -> int:
-        """Hierarchy rank (0 = core, larger = further from the core)."""
-        return ROLE_RANK[self.role]
-
-    def is_customer(self) -> bool:
-        """Return True if this node represents a paying customer site."""
-        return self.role == NodeRole.CUSTOMER
-
-    def with_role(self, role: NodeRole) -> "Node":
-        """Return a copy of this node with a different role."""
-        return Node(
-            node_id=self.node_id,
-            role=role,
-            location=self.location,
-            capacity=self.capacity,
-            demand=self.demand,
-            max_degree=self.max_degree,
-            city=self.city,
-            attributes=dict(self.attributes),
-        )
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialize the node to a plain dictionary."""

@@ -24,9 +24,7 @@ def hub_and_spoke_matrix(
     hub = names.index(hub_name)
     spokes = [i for i in range(len(names)) if i != hub]
     per_pair = total_volume / len(spokes)
-    return DemandMatrix.from_arrays(
-        names, [hub] * len(spokes), spokes, [per_pair] * len(spokes)
-    )
+    return DemandMatrix.from_arrays(names, [hub] * len(spokes), spokes, [per_pair] * len(spokes))
 
 
 def hub_skewed_matrix(
@@ -51,9 +49,7 @@ def hub_skewed_matrix(
         total_volume=total_volume * (1.0 - hub_fraction),
         distance_exponent=distance_exponent,
     )
-    hub = hub_and_spoke_matrix(
-        cities, hub_name, total_volume=total_volume * hub_fraction
-    )
+    hub = hub_and_spoke_matrix(cities, hub_name, total_volume=total_volume * hub_fraction)
     index = {name: i for i, name in enumerate(names)}
     merged = {}
     for component in (gravity, hub):

@@ -105,19 +105,6 @@ class TestDesigner:
         assert redundant.topology.num_links > base.topology.num_links
         assert not redundant.topology.is_tree()
 
-    def test_customers_per_concentrator_accounts_for_everyone(self):
-        customers, region = self.build_customers(n=30)
-        designer = AccessNetworkDesigner(
-            customers=customers,
-            core_location=region.center,
-            region=region,
-            parameters=AccessDesignParameters(clients_per_concentrator=10, seed=6),
-        )
-        result = designer.design()
-        counts = result.customers_per_concentrator()
-        assert sum(counts.values()) <= len(customers)
-        assert all(v >= 0 for v in counts.values())
-
 
 class TestConvenienceHelper:
     def test_design_access_network(self):

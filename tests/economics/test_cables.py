@@ -36,10 +36,6 @@ class TestCableType:
         with pytest.raises(ValueError):
             cable.cost_for_flow(-1.0)
 
-    def test_cost_per_unit_capacity(self):
-        cable = CableType("x", capacity=200.0, install_cost=10.0, usage_cost=0.1)
-        assert cable.cost_per_unit_capacity() == pytest.approx(0.05)
-
 
 class TestCableCatalog:
     def test_default_catalog_satisfies_ordering(self):

@@ -1,5 +1,7 @@
 """Tests for repro.economics.provisioning."""
 
+import math
+
 import pytest
 
 from repro.economics.cables import default_catalog
@@ -49,8 +51,9 @@ class TestProvisionTopology:
     def test_invalid_target_rejected(self):
         with pytest.raises(ValueError):
             provision_topology(loaded_topology(), default_catalog(), utilization_target=0.0)
-        with pytest.raises(ValueError):
-            provision_topology(loaded_topology(), default_catalog(), headroom=-0.1)
+        for bad in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="headroom"):
+                provision_topology(loaded_topology(), default_catalog(), headroom=bad)
 
     def test_unloaded_links_get_smallest_cable(self):
         topo = Topology()

@@ -62,10 +62,6 @@ class TestCommonBehaviour:
         assert sorted(map(str, a.link_keys())) == sorted(map(str, b.link_keys()))
 
     @pytest.mark.parametrize("name", ALL_GENERATOR_NAMES)
-    def test_describe_has_name(self, name):
-        assert make_generator(name).describe()["name"] == name
-
-    @pytest.mark.parametrize("name", ALL_GENERATOR_NAMES)
     def test_metadata_records_model(self, name):
         topo = make_generator(name).generate(60, seed=2)
         assert topo.metadata["model"] == name

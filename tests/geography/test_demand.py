@@ -4,7 +4,6 @@ import pytest
 
 from repro.geography.demand import (
     DemandMatrix,
-    access_demands,
     gravity_demand,
     uniform_demand,
 )
@@ -173,16 +172,3 @@ class TestUniformDemand:
     def test_requires_two_endpoints(self):
         with pytest.raises(ValueError):
             uniform_demand(["only"])
-
-
-class TestAccessDemands:
-    def test_proportional(self):
-        assert access_demands([1000.0, 2000.0], per_capita=0.01) == [10.0, 20.0]
-
-    def test_negative_population_rejected(self):
-        with pytest.raises(ValueError):
-            access_demands([-5.0])
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            access_demands([1.0], per_capita=-0.1)

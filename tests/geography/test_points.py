@@ -4,28 +4,7 @@ import random
 
 import pytest
 
-from repro.geography.points import (
-    Point,
-    clustered_points,
-    euclidean,
-    random_points,
-)
-
-
-class TestPoint:
-    def test_distance(self):
-        assert Point(0, 0).distance_to(Point(3, 4)) == pytest.approx(5.0)
-
-    def test_manhattan(self):
-        assert Point(0, 0).manhattan_distance_to(Point(3, 4)) == pytest.approx(7.0)
-
-    def test_midpoint(self):
-        mid = Point(0, 0).midpoint(Point(2, 4))
-        assert (mid.x, mid.y) == (1.0, 2.0)
-
-    def test_translated(self):
-        moved = Point(1, 1).translated(2, -1)
-        assert moved.as_tuple() == (3.0, 0.0)
+from repro.geography.points import clustered_points, euclidean, random_points
 
 
 class TestDistanceHelpers:

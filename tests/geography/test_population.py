@@ -7,7 +7,6 @@ import pytest
 from repro.geography.population import (
     City,
     PopulationModel,
-    population_weights,
     synthetic_population,
     zipf_populations,
 )
@@ -18,11 +17,6 @@ class TestCity:
     def test_non_positive_population_rejected(self):
         with pytest.raises(ValueError):
             City(name="x", location=(0, 0), population=0.0)
-
-    def test_distance(self):
-        a = City(name="a", location=(0, 0), population=1.0)
-        b = City(name="b", location=(3, 4), population=1.0)
-        assert a.distance_to(b) == pytest.approx(5.0)
 
 
 class TestZipfPopulations:
@@ -70,15 +64,9 @@ class TestPopulationModel:
         with pytest.raises(KeyError):
             model.city("ghost")
 
-    def test_major_cities(self):
-        assert [c.name for c in self.build().major_cities()] == ["big"]
-
     def test_largest(self):
         model = self.build()
         assert [c.name for c in model.largest(2)] == ["big", "mid"]
-
-    def test_nearest_city(self):
-        assert self.build().nearest_city((0.0, 0.0)).name == "big"
 
     def test_sample_city_proportional_to_population(self):
         model = self.build()
@@ -107,17 +95,9 @@ class TestSyntheticPopulation:
 
     def test_major_fraction(self):
         model = synthetic_population(national_region(), 20, seed=2, major_fraction=0.25)
-        assert len(model.major_cities()) == 5
+        assert sum(c.is_major for c in model.cities) == 5
 
     def test_cities_inside_region(self):
         region = national_region()
         model = synthetic_population(region, 30, seed=4)
         assert all(region.contains(c.location) for c in model.cities)
-
-
-class TestPopulationWeights:
-    def test_weights_sum_to_one(self):
-        cities = [City("a", (0, 0), 10.0), City("b", (1, 1), 30.0)]
-        weights = population_weights(cities)
-        assert sum(weights) == pytest.approx(1.0)
-        assert weights[1] == pytest.approx(0.75)

@@ -26,7 +26,6 @@ class TestRegion:
 
     def test_area_and_center(self):
         region = Region(width=4.0, height=2.0, origin=(1.0, 1.0))
-        assert region.area == pytest.approx(8.0)
         assert region.center == pytest.approx((3.0, 2.0))
 
     def test_diagonal(self):
@@ -38,11 +37,6 @@ class TestRegion:
         assert region.contains((2.0, 2.0))
         assert region.contains((1.0, 1.0))
         assert not region.contains((0.5, 2.0))
-
-    def test_clamp(self):
-        region = Region(width=1.0, height=1.0)
-        assert region.clamp((2.0, -1.0)) == (1.0, 0.0)
-        assert region.clamp((0.3, 0.4)) == (0.3, 0.4)
 
     def test_sample_uniform_inside(self):
         region = Region(width=10.0, height=5.0, origin=(-5.0, -5.0))

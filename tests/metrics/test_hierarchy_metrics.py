@@ -9,7 +9,6 @@ from repro.generators import BarabasiAlbertGenerator, ErdosRenyiGenerator
 from repro.metrics.hierarchy_metrics import (
     core_periphery_ratio,
     degree_assortativity,
-    hierarchy_depth,
 )
 from repro.topology.graph import Topology
 
@@ -45,18 +44,6 @@ class TestCorePeriphery:
 
     def test_empty_topology(self):
         assert core_periphery_ratio(Topology()) == 0.0
-
-
-class TestHierarchyDepth:
-    def test_star_depth_one(self, star_topology):
-        assert hierarchy_depth(star_topology) == 1
-
-    def test_path_depth(self, path_topology):
-        # Every node has degree <= 2; the max-degree node is an interior one.
-        assert hierarchy_depth(path_topology) >= 3
-
-    def test_empty(self):
-        assert hierarchy_depth(Topology()) == 0
 
 
 class TestHierarchyReport:

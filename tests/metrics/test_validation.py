@@ -36,7 +36,6 @@ class TestBuiltinTargets:
     def test_targets_have_checks(self):
         for target in (as_graph_target(), router_access_target(), backbone_target()):
             assert target.checks
-            assert target.check_names()
 
 
 class TestValidateTopology:

@@ -9,7 +9,6 @@ from repro.geography.regions import Region
 from repro.optimization.facility_location import (
     _assign_clients,
     choose_concentrator_count,
-    greedy_facility_location,
     k_median,
 )
 
@@ -78,53 +77,6 @@ def metro_instance():
     return clients, [2.0] * 144, 6, random.Random(3)
 
 
-class TestGreedyFacilityLocation:
-    def test_every_client_assigned(self):
-        clients = two_clusters()
-        solution = greedy_facility_location(clients, clients, opening_cost=0.05)
-        assert set(solution.assignment) == set(range(len(clients)))
-        assert all(f in solution.facilities for f in solution.assignment.values())
-
-    def test_cheap_facilities_open_in_both_clusters(self):
-        clients = two_clusters()
-        solution = greedy_facility_location(clients, clients, opening_cost=0.01)
-        sides = {int(clients[f][0] > 0.5) for f in solution.facilities}
-        assert sides == {0, 1}
-
-    def test_expensive_facilities_open_few(self):
-        clients = two_clusters()
-        cheap = greedy_facility_location(clients, clients, opening_cost=0.001)
-        expensive = greedy_facility_location(clients, clients, opening_cost=100.0)
-        assert len(expensive.facilities) <= len(cheap.facilities)
-        assert len(expensive.facilities) == 1
-
-    def test_total_cost_components(self):
-        clients = two_clusters()
-        solution = greedy_facility_location(clients, clients, opening_cost=0.5)
-        assert solution.opening_cost == pytest.approx(0.5 * len(solution.facilities))
-        assert solution.connection_cost == pytest.approx(
-            sum(euclidean(clients[c], clients[f]) for c, f in solution.assignment.items())
-        )
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            greedy_facility_location([], [(0, 0)], 1.0)
-        with pytest.raises(ValueError):
-            greedy_facility_location([(0, 0)], [], 1.0)
-        with pytest.raises(ValueError):
-            greedy_facility_location([(0, 0)], [(0, 0)], -1.0)
-        with pytest.raises(ValueError):
-            greedy_facility_location([(0, 0)], [(0, 0)], 1.0, weights=[1.0, 2.0])
-
-    def test_weights_pull_facility_toward_heavy_client(self):
-        clients = [(0.0, 0.0), (1.0, 0.0)]
-        candidates = [(0.0, 0.0), (1.0, 0.0)]
-        solution = greedy_facility_location(
-            clients, candidates, opening_cost=10.0, weights=[1.0, 100.0]
-        )
-        assert solution.facilities == [1]
-
-
 class TestKMedian:
     def test_opens_exactly_k(self):
         clients = two_clusters()
@@ -142,12 +94,6 @@ class TestKMedian:
         cost1 = k_median(clients, clients, k=1).connection_cost
         cost4 = k_median(clients, clients, k=4).connection_cost
         assert cost4 <= cost1
-
-    def test_clients_of(self):
-        clients = two_clusters()
-        solution = k_median(clients, clients, k=2)
-        total = sum(len(solution.clients_of(f)) for f in solution.facilities)
-        assert total == len(clients)
 
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):
@@ -222,14 +168,7 @@ class TestInputValidation:
         weights = [1.0] * len(clients)
         weights[3] = bad
         with pytest.raises(ValueError, match="weights"):
-            greedy_facility_location(clients, clients, 0.05, weights=weights)
-        with pytest.raises(ValueError, match="weights"):
             k_median(clients, clients, k=2, weights=weights)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-    def test_bad_opening_cost_rejected(self, bad):
-        with pytest.raises(ValueError, match="opening_cost"):
-            greedy_facility_location(two_clusters(), two_clusters(), bad)
 
     @pytest.mark.parametrize("role", ["clients", "candidates"])
     @pytest.mark.parametrize(
@@ -240,8 +179,6 @@ class TestInputValidation:
     def test_non_finite_coordinates_rejected(self, role, bad):
         points = {"clients": two_clusters(), "candidates": two_clusters()}
         points[role][3] = bad
-        with pytest.raises(ValueError, match=role):
-            greedy_facility_location(points["clients"], points["candidates"], 0.05)
         with pytest.raises(ValueError, match=role):
             k_median(points["clients"], points["candidates"], k=2)
 

@@ -10,11 +10,7 @@ import random
 
 import pytest
 
-from repro.core.objectives import (
-    CostObjective,
-    PerformanceCostObjective,
-    ProfitObjective,
-)
+from repro.core.objectives import CostObjective, ProfitObjective
 from repro.optimization.incremental import (
     AddLink,
     AddNode,
@@ -88,7 +84,6 @@ def random_move(topology: Topology, rng: random.Random, step: int):
 OBJECTIVES = [
     ("cost", CostObjective),
     ("profit", ProfitObjective),
-    ("performance", lambda: PerformanceCostObjective(performance_weight=2.0)),
 ]
 
 

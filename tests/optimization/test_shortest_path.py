@@ -1,10 +1,11 @@
 """Tests for repro.optimization.shortest_path and the Dijkstra kernel it runs."""
 
-from math import inf
+from math import inf, nan
 
 import pytest
 
 from repro.optimization.shortest_path import all_pairs_shortest_lengths
+from repro.topology import compiled
 from repro.topology.compiled import dijkstra_indices
 from repro.topology.graph import Topology
 
@@ -61,6 +62,20 @@ class TestDijkstra:
         topo.add_link("a", "b")
         with pytest.raises(ValueError):
             search(topo, "a", weight=lambda link: -1.0)
+
+    @pytest.mark.parametrize("numpy_column", [True, False], ids=["numpy", "python"])
+    @pytest.mark.parametrize("bad", [nan, inf], ids=["nan", "inf"])
+    def test_non_finite_weight_rejected(self, monkeypatch, numpy_column, bad):
+        # Both column builders of ``edge_weights`` reject it and name the link.
+        if numpy_column and not compiled._HAVE_NUMPY:
+            pytest.skip("numpy not available")
+        monkeypatch.setattr(compiled, "_HAVE_NUMPY", numpy_column)
+
+        def weight(link):
+            return bad if link.key == ("a", "c") else 1.0
+
+        with pytest.raises(ValueError, match=r"finite.*\('a', 'c'\)"):
+            search(weighted_square(), "a", weight=weight)
 
     def test_custom_weight(self):
         # With hop-count weights the long diagonal a-c becomes the best route.

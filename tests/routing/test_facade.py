@@ -82,12 +82,6 @@ class TestRoutingOptions:
         opts = RoutingOptions.normalize(None, weight="hops", mode=None)
         assert opts == RoutingOptions(weight="hops")
 
-    def test_with_revalidates(self):
-        opts = RoutingOptions()
-        assert opts.with_(mode="ecmp").mode == "ecmp"
-        with pytest.raises(ValueError, match="RoutingOptions.mode"):
-            opts.with_(mode="bogus")
-
     def test_facade_accepts_options_object(self):
         topo, demand = small_instance()
         via_options = route_demand(

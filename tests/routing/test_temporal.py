@@ -1,5 +1,6 @@
 """Tests for repro.routing.temporal — series routing, diffs, and cascades."""
 
+import math
 import random
 import struct
 from array import array
@@ -334,8 +335,9 @@ class TestFailureCascade:
 
     def test_validation_errors(self):
         topo, surge, emap = self.cascade_instance(num_nodes=12, num_pairs=8)
-        with pytest.raises(ValueError, match="headroom"):
-            failure_cascade(topo, surge, endpoint_map=emap, headroom=-0.1)
+        for bad in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="headroom"):
+                failure_cascade(topo, surge, endpoint_map=emap, headroom=bad)
         with pytest.raises(ValueError, match="max_rounds"):
             failure_cascade(topo, surge, endpoint_map=emap, max_rounds=0)
         with pytest.raises(TypeError, match="Topology first"):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.routing.utilization import (
     load_concentration,
-    most_loaded_links,
     utilization_bin,
     utilization_report,
 )
@@ -99,15 +98,6 @@ class TestUtilizationBin:
 
 
 class TestLoadHelpers:
-    def test_most_loaded_links(self):
-        ranked = most_loaded_links(loaded_topology(), k=2)
-        assert len(ranked) == 2
-        assert ranked[0][1] >= ranked[1][1]
-        assert ranked[0][1] == pytest.approx(90.0)
-
-    def test_most_loaded_invalid_k(self):
-        with pytest.raises(ValueError):
-            most_loaded_links(loaded_topology(), k=-1)
 
     def test_load_concentration(self):
         concentration = load_concentration(loaded_topology(), top_fraction=0.25)

@@ -47,15 +47,6 @@ class TestVersioning:
         check(lambda: topo.remove_node("b"))
         check(topo.touch)
 
-    def test_ensure_node_bumps_only_when_adding(self):
-        topo = Topology()
-        topo.ensure_node("a")
-        version = topo.version
-        topo.ensure_node("a")
-        assert topo.version == version
-        topo.ensure_node("b")
-        assert topo.version > version
-
     def test_compiled_cached_until_mutation(self):
         topo = diamond()
         first = topo.compiled()
@@ -154,19 +145,6 @@ class TestKernels:
             # The predecessor tree must be consistent with the attribution.
             hop = "y" if winner == "A" else "x"
             assert graph.ids[pred[v]] == hop
-
-    def test_bfs_mask_blocks_traversal(self):
-        topo = Topology()
-        for i in range(4):
-            topo.add_node(i)
-        for i in range(3):
-            topo.add_link(i, i + 1)
-        graph = topo.compiled()
-        mask = graph.full_mask()
-        mask[graph.index_of[1]] = 0
-        dist, order = bfs_indices(graph, graph.index_of[0], mask)
-        assert dist[graph.index_of[3]] == -1
-        assert order == [graph.index_of[0]]
 
     def test_multi_source_bfs_nearest_distance(self):
         topo = Topology()

@@ -20,13 +20,6 @@ class TestNodeOperations:
         with pytest.raises(TopologyError):
             topo.add_node("a")
 
-    def test_ensure_node_idempotent(self):
-        topo = Topology()
-        first = topo.ensure_node("a", role=NodeRole.CORE)
-        second = topo.ensure_node("a", role=NodeRole.CUSTOMER)
-        assert first is second
-        assert topo.node("a").role == NodeRole.CORE
-
     def test_missing_node_raises(self):
         topo = Topology()
         with pytest.raises(TopologyError):
@@ -37,10 +30,6 @@ class TestNodeOperations:
         assert not triangle_topology.has_node("b")
         assert triangle_topology.num_links == 1
         assert triangle_topology.has_link("a", "c")
-
-    def test_nodes_by_role(self, triangle_topology):
-        customers = triangle_topology.nodes_by_role(NodeRole.CUSTOMER)
-        assert {n.node_id for n in customers} == {"b", "c"}
 
     def test_contains_and_len(self, triangle_topology):
         assert "a" in triangle_topology
@@ -97,9 +86,6 @@ class TestStructure:
         assert star_topology.degree("hub") == 5
         assert sorted(star_topology.degree_sequence()) == [1, 1, 1, 1, 1, 5]
 
-    def test_max_degree_node(self, star_topology):
-        assert star_topology.max_degree_node() == "hub"
-
     def test_neighbors(self, path_topology):
         assert set(path_topology.neighbors(2)) == {1, 3}
 
@@ -126,17 +112,6 @@ class TestStructure:
     def test_is_tree(self, path_topology, triangle_topology):
         assert path_topology.is_tree()
         assert not triangle_topology.is_tree()
-
-    def test_is_forest(self):
-        topo = Topology()
-        for i in range(4):
-            topo.add_node(i)
-        topo.add_link(0, 1)
-        topo.add_link(2, 3)
-        assert topo.is_forest()
-        topo.add_link(1, 2)
-        topo.add_link(3, 0)
-        assert not topo.is_forest()
 
     def test_empty_topology_not_connected(self):
         assert not Topology().is_connected()
@@ -168,14 +143,6 @@ class TestAggregates:
         assert topo.total_install_cost() == pytest.approx(10.0)
         assert topo.total_usage_cost() == pytest.approx(6.0)
         assert topo.total_cost() == pytest.approx(16.0)
-
-    def test_total_demand(self, triangle_topology):
-        assert triangle_topology.total_demand() == pytest.approx(5.0)
-
-    def test_role_counts(self, star_topology):
-        counts = star_topology.role_counts()
-        assert counts[NodeRole.CORE] == 1
-        assert counts[NodeRole.CUSTOMER] == 5
 
     def test_total_length(self, triangle_topology):
         assert triangle_topology.total_length() == pytest.approx(2 + 2 ** 0.5)

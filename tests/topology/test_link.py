@@ -69,26 +69,6 @@ class TestLink:
         with pytest.raises(ValueError):
             link.other_end("c")
 
-    def test_utilization(self):
-        link = Link(source="a", target="b", capacity=100.0, load=25.0)
-        assert link.utilization == pytest.approx(0.25)
-
-    def test_utilization_unbounded_capacity(self):
-        link = Link(source="a", target="b", load=25.0)
-        assert link.utilization == 0.0
-
-    def test_residual_capacity(self):
-        link = Link(source="a", target="b", capacity=100.0, load=30.0)
-        assert link.residual_capacity == pytest.approx(70.0)
-
-    def test_residual_capacity_unbounded(self):
-        link = Link(source="a", target="b")
-        assert math.isinf(link.residual_capacity)
-
-    def test_total_cost(self):
-        link = Link(source="a", target="b", install_cost=10.0, usage_cost=0.5, load=4.0)
-        assert link.total_cost() == pytest.approx(12.0)
-
     def test_round_trip_dict(self):
         link = Link(
             source="a",

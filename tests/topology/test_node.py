@@ -4,26 +4,7 @@ import math
 
 import pytest
 
-from repro.topology.node import Node, NodeRole, ROLE_RANK
-
-
-class TestNodeRole:
-    def test_all_roles_have_rank(self):
-        for role in NodeRole:
-            assert role in ROLE_RANK
-
-    def test_core_has_lowest_rank(self):
-        assert ROLE_RANK[NodeRole.CORE] == 0
-        assert all(ROLE_RANK[r] >= 0 for r in NodeRole)
-
-    def test_customer_is_not_infrastructure(self):
-        assert not NodeRole.CUSTOMER.is_infrastructure()
-        assert not NodeRole.GENERIC.is_infrastructure()
-
-    def test_core_is_infrastructure(self):
-        assert NodeRole.CORE.is_infrastructure()
-        assert NodeRole.BACKBONE.is_infrastructure()
-        assert NodeRole.ACCESS.is_infrastructure()
+from repro.topology.node import Node, NodeRole
 
 
 class TestNode:
@@ -64,21 +45,6 @@ class TestNode:
     def test_zero_max_degree_rejected(self):
         with pytest.raises(ValueError):
             Node(node_id=1, max_degree=0)
-
-    def test_rank_follows_role(self):
-        assert Node(node_id=1, role=NodeRole.CORE).rank < Node(node_id=2, role=NodeRole.CUSTOMER).rank
-
-    def test_is_customer(self):
-        assert Node(node_id=1, role=NodeRole.CUSTOMER).is_customer()
-        assert not Node(node_id=2, role=NodeRole.CORE).is_customer()
-
-    def test_with_role_preserves_other_fields(self):
-        node = Node(node_id="x", role=NodeRole.CUSTOMER, demand=3.0, city="metro")
-        promoted = node.with_role(NodeRole.ACCESS)
-        assert promoted.role == NodeRole.ACCESS
-        assert promoted.demand == 3.0
-        assert promoted.city == "metro"
-        assert node.role == NodeRole.CUSTOMER
 
     def test_round_trip_dict(self):
         node = Node(
