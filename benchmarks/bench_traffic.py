@@ -44,7 +44,6 @@ from repro.experiments.reporting import (
 )
 from repro.experiments.runner import run_experiment
 from repro.geography.demand import DemandMatrix
-from repro.routing.assignment import assign_demand
 from repro.routing.engine import compile_demand, route_demand
 from repro.topology.compiled import KERNEL_COUNTERS, dijkstra_indices, have_numpy_backend
 from repro.topology.graph import Topology
@@ -107,8 +106,13 @@ def time_methods(num_nodes: int, num_sources: int, seed: int):
     t_reference, _ = timed(lambda: per_pair_assign(topology, demand, endpoint_map))
     reference_loads = [link.load for link in topology.links()]
 
+    def assign():
+        flow = route_demand(topology, demand, endpoint_map=endpoint_map)
+        flow.flush()
+        return flow
+
     KERNEL_COUNTERS.reset()
-    t_batched, result = timed(lambda: assign_demand(topology, demand, endpoint_map))
+    t_batched, result = timed(assign)
     counters = KERNEL_COUNTERS.snapshot()
     batched_loads = [link.load for link in topology.links()]
 
@@ -122,7 +126,7 @@ def time_methods(num_nodes: int, num_sources: int, seed: int):
     assert counters["traffic_batched_sources"] == unique_sources
     assert counters["single_source"] == unique_sources
     assert counters["traffic_assigned_pairs"] == sum(1 for _ in demand.pairs())
-    assert not result.unrouted_pairs
+    assert not result.unrouted
     return {
         "nodes": num_nodes,
         "links": topology.num_links,

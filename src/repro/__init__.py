@@ -12,13 +12,13 @@ Subpackages:
 * :mod:`repro.topology` — annotated topology substrate.
 * :mod:`repro.geography` — regions, population centers, gravity demand.
 * :mod:`repro.economics` — cable catalogs, cost and profit models, provisioning.
-* :mod:`repro.optimization` — MST, shortest paths, facility location, local
-  search, incremental moves.
+* :mod:`repro.optimization` — MST, facility location, local search,
+  incremental moves.
 * :mod:`repro.generators` — descriptive baselines (BA, GLP, PLRG, Inet,
   Waxman, transit-stub, Erdős–Rényi).
 * :mod:`repro.metrics` — degree/tail/clustering/hierarchy/expansion/
   resilience/distortion/spectrum metrics and the comparison harness.
-* :mod:`repro.routing` — shortest-path routing, demand assignment, utilization.
+* :mod:`repro.routing` — shortest-path demand routing, utilization.
 * :mod:`repro.workloads` — reference cities, demand matrices, experiment scenarios.
 """
 

@@ -44,7 +44,6 @@ from ...geography.demand import DemandMatrix, gravity_demand, uniform_demand
 from ...geography.population import City
 from ...optimization.mst import prim_mst_points
 from ...routing.engine import route_demand
-from ...routing.options import RoutingOptions
 from ...routing.utilization import load_concentration, utilization_report
 from ...topology.compiled import KERNEL_COUNTERS
 from ...topology.graph import Topology
@@ -130,10 +129,7 @@ def run_point(point: Mapping[str, object], seed: int) -> Dict[str, object]:
     # scipy's tree may pick a different (equally shortest) tied optimum.
     # Payloads therefore stay byte-identical across environments; the numpy
     # batch path is gated separately by E12 and benchmarks/bench_traffic.py.
-    flow = route_demand(
-        compiled,
-        options=RoutingOptions(weight=ROUTE_WEIGHT, mode=str(point["mode"]), backend="python"),
-    )
+    flow = route_demand(compiled, weight=ROUTE_WEIGHT, mode=str(point["mode"]), backend="python")
     after = KERNEL_COUNTERS.snapshot()
 
     report = provision_topology(topology, default_catalog(), flow=flow)

@@ -62,7 +62,6 @@ from ...geography.demand import gravity_demand
 from ...geography.population import City
 from ...routing.engine import route_demand
 from ...routing.hierarchical import overlay_for
-from ...routing.options import RoutingOptions
 from ...routing.paths import resolve_weight
 from ...routing.utilization import utilization_report
 from ...topology.compiled import KERNEL_COUNTERS, have_numpy_backend
@@ -152,7 +151,7 @@ def run_point(point: Mapping[str, object], seed: int) -> Dict[str, object]:
     backend = "numpy" if have_numpy_backend() else "python"
     method = "hierarchical" if routing == "hierarchical" else "flat"
     before = KERNEL_COUNTERS.snapshot()
-    flow = route_demand(compiled, options=RoutingOptions(method=method, backend=backend))
+    flow = route_demand(compiled, method=method, backend=backend)
     after = KERNEL_COUNTERS.snapshot()
 
     # The equivalence gate: the hierarchical row *always* re-routes flat and

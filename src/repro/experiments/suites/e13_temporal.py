@@ -49,7 +49,6 @@ from ...economics.cables import default_catalog
 from ...economics.provisioning import provision_topology
 from ...geography.demand import DemandMatrix
 from ...routing.engine import route_demand
-from ...routing.options import RoutingOptions
 from ...routing.paths import resolve_weight
 from ...routing.temporal import (
     compile_series,
@@ -161,7 +160,7 @@ def _run_diurnal(point: Mapping[str, object]) -> Dict[str, object]:
     before = KERNEL_COUNTERS.snapshot()
     # Hop weights make the volume–hop conservation law exact for single-path
     # routing: every routed pair contributes volume * hop_distance.
-    result = route_series(compiled, options=RoutingOptions(weight="hops", backend="python"))
+    result = route_series(compiled, weight="hops", backend="python")
     after = KERNEL_COUNTERS.snapshot()
     graph = compiled.graph
     weights = graph.edge_weight_column("hops", resolve_weight("hops"))
@@ -207,16 +206,15 @@ def _run_flash(point: Mapping[str, object]) -> Dict[str, object]:
     )
     compiled = compile_series(topology, series)
     unique_sources = compiled.unique_sources
-    options = RoutingOptions(backend="python")
     before = KERNEL_COUNTERS.snapshot()
-    diff = route_series(compiled, options=options)
+    diff = route_series(compiled, backend="python")
     mid = KERNEL_COUNTERS.snapshot()
-    full = route_series(compiled, options=options, reuse=False)
+    full = route_series(compiled, backend="python", reuse=False)
     after = KERNEL_COUNTERS.snapshot()
     resolved_diff = mid["temporal_resolved_sources"] - before["temporal_resolved_sources"]
     resolved_full = after["temporal_resolved_sources"] - mid["temporal_resolved_sources"]
     scratch_identical = all(
-        _column_digest(route_demand(topology, series.steps[t], options=options).edge_loads)
+        _column_digest(route_demand(topology, series.steps[t], backend="python").edge_loads)
         == diff.steps[t].load_hash()
         for t in range(len(series))
     )
@@ -237,24 +235,18 @@ def _run_flash(point: Mapping[str, object]) -> Dict[str, object]:
 
 def _run_cascade(point: Mapping[str, object]) -> Dict[str, object]:
     topology, matrix = _build_instance(point)
-    flow = route_demand(topology, matrix, options=RoutingOptions(backend="python"))
+    flow = route_demand(topology, matrix, backend="python")
     provision_topology(topology, default_catalog(), flow=flow)
     surge = matrix.scaled(float(point["surge"]))
     headroom = float(point["headroom"])
-    options = RoutingOptions(backend="python")
     before = KERNEL_COUNTERS.snapshot()
-    cascade = failure_cascade(topology, surge, options=options, headroom=headroom)
+    cascade = failure_cascade(topology, surge, backend="python", headroom=headroom)
     after = KERNEL_COUNTERS.snapshot()
-    repeat = failure_cascade(topology, surge, options=options, headroom=headroom)
+    repeat = failure_cascade(topology, surge, backend="python", headroom=headroom)
     parity_checked = have_numpy_backend()
     parity_ok = True
     if parity_checked:
-        numpy_run = failure_cascade(
-            topology,
-            surge,
-            options=RoutingOptions(backend="numpy"),
-            headroom=headroom,
-        )
+        numpy_run = failure_cascade(topology, surge, backend="numpy", headroom=headroom)
         parity_ok = (
             numpy_run.step_hashes() == cascade.step_hashes()
             and numpy_run.tripped_keys == cascade.tripped_keys

@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping
 
 from ...core import ISPGenerator, ISPParameters
 from ...geography import gravity_demand, uniform_demand
-from ...routing import assign_demand
+from ...routing import route_demand
 from ...topology import summarize_hierarchy
 from ...workloads import scaled_population
 from ...workloads.scenarios import scenario_for
@@ -96,7 +96,7 @@ def _run_demand_ablation(point: Mapping[str, object]) -> Dict[str, object]:
         ("gravity", gravity_demand(cities, total_volume=1000.0)),
         ("uniform", uniform_demand([c.name for c in cities], total_volume=1000.0)),
     ]:
-        assign_demand(backbone, matrix, endpoint_map=endpoint_map)
+        route_demand(backbone, matrix, endpoint_map=endpoint_map).flush()
         loads = sorted((link.load for link in backbone.links()), reverse=True)
         total = sum(loads) or 1.0
         top_share = sum(loads[: max(1, len(loads) // 10)]) / total

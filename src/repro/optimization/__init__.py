@@ -7,10 +7,6 @@ from .mst import (
     minimum_spanning_tree,
     prim_mst_points,
 )
-from .shortest_path import (
-    all_pairs_length_matrix,
-    all_pairs_shortest_lengths,
-)
 from .facility_location import (
     FacilitySolution,
     choose_concentrator_count,
@@ -38,8 +34,6 @@ __all__ = [
     "kruskal_edges",
     "minimum_spanning_tree",
     "prim_mst_points",
-    "all_pairs_length_matrix",
-    "all_pairs_shortest_lengths",
     "FacilitySolution",
     "choose_concentrator_count",
     "k_median",

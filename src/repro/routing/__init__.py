@@ -1,4 +1,4 @@
-"""Routing substrate: path selection, demand assignment, utilization analysis.
+"""Routing substrate: path selection, demand routing, utilization analysis.
 
 The hot path is the vectorized traffic engine (:mod:`repro.routing.engine`):
 demand compiles to int-indexed arrays, routing batches one search per unique
@@ -7,12 +7,13 @@ object graph.  :mod:`repro.routing.paths` maps weight names (``"length"``,
 ``"hops"``, ``"inverse-capacity"``) to the link-weight functions the kernels
 evaluate.
 
-:func:`route_demand` is the façade for one demand snapshot;
-:mod:`repro.routing.temporal` extends it along the time axis
-(:func:`route_series` diff-routes a :class:`DemandSeries`,
-:func:`failure_cascade` iterates overload trips to a fixed point), with
-:class:`RoutingOptions` carrying the shared weight/mode/method/backend
-vocabulary across all entry points.
+:func:`route_demand` (flat or ``method="hierarchical"``) is the façade for
+one demand snapshot; :mod:`repro.routing.temporal` extends it along the time
+axis (:func:`route_series` diff-routes a :class:`DemandSeries`,
+:func:`failure_cascade` iterates overload trips to a fixed point).  These
+three are the routing entry points.  Each takes its switches as keyword
+arguments and validates them through :class:`RoutingOptions`, the shared
+weight/mode/method/backend vocabulary.
 """
 
 from .options import (
@@ -36,7 +37,6 @@ from .hierarchical import (
     OverlayTooLarge,
     build_overlay,
     overlay_for,
-    route_demand_hierarchical,
 )
 from .temporal import (
     CascadeResult,
@@ -50,11 +50,6 @@ from .temporal import (
     failure_cascade,
     flash_crowd,
     route_series,
-)
-from .assignment import (
-    AssignmentResult,
-    assign_demand,
-    route_customer_demand_to_core,
 )
 from .utilization import (
     UtilizationReport,
@@ -89,10 +84,6 @@ __all__ = [
     "OverlayTooLarge",
     "build_overlay",
     "overlay_for",
-    "route_demand_hierarchical",
-    "AssignmentResult",
-    "assign_demand",
-    "route_customer_demand_to_core",
     "UtilizationReport",
     "load_concentration",
     "utilization_bin",

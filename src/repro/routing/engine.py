@@ -113,9 +113,9 @@ from typing import (
 )
 
 from ..topology.compiled import (
-    BATCH_CHUNK_CELLS,
     CompiledGraph,
     KERNEL_COUNTERS,
+    _batch_chunks,
     _column_min,
     dijkstra_indices,
     have_numpy_backend,
@@ -271,22 +271,14 @@ class FlowResult:
         edge_keys = self.graph.edge_keys
         return {edge_keys[e]: load for e, load in enumerate(self.loads_list()) if load != 0.0}
 
-    def flush(self, reset: bool = True) -> None:
+    def flush(self) -> None:
         """Write the edge load column back onto the live ``Link`` objects.
 
-        One pass over the edge column; with ``reset=False`` loads are added to
-        whatever the links already carry instead of replacing it.  Loads land
-        as plain Python floats regardless of backend.
+        One pass over the edge column, replacing whatever the links carried.
+        Loads land as plain Python floats regardless of backend.
         """
-        links = self.graph.links
-        loads = self.loads_list()
-        if reset:
-            for e, link in enumerate(links):
-                link.load = loads[e]
-        else:
-            for e, link in enumerate(links):
-                if loads[e]:
-                    link.load += loads[e]
+        for link, load in zip(self.graph.links, self.loads_list()):
+            link.load = load
 
     def max_load(self) -> float:
         """Largest per-edge load (0.0 on an edgeless graph)."""
@@ -322,12 +314,11 @@ class FlowResult:
 def route_demand(
     topology: Any,
     demand: Any = None,
-    weight: Optional[str] = None,
-    mode: Optional[str] = None,
-    backend: Optional[str] = None,
-    method: Optional[str] = None,
     *,
-    options: Optional[RoutingOptions] = None,
+    weight: Optional[str] = None,
+    mode: str = "single",
+    backend: str = "auto",
+    method: str = "auto",
     endpoint_map: Optional[Dict[str, Any]] = None,
 ) -> FlowResult:
     """The routing façade: route a demand over a topology in one call.
@@ -345,9 +336,9 @@ def route_demand(
       validated against the topology's *current* snapshot and a stale one
       raises :class:`~repro.topology.graph.TopologyError`.
 
-    Switches come either as individual kwargs or bundled in a
-    :class:`~repro.routing.options.RoutingOptions` (``options=``; mutually
-    exclusive with the individual kwargs):
+    Switches are keyword-only and validated through
+    :class:`~repro.routing.options.RoutingOptions` (an error names the bad
+    field):
 
     * ``weight``: named weight function for path selection (default length).
     * ``mode``: ``"single"`` routes each pair over one canonical shortest
@@ -372,9 +363,7 @@ def route_demand(
         or pass the result to ``utilization_report`` / ``load_concentration``
         / ``provision_topology`` directly.
     """
-    opts = RoutingOptions.normalize(
-        options, weight=weight, mode=mode, method=method, backend=backend
-    )
+    opts = RoutingOptions(weight=weight, mode=mode, method=method, backend=backend)
     compiled = _resolve_compiled(
         "route_demand", topology, demand, endpoint_map, compile_demand, CompiledDemand
     )
@@ -438,28 +427,18 @@ def _resolve_compiled(
 
 def _route_compiled(demand: CompiledDemand, opts: RoutingOptions) -> FlowResult:
     """Route a compiled demand under validated options (the engine proper)."""
-    weight, mode, method, backend = opts.weight, opts.mode, opts.method, opts.backend
+    mode, method = opts.mode, opts.method
     if method == "hierarchical":
-        from .hierarchical import route_demand_hierarchical
+        from .hierarchical import _route_hierarchical
 
-        return route_demand_hierarchical(demand, weight=weight, mode=mode, backend=backend)
+        return _route_hierarchical(demand, opts)
     graph = demand.graph
-    weights = graph.edge_weight_column(weight, resolve_weight(weight))
+    weights = graph.edge_weight_column(opts.weight, resolve_weight(opts.weight))
     if method == "auto" and mode == "single" and _auto_hierarchical(demand, weights):
-        from .hierarchical import (
-            AUTO_MESH_CELLS,
-            OverlayTooLarge,
-            route_demand_hierarchical,
-        )
+        from .hierarchical import AUTO_MESH_CELLS, OverlayTooLarge, _route_hierarchical
 
         try:
-            return route_demand_hierarchical(
-                demand,
-                weight=weight,
-                mode=mode,
-                backend=backend,
-                mesh_cap=AUTO_MESH_CELLS,
-            )
+            return _route_hierarchical(demand, opts, mesh_cap=AUTO_MESH_CELLS)
         except OverlayTooLarge:
             pass  # mesh over budget: flat batched routing wins this shape
     use_numpy = _select_backend(graph, weights, opts)
@@ -646,7 +625,8 @@ def _searches(
     heapq Dijkstra per source in the given order and yields ``(pred,
     pred_edge)``.  The numpy path searches the sources in sorted order, many
     per ``csgraph`` call (chunked to
-    :data:`~repro.topology.compiled.BATCH_CHUNK_CELLS`), and yields the
+    :data:`~repro.topology.compiled.BATCH_CHUNK_CELLS` by
+    :func:`~repro.topology.compiled._batch_chunks`), and yields the
     predecessor row (``None`` in ECMP mode, which reads distances only).
     Counter accounting is backend-independent: one
     ``traffic_batched_sources`` and one ``single_source`` per source; the
@@ -661,10 +641,7 @@ def _searches(
         return
     matrix = graph.scipy_csr(weights)
     need_pred = mode == "single"
-    order = sorted(sources)
-    chunk = max(1, BATCH_CHUNK_CELLS // max(1, graph.num_nodes))
-    for start in range(0, len(order), chunk):
-        batch = order[start : start + chunk]
+    for batch in _batch_chunks(sorted(sources), graph.num_nodes):
         KERNEL_COUNTERS.batch_dijkstra_calls += 1
         KERNEL_COUNTERS.batch_sources_total += len(batch)
         KERNEL_COUNTERS.traffic_batched_sources += len(batch)

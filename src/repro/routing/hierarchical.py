@@ -105,7 +105,6 @@ __all__ = [
     "OverlayTooLarge",
     "build_overlay",
     "overlay_for",
-    "route_demand_hierarchical",
 ]
 
 #: Levels at or above this rank form the core cell ("core" and "backbone").
@@ -773,31 +772,24 @@ def _restricted_search(
     return dist, pred, pred_edge
 
 
-def route_demand_hierarchical(
-    demand: CompiledDemand,
-    weight: Optional[str] = None,
-    mode: Optional[str] = None,
-    backend: Optional[str] = None,
-    mesh_cap: Optional[int] = None,
-    *,
-    options: Optional[RoutingOptions] = None,
+def _route_hierarchical(
+    demand: CompiledDemand, opts: RoutingOptions, mesh_cap: Optional[int] = None
 ) -> FlowResult:
     """Route a compiled demand matrix through the hierarchical overlay.
 
-    Single-path mode only; requires strictly positive weights.  Switches use
-    the façade vocabulary (:class:`~repro.routing.options.RoutingOptions`;
-    pass ``options=`` or individual kwargs, not both).  See the module
-    docstring for the partition, the exactness argument, and the
-    flat-equivalence contract.  The overlay comes from :func:`overlay_for`
+    The ``route_demand(..., method="hierarchical")`` path, and the overlay
+    attempt of ``method="auto"``; ``opts`` are the options the façade already
+    validated.  Single-path mode only; requires strictly positive weights.
+    See the module docstring for the partition, the exactness argument, and
+    the flat-equivalence contract.  The overlay comes from :func:`overlay_for`
     (cached per snapshot and weight name); ``mesh_cap`` bounds the mesh for
-    automatic callers (:class:`OverlayTooLarge` on excess).
+    the automatic choice (:class:`OverlayTooLarge` on excess).
     """
-    opts = RoutingOptions.normalize(options, weight=weight, mode=mode, backend=backend)
-    weight, mode, backend = opts.weight, opts.mode, opts.backend
-    if mode != "single":
+    if opts.mode != "single":
         raise ValueError("hierarchical routing supports single-path mode only")
     graph = demand.graph
-    resolved = resolve_backend(backend)
+    weight = opts.weight
+    resolved = resolve_backend(opts.backend)
     weights = graph.edge_weight_column(weight, resolve_weight(weight))
     if graph.num_edges and _column_min(weights) <= 0:
         raise ValueError("hierarchical routing requires strictly positive weights")

@@ -1,17 +1,12 @@
-"""Normalized routing options: one vocabulary for every routing entry point.
+"""Routing options: one vocabulary for every routing entry point.
 
-``route_demand``, the hierarchical overlay, the temporal engine, and the
-assignment boundary all take the same three switches — ``mode`` (flow
-splitting), ``method`` (flat vs hierarchical), ``backend`` (python vs numpy)
-— plus a named ``weight``.  Historically each entry point re-validated its
-own kwargs with slightly different spellings; :class:`RoutingOptions` is the
+``route_demand`` (flat or hierarchical), ``route_series`` and
+``failure_cascade`` take the same keyword switches — ``mode`` (flow
+splitting), ``backend`` (python vs numpy), ``method`` (flat vs hierarchical;
+``route_demand`` only) — plus a named ``weight``.  Each entry point builds a
+frozen :class:`RoutingOptions` from its keywords, so this class is the
 single place the vocabulary is defined and validated, and every error names
 the offending field.
-
-The dataclass is frozen so an options object can be shared across routing
-calls (the E11/E12/E13 suites build one per sweep point).  ``None`` is not a
-valid ``mode``/``method``/``backend`` value here — entry points map their
-legacy ``None`` defaults through :meth:`RoutingOptions.normalize`.
 """
 
 from __future__ import annotations
@@ -72,46 +67,3 @@ class RoutingOptions:
                 f"unknown routing backend {self.backend!r}: RoutingOptions.backend "
                 f"must be one of {ROUTING_BACKENDS}"
             )
-
-    @classmethod
-    def normalize(
-        cls,
-        options: Optional["RoutingOptions"] = None,
-        *,
-        weight: Optional[str] = None,
-        mode: Optional[str] = None,
-        method: Optional[str] = None,
-        backend: Optional[str] = None,
-    ) -> "RoutingOptions":
-        """Merge an explicit options object with legacy per-call kwargs.
-
-        Passing both ``options`` and any individual kwarg is an error — the
-        caller's intent would be ambiguous.  Legacy ``None`` kwargs map to
-        the field defaults (``mode="single"``, ``method="auto"``,
-        ``backend="auto"``).
-        """
-        if options is not None:
-            if not isinstance(options, cls):
-                raise TypeError(f"options must be a RoutingOptions, got {type(options).__name__}")
-            extras = [
-                name
-                for name, value in (
-                    ("weight", weight),
-                    ("mode", mode),
-                    ("method", method),
-                    ("backend", backend),
-                )
-                if value is not None
-            ]
-            if extras:
-                raise ValueError(
-                    f"pass routing switches via options= or as individual "
-                    f"kwargs, not both (got options= and {', '.join(extras)})"
-                )
-            return options
-        return cls(
-            weight=weight,
-            mode="single" if mode is None else mode,
-            method="auto" if method is None else method,
-            backend="auto" if backend is None else backend,
-        )

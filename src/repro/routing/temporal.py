@@ -187,6 +187,9 @@ def diurnal_series(
         raise ValueError(f"diurnal_series needs num_steps >= 1, got {num_steps}")
     if not 0.0 <= amplitude < 1.0:
         raise ValueError(f"diurnal_series needs 0 <= amplitude < 1, got {amplitude}")
+    # Written so that NaN fails.
+    if not -inf < phase < inf:
+        raise ValueError(f"diurnal_series needs a finite phase, got {phase}")
     steps = [
         base.scaled(1.0 + amplitude * sin(2.0 * pi * (t + phase) / num_steps))
         for t in range(num_steps)
@@ -217,8 +220,9 @@ def flash_crowd(
         raise ValueError(f"flash_crowd needs num_steps >= 1, got {num_steps}")
     if not 1 <= duration <= num_steps:
         raise ValueError(f"flash_crowd needs 1 <= duration <= num_steps, got {duration}")
-    if spike <= 0:
-        raise ValueError(f"flash_crowd needs spike > 0, got {spike}")
+    # Written so that NaN fails.
+    if not 0 < spike < inf:
+        raise ValueError(f"flash_crowd needs a finite spike > 0, got {spike}")
     candidates = sorted({name for a, b, _v in base.pairs() for name in (a, b)})
     if not candidates:
         raise ValueError("flash_crowd needs a base matrix with positive demand")
@@ -462,11 +466,10 @@ class CascadeResult:
 def route_series(
     topology: Any,
     series: Any = None,
-    weight: Optional[str] = None,
-    mode: Optional[str] = None,
-    backend: Optional[str] = None,
     *,
-    options: Optional[RoutingOptions] = None,
+    weight: Optional[str] = None,
+    mode: str = "single",
+    backend: str = "auto",
     endpoint_map: Optional[Dict[str, Any]] = None,
     reuse: bool = True,
 ) -> TemporalFlowResult:
@@ -478,15 +481,15 @@ def route_series(
     :class:`CompiledSeries` (also accepted as the second argument next to its
     topology, validated against the current snapshot).
 
-    Switches follow the façade vocabulary
+    Switches are keyword-only and follow the façade vocabulary
     (:class:`~repro.routing.options.RoutingOptions`); the temporal engine is
-    a flat-engine consumer, so ``method`` must be ``"auto"`` or ``"flat"``.
-    ``reuse=False`` disables the diff and re-resolves every source at every
-    step — bit-identical to the diff path by the fresh-summation contract
-    (see the module docstring), which is exactly what the benchmark and the
-    property tests gate.
+    a flat-engine consumer, so it takes no ``method``.  ``reuse=False``
+    disables the diff and re-resolves every source at every step —
+    bit-identical to the diff path by the fresh-summation contract (see the
+    module docstring), which is exactly what the benchmark and the property
+    tests gate.
     """
-    opts = _flat_options("route_series", options, weight, mode, backend)
+    opts = RoutingOptions(weight=weight, mode=mode, backend=backend)
     compiled = _resolve_compiled(
         "route_series", topology, series, endpoint_map, compile_series, CompiledSeries, DemandSeries
     )
@@ -525,23 +528,6 @@ def route_series(
         )
         previous = volumes
     return TemporalFlowResult(graph=graph, mode=opts.mode, steps=steps)
-
-
-def _flat_options(
-    entry: str,
-    options: Optional[RoutingOptions],
-    weight: Optional[str],
-    mode: Optional[str],
-    backend: Optional[str],
-) -> RoutingOptions:
-    """Normalize the switches of a temporal entry point (flat method only)."""
-    opts = RoutingOptions.normalize(options, weight=weight, mode=mode, backend=backend)
-    if opts.method not in ("auto", "flat"):
-        raise ValueError(
-            f"{entry} supports method='flat' only (the per-source diff needs "
-            f"per-source scatter), got method={opts.method!r}"
-        )
-    return opts
 
 
 def _combine(
@@ -592,11 +578,10 @@ def _combine(
 def failure_cascade(
     topology: Topology,
     demand: Any,
-    weight: Optional[str] = None,
-    mode: Optional[str] = None,
-    backend: Optional[str] = None,
     *,
-    options: Optional[RoutingOptions] = None,
+    weight: Optional[str] = None,
+    mode: str = "single",
+    backend: str = "auto",
     endpoint_map: Optional[Dict[str, Any]] = None,
     headroom: float = 0.0,
     max_rounds: Optional[int] = None,
@@ -626,6 +611,8 @@ def failure_cascade(
         demand: A :class:`~repro.geography.demand.DemandMatrix` or a
             :class:`~repro.routing.engine.CompiledDemand` against the
             topology's current snapshot.
+        weight, mode, backend: Routing switches, as for
+            :func:`~repro.routing.engine.route_demand` (flat method only).
         headroom: Survivability slack — see the module docstring.
         max_rounds: Optional cap on routing rounds; hitting it returns
             ``fixed_point=False`` with the last round's trips unapplied.
@@ -635,7 +622,7 @@ def failure_cascade(
         A :class:`CascadeResult`; ``rounds[-1].flow`` is the fixed-point
         flow and ``served_fraction`` the survivability summary.
     """
-    opts = _flat_options("failure_cascade", options, weight, mode, backend)
+    opts = RoutingOptions(weight=weight, mode=mode, backend=backend)
     # Written so that NaN fails: a NaN or infinite headroom would never trip a link.
     if not 0 <= headroom < inf:
         raise ValueError(f"headroom must be finite and non-negative, got {headroom}")

@@ -43,9 +43,10 @@ def utilization_bin(utilization: float) -> float:
     last bin is the overflow bin — every utilization of 90% and above,
     including overloads past 100%, lands in ``0.9``.
     """
-    if utilization < 0:
+    # Written so that NaN fails; +inf lands in the overflow bin.
+    if not utilization >= 0:
         raise ValueError(f"utilization must be non-negative, got {utilization}")
-    return min(9, int(utilization * 10)) / 10.0
+    return int(min(9.0, utilization * 10)) / 10.0
 
 
 @dataclass

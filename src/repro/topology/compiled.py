@@ -128,8 +128,6 @@ __all__ = [
     "have_numpy_backend",
     "resolve_backend",
     "dijkstra_indices",
-    "multi_source_dijkstra_indices",
-    "batch_shortest_lengths",
     "batch_hop_lengths",
     "bfs_indices",
     "multi_source_bfs_indices",
@@ -170,9 +168,7 @@ class KernelCounters:
     """Invocation counters for the compiled kernels and the generation engine.
 
     The counters make algorithmic claims checkable: e.g. the benchmark suite
-    asserts that routing all customer demand to cores performs exactly one
-    multi-source search instead of ``customers x cores`` single-source runs,
-    and that generator growth performs O(n log n) sampler operations
+    asserts that generator growth performs O(n log n) sampler operations
     (``sampler_draws``/``sampler_updates``) and a bounded number of spatial
     candidate evaluations (``spatial_queries``/``spatial_candidates``) instead
     of the seed's O(n^2) scans.  The incremental objective engine
@@ -199,14 +195,16 @@ class KernelCounters:
     connectivity engine (:mod:`repro.topology.dynconn`) records every
     Euler-tour link/cut as ``dynconn_tree_ops`` and every tree-edge
     deletion's replacement hunt as ``dynconn_replacement_searches``.
-    Nothing increments ``reachability_rebuilds``, so it always reads 0; it
-    stays only because the repository benchmark (``perfbench/``) reads it by
-    key.
+    Nothing increments ``reachability_rebuilds`` or ``multi_source``, so both
+    always read 0.  ``reachability_rebuilds`` stays because the repository
+    benchmark (``perfbench/``) reads it by key; ``multi_source`` stays because
+    experiment task records store every counter key, so dropping it would
+    change every record and every smoke manifest.
 
-    Algorithm-count counters (``single_source``/``multi_source``/``bfs``/
-    ``components``) are **backend-independent**: a batch scipy call records
-    the same logical search count as the equivalent pure-Python loop.  The
-    batch path additionally records each ``scipy.sparse.csgraph`` dispatch as
+    Algorithm-count counters (``single_source``/``bfs``/``components``) are
+    **backend-independent**: a batch scipy call records the same logical
+    search count as the equivalent pure-Python loop.  The batch path
+    additionally records each ``scipy.sparse.csgraph`` dispatch as
     ``batch_dijkstra_calls`` and the sources it covered as
     ``batch_sources_total`` — the E12 scaling gates assert these are non-zero,
     so a silent fallback to the slow path fails CI instead of passing slowly.
@@ -265,10 +263,19 @@ def default_link_weight(link: Link) -> float:
     """The library-wide default link weight: physical length, falling back to
     1.0 for zero-length links so purely logical graphs get hop-count paths.
 
-    Single source of truth — the optimization and routing layers alias this.
+    Raises :class:`ValueError` naming the link on a NaN, negative or infinite
+    length (one written after construction).  Single source of truth — the
+    routing layer's ``"length"`` weight is this function.
     """
     length = link.length
-    return length if length > 0 else 1.0
+    # Written so that NaN fails: it is neither in range nor zero.
+    if 0 < length < inf:
+        return length
+    if length == 0:
+        return 1.0
+    raise ValueError(
+        f"link length must be finite and non-negative, got {length} on {link.key}"
+    )
 
 
 def _column_min(weights: Any) -> float:
@@ -441,8 +448,9 @@ class CompiledGraph:
         """Per-edge weight column computed from the live :class:`Link` objects.
 
         ``None`` selects the library default (physical length, falling back to
-        1.0 for zero-length links).  Raises :class:`ValueError` naming the link
-        on a negative, NaN or infinite weight from a ``weight`` callable.
+        1.0 for zero-length links; see :func:`default_link_weight`).  Raises
+        :class:`ValueError` naming the link on a negative, NaN or infinite
+        length or weight.
         Returns a float64 numpy array when numpy is available, else
         ``array('d')`` — always freshly computed, so annotation mutations are
         visible (see :meth:`edge_weight_column` for the cached named columns).
@@ -541,9 +549,10 @@ class CompiledGraph:
         """Per-node ``(weight, neighbor, edge)`` rows for Dijkstra relaxation.
 
         Cached for the most recent ``weights`` object, so a batch of searches
-        sharing one weight column (e.g. all-pairs) builds the rows once.  The
-        column is flattened to plain Python floats first, so the heap kernels
-        compare native floats even when the column is a numpy array.
+        sharing one weight column (e.g. the traffic engine's per-source loop)
+        builds the rows once.  The column is flattened to plain Python floats
+        first, so the heap kernels compare native floats even when the column
+        is a numpy array.
         """
         cached = self._relaxation_cache
         if cached is not None and cached[0] is weights:
@@ -670,125 +679,12 @@ def dijkstra_indices(
     return dist, pred, pred_edge
 
 
-def multi_source_dijkstra_indices(
-    graph: CompiledGraph, sources: Sequence[int], weights: Any
-) -> Tuple[List[float], List[int], List[int], List[int]]:
-    """Multi-source shortest paths: one search growing from all sources at once.
-
-    Returns ``(dist, pred, pred_edge, origin)`` where ``origin[v]`` is the
-    node index of the source whose shortest-path tree reached ``v`` (-1 for
-    unreachable nodes).  For strictly positive weights, exact distance ties
-    between sources are resolved in favor of the source appearing earlier in
-    ``sources``: every optimal predecessor of a node settles (and relaxes it)
-    before the node itself is settled, so the equal-distance re-attribution
-    below sees all competing origins.
-
-    Always pure Python: the origin/predecessor tie contract above is part of
-    the public API (customer→core attribution depends on it), and scipy's
-    ``min_only`` path does not honor it.
-    """
-    KERNEL_COUNTERS.multi_source += 1
-    n = graph.num_nodes
-    rows = graph.relaxation_rows(weights)
-    dist = [inf] * n
-    pred = [-1] * n
-    pred_edge = [-1] * n
-    origin = [-1] * n
-    rank: Dict[int, int] = {}
-    visited = bytearray(n)
-    heap: List[Tuple[float, int, int]] = []
-    counter = 0
-    for s in sources:
-        if dist[s] == 0.0 and origin[s] != -1:
-            continue  # duplicate source
-        dist[s] = 0.0
-        origin[s] = s
-        rank[s] = counter
-        heap.append((0.0, counter, s))
-        counter += 1
-    heapq.heapify(heap)
-    push = heapq.heappush
-    pop = heapq.heappop
-    while heap:
-        d, _, u = pop(heap)
-        if visited[u]:
-            continue
-        visited[u] = 1
-        origin_u = origin[u]
-        for w, v, e in rows[u]:
-            if visited[v]:
-                continue
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                pred_edge[v] = e
-                origin[v] = origin_u
-                counter += 1
-                push(heap, (nd, counter, v))
-            elif nd == dist[v] and rank[origin_u] < rank[origin[v]]:
-                # Same distance via an earlier-listed source: re-attribute.
-                pred[v] = u
-                pred_edge[v] = e
-                origin[v] = origin_u
-    return dist, pred, pred_edge, origin
-
-
 def _batch_chunks(sources: Sequence[int], num_nodes: int) -> Iterable[List[int]]:
     """Split a source batch so each scipy call stays within the cell budget."""
     chunk = max(1, BATCH_CHUNK_CELLS // max(1, num_nodes))
     source_list = list(sources)
     for start in range(0, len(source_list), chunk):
         yield source_list[start : start + chunk]
-
-
-def batch_shortest_lengths(
-    graph: CompiledGraph,
-    sources: Sequence[int],
-    weights: Any,
-    backend: Optional[str] = None,
-) -> List[List[float]]:
-    """Shortest-path lengths from many sources at once.
-
-    Returns one row of per-node distances (``inf`` when unreachable) per
-    source, in ``sources`` order.  Under the numpy backend the whole batch is
-    a bounded number of vectorized ``csgraph.dijkstra`` calls over the cached
-    CSR matrix (chunked to :data:`BATCH_CHUNK_CELLS`); otherwise it falls
-    back to the pure-Python kernel per source.  Distances are
-    backend-identical bit for bit: both paths accumulate ``dist + w`` along
-    the same shortest paths and take float minima over the same candidates.
-    The invocation counters record one single-source search per source either
-    way, so algorithm-count assertions stay backend-independent.
-    """
-    KERNEL_COUNTERS.single_source += len(sources)
-    if not sources:
-        return []
-    # Scipy's csgraph is ambiguous about explicit zero-weight edges, so the
-    # vectorized path only engages for strictly positive weight columns.
-    if (
-        resolve_backend(backend) == "numpy"
-        and graph.num_edges > 0
-        and _column_min(weights) > 0
-    ):
-        matrix = graph.scipy_csr(weights)
-        rows: List[List[float]] = []
-        for chunk in _batch_chunks(sources, graph.num_nodes):
-            KERNEL_COUNTERS.batch_dijkstra_calls += 1
-            KERNEL_COUNTERS.batch_sources_total += len(chunk)
-            result = _scipy_dijkstra(
-                matrix, directed=False, indices=chunk, return_predecessors=False
-            )
-            if result.ndim == 1:
-                rows.append(result.tolist())
-            else:
-                rows.extend(row.tolist() for row in result)
-        return rows
-    rows = []
-    for source in sources:
-        dist, _, _ = dijkstra_indices(graph, source, weights)
-        KERNEL_COUNTERS.single_source -= 1  # already counted for the batch
-        rows.append(dist)
-    return rows
 
 
 def batch_hop_lengths(

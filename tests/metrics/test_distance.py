@@ -1,11 +1,11 @@
-"""Tests for repro.metrics.distance and the batch kernels its metrics run."""
+"""Tests for repro.metrics.distance and the compiled kernels its metrics run."""
 
 from math import inf
 
 import pytest
 
 from repro.metrics.distance import average_shortest_path_hops, hop_diameter
-from repro.topology.compiled import batch_hop_lengths, batch_shortest_lengths
+from repro.topology.compiled import batch_hop_lengths, dijkstra_indices
 from repro.topology.graph import Topology
 
 
@@ -35,7 +35,7 @@ class TestAveragePathAndDiameter:
     def test_weighted_diameter(self, triangle_topology):
         graph = triangle_topology.compiled()
         weights = graph.edge_weight_column(None)
-        rows = batch_shortest_lengths(graph, range(graph.num_nodes), weights)
+        rows = [dijkstra_indices(graph, s, weights)[0] for s in range(graph.num_nodes)]
         assert max(d for row in rows for d in row if d != inf) == pytest.approx(2 ** 0.5)
 
 

@@ -1,12 +1,14 @@
-"""Tests for repro.optimization.shortest_path and the Dijkstra kernel it runs."""
+"""Tests for the compiled Dijkstra kernel and the weight columns it reads."""
 
 from math import inf, nan
 
 import pytest
 
-from repro.optimization.shortest_path import all_pairs_shortest_lengths
+from repro.geography.demand import DemandMatrix
+from repro.routing.engine import route_demand
+from repro.routing.paths import WEIGHT_FUNCTIONS
 from repro.topology import compiled
-from repro.topology.compiled import dijkstra_indices
+from repro.topology.compiled import dijkstra_indices, have_numpy_backend
 from repro.topology.graph import Topology
 
 
@@ -77,6 +79,40 @@ class TestDijkstra:
         with pytest.raises(ValueError, match=r"finite.*\('a', 'c'\)"):
             search(weighted_square(), "a", weight=weight)
 
+    @pytest.mark.parametrize("numpy_column", [True, False], ids=["numpy", "python"])
+    @pytest.mark.parametrize(
+        "weight", [None, WEIGHT_FUNCTIONS["length"]], ids=["default", "length"]
+    )
+    @pytest.mark.parametrize("bad", [nan, inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_bad_length_rejected(self, monkeypatch, numpy_column, weight, bad):
+        # A length written after construction is checked by the default
+        # length weight on both column builders, and the error names the link.
+        if numpy_column and not compiled._HAVE_NUMPY:
+            pytest.skip("numpy not available")
+        monkeypatch.setattr(compiled, "_HAVE_NUMPY", numpy_column)
+        topo = weighted_square()
+        topo.link("a", "c").length = bad
+        with pytest.raises(ValueError, match=r"link length must be finite.*\('a', 'c'\)"):
+            search(topo, "a", weight=weight)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("bad", [nan, inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_bad_length_fails_to_route(self, backend, bad):
+        # Unit square 0-1-3 / 0-2-3 with a bad length on 0-1: both backends
+        # must refuse to route rather than treat it as one hop or as +inf.
+        if backend == "numpy" and not have_numpy_backend():
+            pytest.skip("numpy/scipy not available")
+        topo = Topology()
+        for node, location in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)]):
+            topo.add_node(node, location=location)
+        for u, v in [(0, 1), (0, 2), (1, 3), (2, 3)]:
+            topo.add_link(u, v)
+        topo.link(0, 1).length = bad
+        demand = DemandMatrix(endpoints=["0", "3"])
+        demand.set_demand("0", "3", 5.0)
+        with pytest.raises(ValueError, match=r"link length must be finite.*\(0, 1\)"):
+            route_demand(topo, demand, endpoint_map={"0": 0, "3": 3}, backend=backend)
+
     def test_custom_weight(self):
         # With hop-count weights the long diagonal a-c becomes the best route.
         graph, dist, pred = search(weighted_square(), "a", weight=lambda link: 1.0)
@@ -94,14 +130,3 @@ class TestPathUtilities:
         path = [graph.ids[index] for index in reversed(path)]
         assert path[0] == "a" and path[-1] == "c"
         assert len(path) == 3
-
-    def test_all_pairs_subset_sources(self):
-        topo = weighted_square()
-        lengths = all_pairs_shortest_lengths(topo, sources=["a"])
-        assert set(lengths) == {"a"}
-        assert lengths["a"]["d"] == pytest.approx(1.0)
-
-    def test_eccentricity(self, path_topology):
-        lengths = all_pairs_shortest_lengths(path_topology, sources=[0, 2])
-        assert max(lengths[0].values()) == pytest.approx(5.0)
-        assert max(lengths[2].values()) == pytest.approx(3.0)

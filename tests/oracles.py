@@ -6,7 +6,7 @@ which reproduces it in distribution.  Nothing under ``src/`` imports this
 module.  Benchmarks import it after putting ``tests/`` on ``sys.path``.
 
 * :func:`per_pair_assign` — one shortest-path resolution per demand pair, the
-  reference for :func:`repro.routing.assignment.assign_demand`.
+  reference for :func:`repro.routing.engine.route_demand`.
 * :func:`naive_waxman` — the O(n^2) pair loop, one draw per pair, the
   reference for :class:`repro.generators.WaxmanGenerator`.
 * :func:`linear_weighted_index` — the inverse-CDF linear scan, the reference
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.buyatbulk import Customer
@@ -32,10 +33,31 @@ from repro.generators.base import ensure_connected
 from repro.geography.demand import DemandMatrix
 from repro.geography.points import euclidean
 from repro.geography.regions import Region, unit_square
-from repro.routing.assignment import AssignmentResult
 from repro.routing.paths import resolve_weight
 from repro.topology.compiled import dijkstra_indices
 from repro.topology.graph import Topology
+
+
+@dataclass
+class PerPairResult:
+    """What :func:`per_pair_assign` routed: volumes, loads and paths.
+
+    Attributes:
+        routed_volume: Total demand routed.
+        unrouted_pairs: ``(a, b, volume)`` of pairs with no path.
+        link_loads: Load per canonical link key.
+        paths: The node path of every routed pair.
+    """
+
+    routed_volume: float = 0.0
+    unrouted_pairs: List[Tuple[str, str, float]] = field(default_factory=list)
+    link_loads: Dict[Tuple[Any, Any], float] = field(default_factory=dict)
+    paths: Dict[Tuple[str, str], List[Any]] = field(default_factory=dict)
+
+    @property
+    def unrouted_volume(self) -> float:
+        """Total demand that could not be routed."""
+        return sum(volume for _, _, volume in self.unrouted_pairs)
 
 
 def per_pair_assign(
@@ -44,7 +66,7 @@ def per_pair_assign(
     endpoint_map: Optional[Dict[str, Any]] = None,
     weight: Optional[str] = None,
     reset_loads: bool = True,
-) -> AssignmentResult:
+) -> PerPairResult:
     """The seed assignment: one shortest-path resolution per demand pair.
 
     Each source's search runs once (``dijkstra_indices`` on the compiled
@@ -60,7 +82,7 @@ def per_pair_assign(
     weights = graph.edge_weights(resolve_weight(weight))
     searches: Dict[int, tuple] = {}
 
-    result = AssignmentResult()
+    result = PerPairResult()
     link_loads = result.link_loads
     for a, b, volume in demand.pairs():
         node_a = endpoint_map.get(a, a)

@@ -10,6 +10,7 @@ field.
 """
 
 import importlib
+import pkgutil
 
 import pytest
 
@@ -52,8 +53,22 @@ class TestPublicSurface:
                 assert symbol in repro.routing.__all__, (module_name, symbol)
 
     def test_package_all_is_importable(self):
-        for symbol in repro.routing.__all__:
-            assert hasattr(repro.routing, symbol), symbol
+        """Every ``repro`` package and module's ``__all__`` resolves."""
+        names = ["repro"] + [
+            info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        ]
+        checked = []
+        for name in names:
+            module = importlib.import_module(name)
+            if not hasattr(module, "__all__"):
+                continue
+            for symbol in module.__all__:
+                assert hasattr(module, symbol), (name, symbol)
+            exec(f"from {name} import *", {})
+            checked.append(name)
+        assert {"repro.routing", "repro.optimization", "repro.topology.compiled"} <= set(
+            checked
+        )
 
 
 class TestRoutingOptions:
@@ -71,28 +86,6 @@ class TestRoutingOptions:
         assert RoutingOptions().mode in ROUTING_MODES
         assert RoutingOptions().method in ROUTING_METHODS
         assert RoutingOptions().backend in ROUTING_BACKENDS
-
-    def test_options_and_kwargs_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            RoutingOptions.normalize(RoutingOptions(), mode="ecmp")
-        with pytest.raises(TypeError, match="RoutingOptions"):
-            RoutingOptions.normalize({"mode": "ecmp"})
-
-    def test_normalize_maps_legacy_none_defaults(self):
-        opts = RoutingOptions.normalize(None, weight="hops", mode=None)
-        assert opts == RoutingOptions(weight="hops")
-
-    def test_facade_accepts_options_object(self):
-        topo, demand = small_instance()
-        via_options = route_demand(
-            topo, demand, options=RoutingOptions(weight="hops", backend="python")
-        )
-        via_kwargs = route_demand(topo, demand, weight="hops", backend="python")
-        assert via_options.loads_list() == via_kwargs.loads_list()
-        with pytest.raises(ValueError, match="not both"):
-            route_demand(
-                topo, demand, weight="hops", options=RoutingOptions()
-            )
 
 
 class TestFlowResultConsumers:

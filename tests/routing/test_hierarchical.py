@@ -33,7 +33,6 @@ from repro.routing.hierarchical import (
     OverlayTooLarge,
     build_overlay,
     overlay_for,
-    route_demand_hierarchical,
 )
 from repro.routing.paths import WEIGHT_FUNCTIONS, resolve_weight
 from repro.topology.compiled import KERNEL_COUNTERS, have_numpy_backend
@@ -100,7 +99,7 @@ class TestFlatEquivalence:
     def test_bit_identical_loads_on_tie_free_weights(self, backend, annotate):
         _, compiled = build_instance(annotate=annotate)
         flat = route_demand(compiled, backend=backend, method="flat")
-        hier = route_demand_hierarchical(compiled, backend=backend)
+        hier = route_demand(compiled, method="hierarchical", backend=backend)
         assert hier.loads_list() == flat.loads_list()
         assert hier.routed_pairs == flat.routed_pairs
         assert hier.routed_volume == flat.routed_volume
@@ -110,7 +109,7 @@ class TestFlatEquivalence:
     def test_float_volumes_within_tolerance(self, backend):
         _, compiled = build_instance(integral_volumes=False, seed=29)
         flat = route_demand(compiled, backend=backend, method="flat")
-        hier = route_demand_hierarchical(compiled, backend=backend)
+        hier = route_demand(compiled, method="hierarchical", backend=backend)
         flat_loads = flat.loads_list()
         hier_loads = hier.loads_list()
         scale = max(1.0, max(flat_loads))
@@ -131,21 +130,21 @@ class TestFlatEquivalence:
             WEIGHT_FUNCTIONS, "int-test", lambda link: link.attributes["int-weight"]
         )
         flat = route_demand(compiled, weight="int-test", backend=backend, method="flat")
-        hier = route_demand_hierarchical(compiled, weight="int-test", backend=backend)
+        hier = route_demand(compiled, method="hierarchical", weight="int-test", backend=backend)
         assert hier.loads_list() == flat.loads_list()
 
     @pytest.mark.parametrize("seed", [3, 11, 47])
     def test_randomized_instances_python_backend(self, seed):
         _, compiled = build_instance(num_nodes=150, num_hubs=4, seed=seed)
         flat = route_demand(compiled, backend="python", method="flat")
-        hier = route_demand_hierarchical(compiled, backend="python")
+        hier = route_demand(compiled, method="hierarchical", backend="python")
         assert hier.loads_list() == flat.loads_list()
 
     @requires_numpy
     def test_backends_agree_hierarchically(self):
         _, compiled = build_instance(seed=53)
-        python_flow = route_demand_hierarchical(compiled, backend="python")
-        numpy_flow = route_demand_hierarchical(compiled, backend="numpy")
+        python_flow = route_demand(compiled, method="hierarchical", backend="python")
+        numpy_flow = route_demand(compiled, method="hierarchical", backend="numpy")
         assert numpy_flow.loads_list() == python_flow.loads_list()
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -163,7 +162,7 @@ class TestFlatEquivalence:
             [3.0, 2.0, 4.0],
         )
         compiled = compile_demand(topo, demand)
-        flow = route_demand_hierarchical(compiled, backend=backend)
+        flow = route_demand(compiled, method="hierarchical", backend=backend)
         flat = route_demand(compiled, backend=backend, method="flat")
         assert flow.routed_pairs == flat.routed_pairs == 1
         assert len(flow.unrouted) == len(flat.unrouted) == 2
@@ -174,9 +173,9 @@ class TestOverlayCache:
     def test_overlay_cached_per_snapshot_and_invalidated_by_version_bump(self):
         topo, compiled = build_instance(num_nodes=120, num_hubs=3, seed=7)
         KERNEL_COUNTERS.reset()
-        first = route_demand_hierarchical(compiled)
+        first = route_demand(compiled, method="hierarchical")
         assert KERNEL_COUNTERS.hier_overlay_builds == 1
-        route_demand_hierarchical(compiled)
+        route_demand(compiled, method="hierarchical")
         # Second route on the same snapshot reuses the cached overlay.
         assert KERNEL_COUNTERS.hier_overlay_builds == 1
 
@@ -188,7 +187,7 @@ class TestOverlayCache:
         recompiled = compile_demand(
             topo, DemandMatrix.from_arrays([0, 57], [0], [1], [10.0])
         )
-        flow = route_demand_hierarchical(recompiled)
+        flow = route_demand(recompiled, method="hierarchical")
         assert KERNEL_COUNTERS.hier_overlay_builds == 2
         # The new shortcut edge carries the demand: loads reflect the
         # mutation instead of the stale tables.
@@ -219,7 +218,7 @@ class TestCounters:
     def test_joins_count_pairs_and_sweeps_engage(self, backend):
         _, compiled = build_instance(num_nodes=140, num_hubs=3, seed=13)
         KERNEL_COUNTERS.reset()
-        route_demand_hierarchical(compiled, backend=backend)
+        route_demand(compiled, method="hierarchical", backend=backend)
         counters = KERNEL_COUNTERS.snapshot()
         assert counters["hier_overlay_builds"] == 1
         assert counters["hier_table_joins"] == compiled.num_pairs
@@ -234,7 +233,7 @@ class TestCounters:
         results = {}
         for backend in ("python", "numpy"):
             KERNEL_COUNTERS.reset()
-            route_demand_hierarchical(compiled, backend=backend)
+            route_demand(compiled, method="hierarchical", backend=backend)
             results[backend] = KERNEL_COUNTERS.snapshot()
         for key in ("hier_overlay_builds", "hier_region_sweeps", "hier_table_joins"):
             assert results["python"][key] == results["numpy"][key], key
@@ -244,13 +243,13 @@ class TestGuards:
     def test_ecmp_mode_rejected(self):
         _, compiled = build_instance(num_nodes=40, num_hubs=2)
         with pytest.raises(ValueError, match="single-path"):
-            route_demand_hierarchical(compiled, mode="ecmp")
+            route_demand(compiled, method="hierarchical", mode="ecmp")
 
     def test_nonpositive_weights_rejected(self, monkeypatch):
         monkeypatch.setitem(WEIGHT_FUNCTIONS, "zero-test", lambda link: 0.0)
         _, compiled = build_instance(num_nodes=40, num_hubs=2)
         with pytest.raises(ValueError, match="strictly positive"):
-            route_demand_hierarchical(compiled, weight="zero-test")
+            route_demand(compiled, method="hierarchical", weight="zero-test")
 
     def test_unknown_method_rejected(self):
         _, compiled = build_instance(num_nodes=40, num_hubs=2)
@@ -258,13 +257,11 @@ class TestGuards:
             route_demand(compiled, method="bogus")
 
     def test_mesh_cap_raises_overlay_too_large(self):
-        topo, compiled = build_instance(num_nodes=60, num_hubs=2)
+        topo, _ = build_instance(num_nodes=60, num_hubs=2)
         graph = topo.compiled()
         weights = graph.edge_weight_column(None, resolve_weight(None))
         with pytest.raises(OverlayTooLarge):
             build_overlay(graph, weights, "length", mesh_cap=1)
-        with pytest.raises(OverlayTooLarge):
-            route_demand_hierarchical(compiled, mesh_cap=1)
 
 
 class TestAutoDispatch:

@@ -13,7 +13,6 @@ from repro.geography.demand import DemandMatrix
 from repro.core.objectives import CostObjective
 from repro.optimization.incremental import IncrementalState, RemoveLinks
 from repro.routing.engine import route_demand
-from repro.routing.options import RoutingOptions
 from repro.routing.temporal import (
     DemandSeries,
     compile_series,
@@ -96,6 +95,16 @@ class TestGenerators:
             diurnal_series(base_matrix(), num_steps=0)
         with pytest.raises(ValueError, match="amplitude"):
             diurnal_series(base_matrix(), amplitude=1.0)
+        for phase in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="phase"):
+                diurnal_series(base_matrix(), phase=phase)
+
+    def test_flash_crowd_validation(self):
+        for spike in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="spike"):
+                flash_crowd(base_matrix(), spike=spike)
+        with pytest.raises(ValueError, match="duration"):
+            flash_crowd(base_matrix(), num_steps=2, duration=3)
 
     def test_diurnal_cycle_conserves_mean_volume(self):
         base = base_matrix()
@@ -165,11 +174,9 @@ class TestRouteSeries:
         series = flash_crowd(demand, num_steps=5, seed=4)
         # Hop weights create equal-cost ties; the retained ECMP column must
         # still make the diff path exact.
-        options = RoutingOptions(weight="hops", mode="ecmp", backend="python")
-        diffed = route_series(topo, series, endpoint_map=emap, options=options)
-        full = route_series(
-            topo, series, endpoint_map=emap, options=options, reuse=False
-        )
+        switches = dict(weight="hops", mode="ecmp", backend="python")
+        diffed = route_series(topo, series, endpoint_map=emap, **switches)
+        full = route_series(topo, series, endpoint_map=emap, reuse=False, **switches)
         assert diffed.step_hashes() == full.step_hashes()
 
     @pytest.mark.skipif(not have_numpy_backend(), reason="scipy not available")
@@ -200,17 +207,6 @@ class TestRouteSeries:
         topo.remove_link(*next(iter(topo.link_keys())))
         with pytest.raises(TopologyError, match="stale step result"):
             step.loads_for(topo)
-
-    def test_hierarchical_method_rejected(self):
-        topo, demand, emap = random_instance(12, 8, 1)
-        series = DemandSeries(steps=[demand])
-        with pytest.raises(ValueError, match="method='flat' only"):
-            route_series(
-                topo,
-                series,
-                endpoint_map=emap,
-                options=RoutingOptions(method="hierarchical"),
-            )
 
     def test_unreachable_demand_is_shed(self):
         topo, demand, emap = random_instance(10, 6, 3)
@@ -253,11 +249,11 @@ class TestOneKernel:
         matrix.set_demand("3", "isle", 4.0)
         matrix.set_demand("isle", "17", 2.0)
         emap = dict(emap, isle="isle")
-        options = RoutingOptions(mode=mode, method="flat", backend=backend)
-        flat = route_demand(topo, matrix, endpoint_map=emap, options=options)
-        step = route_series(topo, DemandSeries([matrix]), endpoint_map=emap, options=options)
+        switches = dict(endpoint_map=emap, mode=mode, backend=backend)
+        flat = route_demand(topo, matrix, method="flat", **switches)
+        step = route_series(topo, DemandSeries([matrix]), **switches)
         provision_topology(topo, default_catalog(), flow=flat)
-        cascade = failure_cascade(topo, matrix, endpoint_map=emap, options=options)
+        cascade = failure_cascade(topo, matrix, **switches)
         assert len(flat.unrouted) == 2
         for result in (step.steps[0], cascade.rounds[0].flow):
             assert array("d", result.edge_loads).tobytes() == array("d", flat.edge_loads).tobytes()

@@ -1,5 +1,7 @@
 """Tests for repro.routing.utilization."""
 
+import math
+
 import pytest
 
 from repro.routing.utilization import (
@@ -84,6 +86,13 @@ class TestUtilizationBin:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             utilization_bin(-0.1)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="utilization"):
+            utilization_bin(math.nan)
+
+    def test_infinite_lands_in_overflow_bin(self):
+        assert utilization_bin(math.inf) == 0.9
 
     def test_histogram_uses_the_bin_keys(self):
         topo = Topology()

@@ -19,9 +19,10 @@ from repro.core import (
 from repro.core.constraints import CapacityConstraint, default_router_constraints
 from repro.economics import CostModel, default_catalog, provision_topology
 from repro.generators import BarabasiAlbertGenerator
+from repro.geography import DemandMatrix
 from repro.metrics import classify_tail, compare_topologies, evaluate_topology, report_table
-from repro.routing import route_customer_demand_to_core, utilization_report
-from repro.topology import summarize_hierarchy, topology_from_dict, topology_to_dict
+from repro.routing import route_demand, utilization_report
+from repro.topology import NodeRole, summarize_hierarchy, topology_from_dict, topology_to_dict
 from repro.workloads import metro_customers
 
 
@@ -83,11 +84,21 @@ class TestISPDesignPipeline:
     def test_access_traffic_fits_provisioned_capacity(self):
         design = generate_isp(num_cities=6, seed=14, customers_per_city_scale=3.0)
         topo = design.topology
-        result = route_customer_demand_to_core(topo)
-        assert result.unrouted_volume == pytest.approx(0.0)
+        # Every customer sends its demand to one core.
+        core = next(n.node_id for n in topo.nodes() if n.role == NodeRole.CORE)
+        customers = [n for n in topo.nodes() if n.role == NodeRole.CUSTOMER and n.demand > 0]
+        demand = DemandMatrix.from_arrays(
+            [core] + [c.node_id for c in customers],
+            [0] * len(customers),
+            range(1, len(customers) + 1),
+            [c.demand for c in customers],
+        )
+        flow = route_demand(topo, demand)
+        assert flow.routed_pairs == len(customers)
+        assert flow.unrouted_volume == pytest.approx(0.0)
         # Re-provision for the routed access traffic and confirm no overloads remain.
-        provision_topology(topo, default_catalog())
-        report = utilization_report(topo)
+        provision_topology(topo, default_catalog(), flow=flow)
+        report = utilization_report(topo, flow)
         assert report.peak_utilization <= 1.0 + 1e-9
         assert default_router_constraints().is_satisfied(topo) or True  # degree info only
 

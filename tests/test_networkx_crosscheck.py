@@ -16,7 +16,7 @@ from repro.metrics.clustering import average_clustering, transitivity
 from repro.metrics.degree import degree_histogram
 from repro.metrics.distance import average_shortest_path_hops, hop_diameter
 from repro.optimization.mst import minimum_spanning_tree
-from repro.optimization.shortest_path import all_pairs_shortest_lengths
+from repro.topology.compiled import dijkstra_indices
 
 
 def to_networkx(topology):
@@ -82,7 +82,11 @@ class TestAlgorithmAgreement:
         topology = WaxmanGenerator(alpha_w=0.3, beta=0.6).generate(60, seed=3)
         graph = to_networkx(topology)
         source = 0
-        ours = all_pairs_shortest_lengths(topology, sources=[source])[source]
+        compiled = topology.compiled()
+        dist, _, _ = dijkstra_indices(
+            compiled, compiled.index_of[source], compiled.edge_weights()
+        )
+        ours = {compiled.ids[i]: d for i, d in enumerate(dist) if d != float("inf")}
         theirs = networkx.single_source_dijkstra_path_length(
             graph, source, weight=lambda u, v, data: data["length"] or 1.0
         )

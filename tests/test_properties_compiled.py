@@ -13,8 +13,7 @@ import random
 import pytest
 
 from repro.metrics.resilience import removal_trace
-from repro.optimization.shortest_path import all_pairs_shortest_lengths
-from repro.topology.compiled import dijkstra_indices, multi_source_dijkstra_indices
+from repro.topology.compiled import dijkstra_indices
 from repro.topology.graph import Topology
 from repro.topology.node import NodeRole
 
@@ -207,17 +206,6 @@ def dijkstra(topology, source):
     return distances, predecessors
 
 
-def multi_source_dijkstra(topology, sources):
-    """``multi_source_dijkstra_indices`` as id-keyed ``(distances, nearest_source)``."""
-    graph = topology.compiled()
-    indices = [graph.index_of[s] for s in sources]
-    dist, _, _, origin = multi_source_dijkstra_indices(graph, indices, graph.edge_weights())
-    ids = graph.ids
-    distances = {ids[i]: d for i, d in enumerate(dist) if d != float("inf")}
-    nearest = {ids[i]: ids[o] for i, o in enumerate(origin) if o >= 0}
-    return distances, nearest
-
-
 # ----------------------------------------------------------------------
 # Properties
 # ----------------------------------------------------------------------
@@ -248,30 +236,6 @@ def test_hop_distances_and_components_match_reference(seed):
     assert {frozenset(c) for c in topo.connected_components()} == reference_components(
         topo
     )
-
-
-@pytest.mark.parametrize("seed", [5, 6])
-def test_all_pairs_matches_per_source_reference(seed):
-    topo = random_topology(seed, num_nodes=80, num_links=160)
-    lengths = all_pairs_shortest_lengths(topo)
-    for source in topo.node_ids():
-        assert lengths[source] == reference_dijkstra(topo, source)
-
-
-@pytest.mark.parametrize("seed", [7, 8])
-def test_multi_source_matches_min_over_single_sources(seed):
-    topo = random_topology(seed)
-    rng = random.Random(seed)
-    sources = rng.sample(list(topo.node_ids()), 6)
-    distances, nearest = multi_source_dijkstra(topo, sources)
-    per_source = {s: reference_dijkstra(topo, s) for s in sources}
-    for node, distance in distances.items():
-        best = min(per_source[s].get(node, float("inf")) for s in sources)
-        assert distance == pytest.approx(best)
-        assert per_source[nearest[node]].get(node) == pytest.approx(distance)
-    for s in sources:
-        for node, d in per_source[s].items():
-            assert node in distances
 
 
 @pytest.mark.parametrize("strategy", ["random", "targeted"])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.geography.demand import DemandMatrix
 from repro.geography.points import euclidean
 from repro.optimization.mst import euclidean_mst_length, prim_mst_points
-from repro.routing.assignment import assign_demand
 from repro.routing.engine import compile_demand, route_demand
 from repro.routing.utilization import utilization_report
 from repro.topology.graph import Topology
@@ -59,7 +58,7 @@ class TestRoutingProperties:
             volume = rng.uniform(0.5, 5.0)
             demand.set_demand(str(a), str(b), demand.demand(str(a), str(b)) + volume)
         offered = demand.total()
-        result = assign_demand(topology, demand, endpoint_map={str(i): i for i in range(n)})
+        result = route_demand(topology, demand, endpoint_map={str(i): i for i in range(n)})
         assert abs((result.routed_volume + result.unrouted_volume) - offered) < 1e-6
 
     @given(
@@ -76,7 +75,7 @@ class TestRoutingProperties:
         demand = DemandMatrix(endpoints=endpoints)
         a, b = rng.sample(range(n), 2)
         demand.set_demand(str(a), str(b), 3.0)
-        assign_demand(topology, demand, endpoint_map={str(i): i for i in range(n)})
+        route_demand(topology, demand, endpoint_map={str(i): i for i in range(n)}).flush()
         report = utilization_report(topology)
         assert report.total_load >= 3.0 - 1e-9
 
@@ -114,11 +113,12 @@ class TestBatchedEngineProperties:
         endpoint_map = {str(i): i for i in range(n)}
         reference = per_pair_assign(topology, demand, endpoint_map)
         reference_loads = [link.load for link in topology.links()]
-        batched = assign_demand(topology, demand, endpoint_map)
+        batched = route_demand(topology, demand, endpoint_map=endpoint_map)
+        batched.flush()
         assert [link.load for link in topology.links()] == reference_loads
         assert batched.routed_volume == reference.routed_volume
         assert batched.unrouted_volume == reference.unrouted_volume
-        assert batched.link_loads == reference.link_loads
+        assert batched.link_loads() == reference.link_loads
 
     @given(
         st.integers(min_value=3, max_value=24),
@@ -134,7 +134,8 @@ class TestBatchedEngineProperties:
         endpoint_map = {str(i): i for i in range(n)}
         reference = per_pair_assign(topology, demand, endpoint_map)
         reference_loads = [link.load for link in topology.links()]
-        batched = assign_demand(topology, demand, endpoint_map)
+        batched = route_demand(topology, demand, endpoint_map=endpoint_map)
+        batched.flush()
         for observed, expected in zip(
             (link.load for link in topology.links()), reference_loads
         ):

@@ -8,7 +8,6 @@ from repro.topology.compiled import (
     components_indices,
     dijkstra_indices,
     multi_source_bfs_indices,
-    multi_source_dijkstra_indices,
 )
 from repro.topology.graph import Topology
 from repro.topology.link import Link
@@ -107,45 +106,6 @@ class TestKernels:
         assert graph.ids[pred[d]] == "b"
         assert graph.edge_keys[pred_edge[d]] == ("b", "d")
 
-    def test_multi_source_origin_and_tie_break(self):
-        topo = Topology()
-        for n in "sabt":
-            topo.add_node(n)
-        topo.add_link("s", "a", length=1.0)
-        topo.add_link("b", "t", length=1.0)
-        graph = topo.compiled()
-        weights = graph.edge_weights()
-        sources = [graph.index_of["s"], graph.index_of["t"]]
-        dist, _, _, origin = multi_source_dijkstra_indices(graph, sources, weights)
-        assert dist[graph.index_of["a"]] == pytest.approx(1.0)
-        assert graph.ids[origin[graph.index_of["a"]]] == "s"
-        assert graph.ids[origin[graph.index_of["b"]]] == "t"
-
-    def test_multi_source_exact_tie_goes_to_earlier_source(self):
-        # v is exactly 2.0 from both A (via y, reaching v later in the sweep)
-        # and B (via x): the earlier-listed source must win the attribution,
-        # regardless of which frontier relaxes v first.
-        topo = Topology()
-        for n in ("A", "B", "x", "y", "v"):
-            topo.add_node(n)
-        topo.add_link("A", "y", length=1.5)
-        topo.add_link("y", "v", length=0.5)
-        topo.add_link("B", "x", length=1.0)
-        topo.add_link("x", "v", length=1.0)
-        graph = topo.compiled()
-        weights = graph.edge_weights()
-        for sources, winner in ((["A", "B"], "A"), (["B", "A"], "B")):
-            indices = [graph.index_of[s] for s in sources]
-            dist, pred, _, origin = multi_source_dijkstra_indices(
-                graph, indices, weights
-            )
-            v = graph.index_of["v"]
-            assert dist[v] == pytest.approx(2.0)
-            assert graph.ids[origin[v]] == winner
-            # The predecessor tree must be consistent with the attribution.
-            hop = "y" if winner == "A" else "x"
-            assert graph.ids[pred[v]] == hop
-
     def test_multi_source_bfs_nearest_distance(self):
         topo = Topology()
         for i in range(5):
@@ -180,12 +140,12 @@ class TestCounters:
         graph = topo.compiled()
         weights = graph.edge_weights()
         dijkstra_indices(graph, 0, weights)
-        multi_source_dijkstra_indices(graph, [0, 1], weights)
         bfs_indices(graph, 0)
         components_indices(graph)
         snapshot = KERNEL_COUNTERS.snapshot()
         assert snapshot["compilations"] == 1
         assert snapshot["single_source"] == 1
-        assert snapshot["multi_source"] == 1
+        # Nothing increments multi_source; records keep the key.
+        assert snapshot["multi_source"] == 0
         assert snapshot["bfs"] == 1
         assert snapshot["components"] == 1

@@ -25,17 +25,18 @@ import random
 
 import pytest
 
+from repro.geography.demand import DemandMatrix
+from repro.routing.engine import CompiledDemand, route_demand
 from repro.topology.compiled import (
     DEFAULT_BACKEND,
     KERNEL_COUNTERS,
     SMALL_GRAPH_NODES,
     CompiledGraph,
     batch_hop_lengths,
-    batch_shortest_lengths,
     components_indices,
+    dijkstra_indices,
     have_numpy_backend,
     multi_source_bfs_indices,
-    multi_source_dijkstra_indices,
     resolve_backend,
 )
 from repro.topology.graph import Topology
@@ -77,6 +78,27 @@ def random_topology(
 
 def sample_sources(graph: CompiledGraph, count: int, seed: int = 13):
     return random.Random(seed).sample(range(graph.num_nodes), count)
+
+
+def python_rows(graph: CompiledGraph, sources, weights):
+    """One ``dijkstra_indices`` distance row per source (the python kernel)."""
+    return [dijkstra_indices(graph, source, weights)[0] for source in sources]
+
+
+def scipy_rows(graph: CompiledGraph, sources, weights):
+    """The routing engine's numpy search: ``csgraph.dijkstra`` over the cached CSR."""
+    from scipy.sparse.csgraph import dijkstra
+
+    return dijkstra(graph.scipy_csr(weights), directed=False, indices=sources).tolist()
+
+
+def hub_demand(topo: Topology, hubs) -> CompiledDemand:
+    """Each hub sends one unit to each of the three nodes after it."""
+    n = topo.num_nodes
+    sources = [hub for hub in hubs for _ in range(3)]
+    targets = [(hub + k) % n for hub in hubs for k in (1, 2, 3)]
+    volumes = [1.0] * len(sources)
+    return DemandMatrix.from_arrays(list(range(n)), sources, targets, volumes).compile(topo)
 
 
 class TestBackendSelection:
@@ -173,38 +195,23 @@ class TestDistanceParity:
         graph = random_topology(LARGE, integral=True).compiled()
         weights = graph.edge_weight_column("length")
         sources = sample_sources(graph, 24)
-        python_rows = batch_shortest_lengths(graph, sources, weights, backend="python")
-        numpy_rows = batch_shortest_lengths(graph, sources, weights, backend="numpy")
-        assert numpy_rows == python_rows
+        assert scipy_rows(graph, sources, weights) == python_rows(graph, sources, weights)
 
     def test_float_weights_within_tolerance(self):
         graph = random_topology(LARGE).compiled()
         weights = graph.edge_weight_column("length")
         sources = sample_sources(graph, 24)
-        python_rows = batch_shortest_lengths(graph, sources, weights, backend="python")
-        numpy_rows = batch_shortest_lengths(graph, sources, weights, backend="numpy")
-        for py_row, np_row in zip(python_rows, numpy_rows):
+        rows = zip(python_rows(graph, sources, weights), scipy_rows(graph, sources, weights))
+        for py_row, np_row in rows:
             for a, b in zip(py_row, np_row):
                 assert a == b or abs(a - b) <= 1e-9
 
     def test_unreachable_nodes_are_inf_in_both(self):
         graph = random_topology(LARGE, isolated=5).compiled()
         weights = graph.edge_weight_column("length")
-        for backend in ("python", "numpy"):
-            row = batch_shortest_lengths(graph, [0], weights, backend=backend)[0]
+        for rows in (python_rows, scipy_rows):
+            row = rows(graph, [0], weights)[0]
             assert sum(1 for d in row if math.isinf(d)) == 5
-
-    def test_multi_source_distances_parity(self):
-        # The python multi-source search against the per-node minimum over
-        # the numpy backend's batched single-source rows.
-        graph = random_topology(LARGE, isolated=3).compiled()
-        weights = graph.edge_weight_column("length")
-        sources = sample_sources(graph, 9)
-        python_dist = multi_source_dijkstra_indices(graph, sources, weights)[0]
-        numpy_rows = batch_shortest_lengths(graph, sources, weights, backend="numpy")
-        numpy_dist = [min(column) for column in zip(*numpy_rows)]
-        for a, b in zip(python_dist, numpy_dist):
-            assert a == b or abs(a - b) <= 1e-9
 
     def test_hop_rows_exact(self):
         graph = random_topology(LARGE, isolated=4).compiled()
@@ -235,28 +242,30 @@ class TestDistanceParity:
 @requires_numpy
 class TestBatchCounters:
     def test_numpy_batch_engages_and_counts_sources(self):
-        graph = random_topology(LARGE, integral=True).compiled()
-        weights = graph.edge_weight_column("length")
-        sources = sample_sources(graph, 12)
+        topo = random_topology(LARGE, integral=True)
+        graph = topo.compiled()
+        demand = hub_demand(topo, sample_sources(graph, 12))
+        searched = len(set(demand.sources))
         KERNEL_COUNTERS.reset()
-        batch_shortest_lengths(graph, sources, weights, backend="numpy")
+        route_demand(demand, backend="numpy", method="flat")
         counters = KERNEL_COUNTERS.snapshot()
         assert counters["batch_dijkstra_calls"] >= 1
-        assert counters["batch_sources_total"] == len(sources)
+        assert counters["batch_sources_total"] == searched
         # The algorithm-count contract is backend-independent.
-        assert counters["single_source"] == len(sources)
+        assert counters["single_source"] == searched
 
     def test_python_backend_never_touches_batch_counters(self):
-        graph = random_topology(LARGE, integral=True).compiled()
-        weights = graph.edge_weight_column("length")
+        topo = random_topology(LARGE, integral=True)
+        graph = topo.compiled()
         sources = sample_sources(graph, 12)
+        demand = hub_demand(topo, sources)
         KERNEL_COUNTERS.reset()
-        batch_shortest_lengths(graph, sources, weights, backend="python")
+        route_demand(demand, backend="python", method="flat")
         batch_hop_lengths(graph, sources, backend="python")
         counters = KERNEL_COUNTERS.snapshot()
         assert counters["batch_dijkstra_calls"] == 0
         assert counters["batch_sources_total"] == 0
-        assert counters["single_source"] == len(sources)
+        assert counters["single_source"] == len(set(demand.sources))
 
     def test_small_graphs_stay_python_for_integer_kernels(self):
         # Below SMALL_GRAPH_NODES the exact-integer kernels skip scipy:
