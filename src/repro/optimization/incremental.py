@@ -31,7 +31,10 @@ Moves are first-class (:class:`AddLink`, :class:`RemoveLink`,
 :class:`AddNode`, :class:`UpgradeCable`, :class:`Rewire`) with exact undo:
 ``apply(move)`` returns the score delta and pushes an undo record,
 ``revert()`` pops it and restores every scalar *by assignment* (not inverse
-arithmetic), so a revert lands on bit-identical state.
+arithmetic), so a revert lands on bit-identical state.  A reverted removal
+re-inserts the original link object at its old place in the topology's link
+order (its insertion sequence number), so no move or undo copies the link
+table: a rejected move costs what its forest operations cost.
 
 When the engine falls back to full recomputation
 ------------------------------------------------
@@ -39,9 +42,13 @@ When the engine falls back to full recomputation
 Only out-of-band topology edits (unknown objective types, node demands,
 roles or link annotations changed behind the engine's back) need
 :meth:`IncrementalState.rebuild`, which is exactly one canonical full
-evaluation.  Deletions never do: ``RemoveLink``, the removal half of a
-``Rewire`` and each ``RemoveLinks`` batch are polylogarithmic dynamic-forest
-deletions, and their undos replay the forest's exact-undo tokens.
+evaluation.  When the structure did not change behind the engine's back
+(``Topology.version`` is the one the engine last synced to), the rebuild
+keeps the connectivity forest and only re-sets its vertex payloads, in
+O(V + E).  Deletions never need a rebuild: ``RemoveLink``, the removal half
+of a ``Rewire`` and each ``RemoveLinks`` batch are polylogarithmic
+dynamic-forest deletions, and their undos replay the forest's exact-undo
+tokens.
 
 ``KERNEL_COUNTERS.objective_full_evals`` counts canonical evaluations (and
 rebuilds); ``KERNEL_COUNTERS.objective_delta_evals`` counts applied moves.
@@ -129,9 +136,11 @@ class RemoveLink(Move):
     """Tear out the link between ``u`` and ``v``.
 
     One polylog dynamic-forest deletion; the revert re-inserts the original
-    :class:`~repro.topology.link.Link` object and restores the topology's
-    link and adjacency iteration order, so compiled edge order and
-    order-dependent float sums are unchanged by a remove → revert round trip.
+    :class:`~repro.topology.link.Link` object with its insertion sequence
+    number, which puts it back at its old place in the topology's link and
+    adjacency iteration order, so compiled edge order and order-dependent
+    float sums are unchanged by a remove → revert round trip.  Neither step
+    copies the link table.
     """
 
     u: Any
@@ -149,10 +158,11 @@ class RemoveLinks(Move):
 
     Failure cascades (:func:`repro.routing.temporal.failure_cascade`) trip
     many links per round; batching them puts the whole round on one undo
-    record and one link-order snapshot.  Removal order follows ``links``
-    order, one :meth:`IncrementalState.revert` restores the entire batch, and
-    a missing or duplicated key raises
-    :class:`~repro.topology.graph.TopologyError` before anything mutates.
+    record.  Removal order follows ``links`` order, one
+    :meth:`IncrementalState.revert` restores the entire batch (each link at
+    its old place in link order, as for :class:`RemoveLink`), and a missing
+    or duplicated key raises :class:`~repro.topology.graph.TopologyError`
+    before anything mutates.
     """
 
     links: Tuple[Tuple[Any, Any], ...]
@@ -334,11 +344,23 @@ class IncrementalState:
         self.objective = objective
         self._cost_model, self._demand_penalty, self._revenue_model = _objective_spec(objective)
         self._undo: List[_UndoRecord] = []
+        self._dyn: Optional[DynamicConnectivity] = None
+        # topology.version when the forest last mirrored the topology: after
+        # rebuild(), apply() and every unwind.
+        self._synced_version = -1
         self.rebuild()
 
     # -- construction / fallback ---------------------------------------
     def rebuild(self) -> None:
-        """Recompute every component from scratch (one canonical full eval)."""
+        """Resync every component with the topology (one canonical full eval).
+
+        The cost breakdown and the served aggregates are re-summed from the
+        topology, and the undo stack is cleared.  The connectivity forest is
+        built afresh only when the structure changed behind the state's back
+        (``topology.version`` moved since the last rebuild, apply or revert);
+        after annotation-only edits (demand growth, role changes, re-priced
+        links) it keeps its trees and re-sets their vertex payloads in O(V + E).
+        """
         KERNEL_COUNTERS.objective_full_evals += 1
         topology = self.topology
         self._link_install = 0.0
@@ -360,20 +382,23 @@ class IncrementalState:
                 self._total_customer_revenue += self._revenue_of(node)
         self._rebuild_dynconn()
         self._undo.clear()
+        self._synced_version = topology.version
 
     def _rebuild_dynconn(self) -> None:
-        """Bulk-build the dynamic-connectivity engine — O(V + E), no sweep.
+        """Resync the dynamic-connectivity engine — O(V + E), no sweep.
 
-        The initial served aggregates are accumulated in a fixed canonical
-        order (per-component naive float sums over nodes in insertion order,
+        A structural change since the last sync bulk-builds a new forest;
+        otherwise the kept forest re-sets its vertex payloads.  Either way the
+        served aggregates are accumulated in a fixed canonical order
+        (per-component naive float sums over nodes in insertion order,
         components summed in first-node order) instead of being read from the
         forest's correctly rounded component sums.  Pinned scores and
         trajectory hashes depend on these exact bits, so the order must not
-        change.
+        change.  Both paths list members in vertex insertion order, so they
+        give the same bits.
         """
         topology = self.topology
         nodes = topology._nodes  # same-package structural access
-        dyn = DynamicConnectivity()
 
         def payloads():
             for node_id, node in nodes.items():
@@ -382,8 +407,13 @@ class IncrementalState:
                 else:
                     yield node_id, node.role == NodeRole.CORE, 0.0, 0.0
 
-        dyn.build(payloads(), topology.link_keys())
-        self._dyn = dyn
+        dyn = self._dyn
+        if dyn is not None and self._synced_version == topology.version:
+            dyn.reset_payloads(payloads())
+        else:
+            dyn = DynamicConnectivity()
+            dyn.build(payloads(), topology.link_keys())
+            self._dyn = dyn
         comp_demand: Dict[Any, float] = {}
         comp_revenue: Dict[Any, float] = {}
         comp_core: Dict[Any, bool] = {}
@@ -487,6 +517,7 @@ class IncrementalState:
         before = self.score
         record = move._apply(self)
         self._undo.append(record)
+        self._synced_version = self.topology.version
         KERNEL_COUNTERS.objective_delta_evals += 1
         return self.score - before
 
@@ -539,6 +570,7 @@ class IncrementalState:
             self._served_demand,
             self._served_revenue,
         ) = record.scalars
+        self._synced_version = self.topology.version
 
     def _add_link_inner(self, record: _UndoRecord, u: Any, v: Any, **link_kwargs) -> None:
         topology = self.topology
@@ -582,24 +614,17 @@ class IncrementalState:
             links.append(link)
         if not links:
             return
-        # Pushed first so it runs *last* on unwind: once every link is back,
-        # restore the dict iteration orders so a remove → revert round trip
-        # leaves the compiled edge order byte-identical, not just
-        # structurally identical.
-        touched = {end for link in links for end in (link.source, link.target)}
-        links_order = list(topology._links)
-        adjacency_order = {u: list(topology._adjacency[u]) for u in touched}
-        record.structure_undo.append(
-            lambda: topology._restore_link_order(links_order, adjacency_order)
-        )
         dyn = self._dyn
         for link in links:
             topology.remove_link(link.source, link.target)
             # Re-insert the *original* Link object on revert: earlier undo
             # records (e.g. an UpgradeCable restore) hold references to it, so
             # replacing it with a copy would leave them mutating a dead object.
+            # Its sequence number puts it back at its old place in link order,
+            # so a remove → revert round trip leaves the compiled edge order
+            # byte-identical, not just structurally identical.
             record.structure_undo.append(
-                lambda link=link: topology.add_link_object(link)
+                lambda link=link: topology._reinsert_link(link)
             )
             key = link.key
             old_contrib = self._link_contrib.pop(key, None)

@@ -27,11 +27,13 @@ The contract between the two layers:
 * Link *annotation* mutations (e.g. ``link.load``) do not bump the version;
   weight columns are recomputed from the live ``Link`` objects on each
   ``edge_weights`` call, so each public kernel entry sees current annotations.
-  The exception is the *named structural* columns cached by
-  :meth:`CompiledGraph.edge_weight_column` (``"length"``/``"hops"``), which
-  derive from immutable link geometry.  Code that mutates annotations and
-  holds a long-lived weight array can force a rebuild with
-  ``Topology.touch()``.
+  The exception is the *named* columns cached by
+  :meth:`CompiledGraph.edge_weight_column` (``"length"``/``"hops"``), built
+  once per snapshot.  ``Link.length`` is writable, and a length written after
+  the snapshot was built stays invisible to the cached ``"length"`` column:
+  the column is stale until ``Topology.touch()`` (or any structural
+  mutation) forces a rebuild.  Code that mutates annotations and holds a
+  long-lived weight array must call ``Topology.touch()`` the same way.
 
 Backend selection
 -----------------
@@ -488,10 +490,11 @@ class CompiledGraph:
                 out[e] = w
         return out
 
-    #: Names whose weight columns derive from immutable link geometry and are
-    #: therefore safe to cache on the snapshot.  Annotation-dependent weights
-    #: (e.g. ``"inverse-capacity"``) must bypass the cache so provisioning
-    #: updates stay visible without a ``Topology.touch()``.
+    #: Names whose weight columns are cached on the snapshot.  Hop counts
+    #: never change; a ``Link.length`` written after the snapshot was built
+    #: leaves the cached ``"length"`` column stale until ``Topology.touch()``.
+    #: Annotation-dependent weights (e.g. ``"inverse-capacity"``) bypass the
+    #: cache so provisioning updates stay visible without a touch.
     CACHEABLE_WEIGHT_NAMES = frozenset({"length", "hops"})
 
     def edge_weight_column(

@@ -441,8 +441,9 @@ class DynamicConnectivity:
         in iteration order) becomes the level-0 Euler tours, built as
         perfectly balanced BSTs with bottom-up sums; every non-forest edge
         becomes a level-0 non-tree edge.  Equivalent to, but much cheaper
-        than, incremental insertion — :class:`IncrementalState` rebuilds
-        through this path so engine construction stays linear.
+        than, incremental insertion — :class:`IncrementalState` builds
+        through this path so engine construction stays linear, and resyncs
+        annotation-only changes through :meth:`reset_payloads`.
         """
         if self._num_vertices or self._edges:
             raise ValueError("build() requires an empty structure")
@@ -451,16 +452,16 @@ class DynamicConnectivity:
             if vertex in payload:
                 raise ValueError(f"vertex {vertex!r} repeated in build()")
             payload[vertex] = (1 if is_core else 0, _to_fixed(demand), _to_fixed(revenue))
-        adjacency: Dict[Any, List[Any]] = {v: [] for v in payload}
+        adjacency: Dict[Any, List[Tuple[Any, _Edge]]] = {v: [] for v in payload}
         for u, v in edges:
             key = edge_key(u, v)
             if key in self._edges:
                 raise ValueError(f"edge {key!r} repeated in build()")
             if u not in payload or v not in payload:
                 raise ValueError(f"edge {key!r} references an unknown vertex")
-            self._edges[key] = _Edge(u, v, key)
-            adjacency[u].append(v)
-            adjacency[v].append(u)
+            self._edges[key] = edge = _Edge(u, v, key)
+            adjacency[u].append((v, edge))
+            adjacency[v].append((u, edge))
 
         # Create every vertex node up front, in payload iteration order: the
         # vmap's insertion order is the canonical member order components()
@@ -479,30 +480,29 @@ class DynamicConnectivity:
                 continue
             visited[start] = True
             # BFS spanning tree; children lists follow adjacency order.
-            children: Dict[Any, List[Any]] = {start: []}
+            children: Dict[Any, List[Tuple[Any, _Edge]]] = {start: []}
             frontier = [start]
             while frontier:
                 next_frontier = []
                 for vertex in frontier:
-                    for other in adjacency[vertex]:
+                    for other, edge in adjacency[vertex]:
                         if other in visited:
                             continue
                         visited[other] = True
                         children[other] = []
-                        children[vertex].append(other)
+                        children[vertex].append((other, edge))
                         next_frontier.append(other)
                 frontier = next_frontier
             # Euler tour of the component as a flat node list (iterative DFS:
             # down-arc, child subtree, up-arc).
             tour: List[_EttNode] = [vmap[start]]
-            stack: List[Tuple[Any, Any, int]] = [(start, None, 0)]
+            stack: List[Tuple[Any, Optional[_EttNode], int]] = [(start, None, 0)]
             while stack:
-                vertex, parent, child_index = stack.pop()
+                vertex, up_arc, child_index = stack.pop()
                 kids = children[vertex]
                 if child_index < len(kids):
-                    stack.append((vertex, parent, child_index + 1))
-                    child = kids[child_index]
-                    edge = self._edges[edge_key(vertex, child)]
+                    stack.append((vertex, up_arc, child_index + 1))
+                    child, edge = kids[child_index]
                     edge.is_tree = True
                     down = _EttNode(arc=(vertex, child))
                     up = _EttNode(arc=(child, vertex))
@@ -511,18 +511,54 @@ class DynamicConnectivity:
                     edge.tree_arcs.append(pair)
                     tour.append(down)
                     tour.append(vmap[child])
-                    stack.append((child, vertex, 0))
+                    stack.append((child, up, 0))
                     tree_edges += 1
-                elif parent is not None:
-                    edge = self._edges[edge_key(parent, vertex)]
-                    pair = edge.tree_arcs[0]
-                    tour.append(pair[1] if pair[0].arc == (parent, vertex) else pair[0])
+                elif up_arc is not None:
+                    tour.append(up_arc)
             _build_balanced(tour, 0, len(tour) - 1, None)
         for edge in self._edges.values():
             if not edge.is_tree:
                 self._nontree_add(0, edge)
         self._num_vertices = len(payload)
         KERNEL_COUNTERS.dynconn_tree_ops += tree_edges
+
+    def reset_payloads(self, vertices: Iterable[Tuple[Any, bool, float, float]]) -> None:
+        """Re-set every vertex payload in place and re-sum the level-0 tours.
+
+        ``vertices`` yields ``(id, is_core, demand, revenue)`` once for every
+        present vertex, as for :meth:`build`.  Trees, levels and non-tree
+        edges stay; one O(V + E) bottom-up pass re-pulls every level-0 splay
+        node.  Fixed-point sums do not depend on tree shape, so every
+        component summary equals a fresh :meth:`build`'s bit for bit.
+        """
+        vmap = self._vnodes[0]
+        count = 0
+        for vertex, is_core, demand, revenue in vertices:
+            node = vmap.get(vertex)
+            if node is None:
+                raise ValueError(f"vertex {vertex!r} is not present")
+            node.core = 1 if is_core else 0
+            node.demand = _to_fixed(demand)
+            node.revenue = _to_fixed(revenue)
+            count += 1
+        if count != self._num_vertices:
+            raise ValueError("reset_payloads() must cover every vertex once")
+        # Pre-order from each splay root lists every node after its parent,
+        # so the reversed order pulls children first.
+        stack = [node for node in vmap.values() if node.parent is None]
+        for edge in self._edges.values():
+            if edge.is_tree:
+                stack.extend(arc for arc in edge.tree_arcs[0] if arc.parent is None)
+        order: List[_EttNode] = []
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            if node.left is not None:
+                stack.append(node.left)
+            if node.right is not None:
+                stack.append(node.right)
+        for node in reversed(order):
+            _pull(node)
 
     # -- mutation ------------------------------------------------------
     def insert(self, u: Any, v: Any) -> Tuple:

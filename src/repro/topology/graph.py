@@ -13,6 +13,7 @@ networkx; :mod:`repro.topology.serialization` saves and loads it as JSON.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -31,6 +32,9 @@ from .node import Node, NodeRole
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from .compiled import CompiledGraph
+
+
+_SEQ = attrgetter("seq")
 
 
 class TopologyError(Exception):
@@ -58,6 +62,12 @@ class Topology:
         self._nodes: Dict[Any, Node] = {}
         self._adjacency: Dict[Any, Dict[Any, Link]] = {}
         self._links: Dict[Tuple[Any, Any], Link] = {}
+        # _links and every adjacency row iterate in ascending Link.seq order.
+        # An undo re-insertion (_reinsert_link) puts its link back in place
+        # in the two rows but appends it to _links and sets
+        # _links_unordered; the next ordered read re-sorts once.
+        self._next_seq = 0
+        self._links_unordered = False
         self.metadata: Dict[str, Any] = {}
         self._version: int = 0
         self._compiled: Optional["CompiledGraph"] = None
@@ -83,8 +93,9 @@ class Topology:
         """Manually bump :attr:`version`.
 
         Call after mutating link/node *annotations* in place (e.g. lengths or
-        capacities used as routing weights) so long-lived compiled views and
-        path caches rebuild; structural mutations bump automatically.
+        capacities used as routing weights) so the cached compiled view and
+        its cached weight columns rebuild; structural mutations bump
+        automatically.
         """
         self._bump_version()
 
@@ -198,16 +209,11 @@ class Topology:
         """
         self._require_node(u)
         self._require_node(v)
-        key = self._edge_key(u, v)
-        if key in self._links:
-            raise TopologyError(f"link {key} already exists")
-        for endpoint in (u, v):
-            limit = self._nodes[endpoint].max_degree
-            if limit is not None and self.degree(endpoint) >= limit:
-                raise TopologyError(
-                    f"adding link {key} would exceed max_degree={limit} "
-                    f"of node {endpoint!r}"
-                )
+        if u == v:
+            raise TopologyError(f"self-loops are not allowed (node {u!r})")
+        if v in self._adjacency[u]:
+            raise TopologyError(f"link {edge_key(u, v)} already exists")
+        self._check_degrees(u, v)
         if length is None:
             length = self._euclidean_length(u, v)
         link = Link(
@@ -221,85 +227,96 @@ class Topology:
             load=load,
             attributes=dict(attributes),
         )
-        self._links[key] = link
-        self._adjacency[u][v] = link
-        self._adjacency[v][u] = link
-        self._bump_version()
+        self._append_link(link)
         return link
 
     def add_link_object(self, link: Link) -> Link:
-        """Add an already-constructed :class:`Link` instance."""
+        """Add an already-constructed :class:`Link` instance.
+
+        The link takes this topology's next sequence number (``Link.seq``),
+        so one ``Link`` object belongs to one topology at a time.
+
+        Raises:
+            TopologyError: under the same conditions as :meth:`add_link`.
+        """
         self._require_node(link.source)
         self._require_node(link.target)
-        key = link.key
-        if key in self._links:
-            raise TopologyError(f"link {key} already exists")
-        self._links[key] = link
-        self._adjacency[link.source][link.target] = link
-        self._adjacency[link.target][link.source] = link
-        self._bump_version()
+        if link.target in self._adjacency[link.source]:
+            raise TopologyError(f"link {link.key} already exists")
+        self._check_degrees(link.source, link.target)
+        self._append_link(link)
         return link
 
     def remove_link(self, u: Any, v: Any) -> None:
         """Remove the link between ``u`` and ``v``."""
-        key = self._edge_key(u, v)
-        if key not in self._links:
-            raise TopologyError(f"link {key} does not exist")
-        del self._links[key]
+        link = self.link(u, v)
+        del self._links[link.key]
         del self._adjacency[u][v]
         del self._adjacency[v][u]
         self._bump_version()
 
-    def _restore_link_order(
-        self,
-        links_order: List[Tuple[Any, Any]],
-        adjacency_order: Dict[Any, List[Any]],
-    ) -> None:
-        """Restore link/adjacency dict iteration order (undo support).
+    def _append_link(self, link: Link) -> None:
+        link.seq = self._next_seq
+        self._next_seq += 1
+        self._links[link.key] = link
+        self._adjacency[link.source][link.target] = link
+        self._adjacency[link.target][link.source] = link
+        self._bump_version()
 
-        Re-inserting a removed :class:`Link` lands it at the *end* of the
-        link and adjacency dicts, so a remove → revert round trip would
-        otherwise permute the compiled edge order — structurally identical,
-        but no longer byte-identical for edge-indexed load columns.  Undo
-        records capture the pre-removal orders and call this after the links
-        are back.  Raises :class:`TopologyError` when the captured key sets
-        no longer match the live dicts (an interleaved structural mutation
-        that should have been reverted first).
+    def _reinsert_link(self, link: Link) -> None:
+        """Put a removed link back at its old place in link order (undo support).
+
+        The move engine's undo re-inserts the *original* object, with its
+        sequence number, so a remove → revert round trip leaves the compiled
+        edge order and every order-dependent float sum unchanged.  Each
+        endpoint row moves only its entries that sort after the link, O(degree)
+        at worst; the link table is flagged and re-sorted on its next ordered
+        read, so a rejected move costs no O(E) work.  The caller guarantees the
+        link is absent and both endpoints present (strict LIFO undo).
         """
-        if set(links_order) != set(self._links):
-            raise TopologyError(
-                "cannot restore link order: link set changed since capture"
-            )
-        self._links = {key: self._links[key] for key in links_order}
-        for u, neighbors in adjacency_order.items():
-            row = self._adjacency[u]
-            if set(neighbors) != set(row):
-                raise TopologyError(
-                    f"cannot restore adjacency order of {u!r}: "
-                    f"neighbor set changed since capture"
-                )
-            self._adjacency[u] = {v: row[v] for v in neighbors}
+        self._links[link.key] = link
+        self._links_unordered = True
+        seq = link.seq
+        for end, other in ((link.source, link.target), (link.target, link.source)):
+            row = self._adjacency[end]
+            later = []
+            for neighbor in reversed(row):
+                if row[neighbor].seq < seq:
+                    break
+                later.append(neighbor)
+            row[other] = link
+            for neighbor in reversed(later):
+                row[neighbor] = row.pop(neighbor)
+        self._bump_version()
+
+    def _ordered_links(self) -> Dict[Tuple[Any, Any], Link]:
+        """The link table in ascending sequence order (re-sorted if flagged)."""
+        if self._links_unordered:
+            self._links = {link.key: link for link in sorted(self._links.values(), key=_SEQ)}
+            self._links_unordered = False
+        return self._links
 
     def has_link(self, u: Any, v: Any) -> bool:
         """Return True if a link between ``u`` and ``v`` exists."""
-        if u == v:
-            return False
-        return edge_key(u, v) in self._links
+        row = self._adjacency.get(u)
+        return row is not None and v in row
 
     def link(self, u: Any, v: Any) -> Link:
         """Return the :class:`Link` between ``u`` and ``v``."""
-        key = self._edge_key(u, v)
-        if key not in self._links:
-            raise TopologyError(f"link {key} does not exist")
-        return self._links[key]
+        try:
+            return self._adjacency[u][v]
+        except KeyError:
+            if u == v:
+                raise TopologyError(f"self-loops are not allowed (node {u!r})") from None
+            raise TopologyError(f"link {edge_key(u, v)} does not exist") from None
 
     def links(self) -> Iterator[Link]:
-        """Iterate over link objects."""
-        return iter(self._links.values())
+        """Iterate over link objects, in insertion order."""
+        return iter(self._ordered_links().values())
 
     def link_keys(self) -> Iterator[Tuple[Any, Any]]:
-        """Iterate over canonical link keys."""
-        return iter(self._links.keys())
+        """Iterate over canonical link keys, in insertion order."""
+        return iter(self._ordered_links().keys())
 
     @property
     def num_links(self) -> int:
@@ -396,7 +413,7 @@ class Topology:
         for node_id in self._nodes:
             if node_id in keep:
                 sub.add_node_object(self._copy_node(self._nodes[node_id]))
-        for link in self._links.values():
+        for link in self._ordered_links().values():
             if link.source in keep and link.target in keep:
                 sub.add_link_object(self._copy_link(link))
         return sub
@@ -412,11 +429,11 @@ class Topology:
     # ------------------------------------------------------------------
     def total_install_cost(self) -> float:
         """Sum of installation costs over all links."""
-        return sum(link.install_cost for link in self._links.values())
+        return sum(link.install_cost for link in self._ordered_links().values())
 
     def total_usage_cost(self) -> float:
         """Sum of usage costs (marginal cost times load) over all links."""
-        return sum(link.usage_cost * link.load for link in self._links.values())
+        return sum(link.usage_cost * link.load for link in self._ordered_links().values())
 
     def total_cost(self) -> float:
         """Total cost of the topology (installation plus usage)."""
@@ -424,7 +441,7 @@ class Topology:
 
     def total_length(self) -> float:
         """Sum of link lengths (total installed fiber mileage)."""
-        return sum(link.length for link in self._links.values())
+        return sum(link.length for link in self._ordered_links().values())
 
     # ------------------------------------------------------------------
     # Validation
@@ -432,11 +449,12 @@ class Topology:
     def validate(self) -> List[str]:
         """Return a list of consistency problems (empty when valid).
 
-        Checks adjacency/link-dictionary consistency, degree constraints, and
-        capacity violations (load exceeding installed capacity).
+        Checks adjacency/link-dictionary consistency, adjacency rows in link
+        order, degree constraints, and capacity violations (load exceeding
+        installed capacity).
         """
         problems: List[str] = []
-        for key, link in self._links.items():
+        for key, link in self._ordered_links().items():
             if link.source not in self._nodes or link.target not in self._nodes:
                 problems.append(f"link {key} references missing node")
             if link.capacity is not None and link.load > link.capacity + 1e-9:
@@ -449,13 +467,17 @@ class Topology:
                 problems.append(
                     f"node {node_id!r} violates max_degree {limit} with degree {len(neighbors)}"
                 )
+            previous = -1
             for neighbor, link in neighbors.items():
-                if edge_key(node_id, neighbor) not in self._links:
+                if self._links.get(link.key) is not link:
                     problems.append(
                         f"adjacency entry ({node_id!r}, {neighbor!r}) missing from link table"
                     )
                 if node_id not in (link.source, link.target):
                     problems.append(f"link {link.key} stored under wrong node {node_id!r}")
+                if link.seq <= previous:
+                    problems.append(f"adjacency row of {node_id!r} out of link order")
+                previous = link.seq
         return problems
 
     # ------------------------------------------------------------------
@@ -465,13 +487,14 @@ class Topology:
         if node_id not in self._nodes:
             raise TopologyError(f"node {node_id!r} is not in the topology")
 
-    @staticmethod
-    def _edge_key(u: Any, v: Any) -> Tuple[Any, Any]:
-        """Canonical edge key, normalizing self-loop errors to TopologyError."""
-        try:
-            return edge_key(u, v)
-        except ValueError as exc:
-            raise TopologyError(str(exc)) from exc
+    def _check_degrees(self, u: Any, v: Any) -> None:
+        for endpoint in (u, v):
+            limit = self._nodes[endpoint].max_degree
+            if limit is not None and len(self._adjacency[endpoint]) >= limit:
+                raise TopologyError(
+                    f"adding link {edge_key(u, v)} would exceed max_degree={limit} "
+                    f"of node {endpoint!r}"
+                )
 
     def _euclidean_length(self, u: Any, v: Any) -> float:
         loc_u = self._nodes[u].location

@@ -24,7 +24,7 @@ def edge_key(u: Any, v: Any) -> Tuple[Any, Any]:
     return (u, v) if repr(u) <= repr(v) else (v, u)
 
 
-@dataclass
+@dataclass(slots=True)
 class Link:
     """A single undirected, capacity-annotated link.
 
@@ -38,6 +38,12 @@ class Link:
         usage_cost: Marginal cost per unit of carried traffic.
         load: Traffic currently routed over the link.
         attributes: Free-form extra annotations.
+        key: Canonical undirected edge key, computed once at construction
+            (the endpoints are never reassigned).
+        seq: Insertion sequence number in the owning
+            :class:`~repro.topology.graph.Topology`, which keeps its link
+            table and adjacency rows in ascending ``seq`` order; ``-1`` until
+            the link is added.
     """
 
     source: Any
@@ -49,10 +55,12 @@ class Link:
     usage_cost: float = 0.0
     load: float = 0.0
     attributes: Dict[str, Any] = field(default_factory=dict)
+    key: Tuple[Any, Any] = field(init=False, repr=False, compare=False)
+    seq: int = field(default=-1, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.source == self.target:
-            raise ValueError(f"self-loops are not allowed (node {self.source!r})")
+        # edge_key rejects a self-loop before any annotation check runs.
+        self.key = edge_key(self.source, self.target)
         # Written so that NaN fails every check: a NaN compares false.
         if self.capacity is not None and not 0 < self.capacity < inf:
             raise ValueError(f"link capacity must be positive and finite, got {self.capacity}")
@@ -68,11 +76,6 @@ class Link:
             )
         if not 0 <= self.load < inf:
             raise ValueError(f"link load must be finite and non-negative, got {self.load}")
-
-    @property
-    def key(self) -> Tuple[Any, Any]:
-        """Canonical undirected edge key."""
-        return edge_key(self.source, self.target)
 
     def other_end(self, node_id: Any) -> Any:
         """Return the endpoint opposite to ``node_id``.

@@ -87,20 +87,36 @@ OBJECTIVES = [
 ]
 
 
+def link_order(topology: Topology):
+    """Every order the undo contract keeps: link table, rows, compiled edges."""
+    return (
+        list(topology.link_keys()),
+        {node_id: topology.neighbors(node_id) for node_id in topology.node_ids()},
+        topology.compiled().edge_keys,
+    )
+
+
 class TestDeltaVsFullEquivalence:
     @pytest.mark.parametrize("name,make_objective", OBJECTIVES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_randomized_move_sequences(self, name, make_objective, seed):
-        """apply/revert over random move sequences tracks the canonical score."""
+        """apply/revert over random move sequences tracks the canonical score.
+
+        Every revert also puts links back in their old order: the link table,
+        each node's neighbor row and the compiled edge order equal their
+        values before the matching apply.
+        """
         topology = random_access_tree(seed)
         state = IncrementalState(topology, make_objective())
         start_score = state.score
+        start_order = link_order(topology)
         rng = random.Random(seed)
         applied = 0
         for step in range(150):
             move = random_move(topology, rng, step)
             if move is None:
                 continue
+            order = link_order(topology)
             try:
                 state.apply(move)
             except TopologyError:
@@ -110,11 +126,13 @@ class TestDeltaVsFullEquivalence:
             if rng.random() < 0.5:
                 state.revert()
                 state.verify()
+                assert link_order(topology) == order
         assert applied > 30
         state.revert_to(0)
         state.verify()
         # Full rollback restores the starting score bit-exactly, not approximately.
         assert state.score == start_score
+        assert link_order(topology) == start_order
         assert topology.validate() == []
 
     def test_apply_returns_score_delta(self):
@@ -216,7 +234,58 @@ class TestMoves:
         assert state.undo_depth == 0
 
 
+class _IterationCountingDict(dict):
+    """A dict that counts every pass over its keys, values or items."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.iterations += 1
+        return super().keys()
+
+    def values(self):
+        self.iterations += 1
+        return super().values()
+
+    def items(self):
+        self.iterations += 1
+        return super().items()
+
+
 class TestUndoStack:
+    def test_rejected_rewire_leaves_the_link_table_alone(self):
+        """Apply + revert of a Rewire neither rebuilds nor walks the link table."""
+        leaves = 20_000
+        rng = random.Random(4)
+        topology = Topology()
+        topology.add_node("hub", role=NodeRole.CORE, location=(0.5, 0.5))
+        for i in range(leaves):
+            topology.add_node(
+                i, role=NodeRole.CUSTOMER, location=(rng.random(), rng.random()), demand=1.0
+            )
+            topology.add_link(i, "hub", install_cost=1.0)
+        state = IncrementalState(topology, CostObjective())
+        score = state.score
+        keys = list(topology.link_keys())
+        table = _IterationCountingDict(topology._links)
+        topology._links = table
+        for step in range(300):
+            leaf = (step * 6007) % leaves
+            move = Rewire(leaf, "hub", (leaf + 1) % leaves)
+            state.apply(move)
+            state.revert(move)
+        assert topology._links is table
+        assert table.iterations == 0
+        assert state.score == score
+        assert list(topology.link_keys()) == keys
+        assert topology.validate() == []
+
     def test_revert_without_moves_raises(self):
         state = IncrementalState(random_access_tree(0), CostObjective())
         with pytest.raises(ValueError):
@@ -243,6 +312,83 @@ class TestUndoStack:
             state.revert_to(5)
         with pytest.raises(ValueError):
             state.revert_to(-1)
+
+
+def served_bits(state: IncrementalState):
+    """The served aggregates and every node's component summary, as bits."""
+    summaries = {}
+    for node_id in state.topology.node_ids():
+        summary = state._dyn.summary(node_id)
+        summaries[node_id] = (
+            summary.size,
+            summary.has_core,
+            summary.demand.hex(),
+            summary.revenue.hex(),
+            state.is_served(node_id),
+        )
+    return (
+        state.score.hex(),
+        state.served_demand.hex(),
+        state.unserved_demand.hex(),
+        summaries,
+    )
+
+
+class TestRebuild:
+    def moved_state(self, make_objective):
+        """A state whose forest has been reshaped by kept and reverted moves."""
+        topology = random_access_tree(6, size=40)
+        state = IncrementalState(topology, make_objective())
+        rng = random.Random(6)
+        for step in range(60):
+            move = random_move(topology, rng, step)
+            if move is None:
+                continue
+            try:
+                state.apply(move)
+            except TopologyError:
+                continue
+            if rng.random() < 0.5:
+                state.revert()
+        return topology, state
+
+    @staticmethod
+    def edit_annotations(topology: Topology) -> None:
+        """Growth-style edits: demand growth, a role change, re-priced links."""
+        for node in topology.nodes():
+            if node.role == NodeRole.CUSTOMER:
+                node.demand *= 1.1
+        topology.node("c7").role = NodeRole.CORE
+        for link in topology.links():
+            link.install_cost *= 1.5
+            link.load += 0.25
+
+    @pytest.mark.parametrize("name,make_objective", OBJECTIVES)
+    def test_kept_forest_resync_equals_fresh_state(self, name, make_objective):
+        topology, state = self.moved_state(make_objective)
+        self.edit_annotations(topology)
+        tree_ops = KERNEL_COUNTERS.dynconn_tree_ops
+        forest = state._dyn
+        state.rebuild()
+        assert state._dyn is forest
+        assert KERNEL_COUNTERS.dynconn_tree_ops == tree_ops  # no forest was built
+        assert state.undo_depth == 0
+        assert served_bits(state) == served_bits(IncrementalState(topology, make_objective()))
+
+    @pytest.mark.parametrize("name,make_objective", OBJECTIVES)
+    def test_structural_edit_behind_the_state_builds_a_new_forest(
+        self, name, make_objective
+    ):
+        topology, state = self.moved_state(make_objective)
+        self.edit_annotations(topology)
+        forest = state._dyn
+        assert state.is_served("c3") and topology.degree("c3") > 0
+        for neighbor in topology.neighbors("c3"):
+            topology.remove_link("c3", neighbor)
+        state.rebuild()
+        assert not state.is_served("c3")
+        assert state._dyn is not forest
+        assert served_bits(state) == served_bits(IncrementalState(topology, make_objective()))
 
 
 class TestCounters:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.topology.graph import Topology, TopologyError, union
+from repro.topology.link import Link
 from repro.topology.node import NodeRole
 
 
@@ -76,6 +77,17 @@ class TestLinkOperations:
         topo.add_link("hub", "a")
         with pytest.raises(TopologyError):
             topo.add_link("hub", "b")
+
+    def test_max_degree_enforced_on_add_link_object(self):
+        topo = Topology()
+        topo.add_node("hub", max_degree=1)
+        topo.add_node("a")
+        topo.add_node("b")
+        topo.add_link_object(Link(source="hub", target="a"))
+        with pytest.raises(TopologyError, match="max_degree=1"):
+            topo.add_link_object(Link(source="b", target="hub"))
+        assert topo.num_links == 1
+        assert topo.validate() == []
 
     def test_has_link_self(self, triangle_topology):
         assert not triangle_topology.has_link("a", "a")

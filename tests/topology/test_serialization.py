@@ -1,8 +1,10 @@
 """Tests for repro.topology.serialization."""
 
+import re
+
 import pytest
 
-from repro.topology.graph import Topology
+from repro.topology.graph import Topology, TopologyError
 from repro.topology.node import NodeRole
 from repro.topology.serialization import (
     load_json,
@@ -31,6 +33,15 @@ class TestDictRoundTrip:
         link = restored.link("a", "b")
         assert link.capacity == 155.0
         assert link.cable == "OC-3"
+
+    def test_load_enforces_max_degree(self):
+        data = {
+            "nodes": [{"node_id": "a", "max_degree": 1}, {"node_id": "b"}, {"node_id": "c"}],
+            "links": [{"source": "a", "target": "b"}, {"source": "a", "target": "c"}],
+        }
+        message = "adding link ('a', 'c') would exceed max_degree=1 of node 'a'"
+        with pytest.raises(TopologyError, match=re.escape(message)):
+            topology_from_dict(data)
 
 
 class TestJson:
