@@ -13,8 +13,9 @@ dispatch overhead, deterministic by construction):
 * **resume after a crash** — populate the store, delete ~12.5% of the
   records (a sweep killed near the end), re-run with ``resume=True``.
   Gate: the resumed sweep costs <= 25% of the cold run full (<= 50% smoke).
-* **chaos convergence** — a kill+raise fault plan against parallel workers
-  must still produce a manifest byte-identical to a clean ``--jobs 1`` run.
+* **chaos convergence** — a kill+raise fault schedule against parallel
+  workers (``tests/chaos.py`` wraps the suite's ``run_point``) must still
+  produce a manifest byte-identical to a clean ``--jobs 1`` run.
 
 Run directly (``python benchmarks/bench_runner_resilience.py``) for the full
 24-task sweep, or with ``--smoke`` for the 8-task CI variant.  Writes
@@ -28,14 +29,13 @@ import argparse
 import hashlib
 import multiprocessing
 import os
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 from repro.experiments import (
     ExperimentSuite,
-    Fault,
-    FaultPlan,
     ResultStore,
     register_suite,
     run_experiment,
@@ -44,6 +44,9 @@ from repro.experiments import (
 from repro.experiments.reporting import emit_rows, write_bench_json
 from repro.experiments.runner import execute_task
 from repro.experiments.task import expand_grid
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from chaos import Fault, faulted  # noqa: E402
 
 SUITE_ID = "RSL"
 BASE_SEED = 23
@@ -96,12 +99,12 @@ def _barrier_reference(tasks, jobs: int) -> float:
         return time.perf_counter() - start
 
 
-def _work_queue(tasks, jobs: int, faults: FaultPlan | None = None) -> float:
+def _work_queue(tasks, jobs: int) -> float:
     """One cold run through the fault-tolerant work queue."""
     with tempfile.TemporaryDirectory() as tmp:
         store = ResultStore(Path(tmp))
         start = time.perf_counter()
-        run_tasks(tasks, jobs=jobs, store=store, fault_plan=faults, retry_backoff=0.01)
+        run_tasks(tasks, jobs=jobs, store=store, retry_backoff=0.01)
         return time.perf_counter() - start
 
 
@@ -174,17 +177,13 @@ def run_benchmark(smoke: bool = False, jobs: int = 2):
         clean_dir = Path(tmp) / "clean"
         chaos_dir = Path(tmp) / "chaos"
         run_experiment(SUITE_ID, smoke=smoke, jobs=1, results_dir=clean_dir)
-        faults = {tasks[3].digest: [Fault("raise", message="chaos")]}
+        faults = {tasks[3].seed: [Fault("raise", message="chaos")]}
         if HAS_FORK:
-            faults[tasks[1].digest] = [Fault("kill")]
-        chaos = run_experiment(
-            SUITE_ID,
-            smoke=smoke,
-            jobs=jobs,
-            results_dir=chaos_dir,
-            fault_plan=FaultPlan(faults),
-            retry_backoff=0.01,
-        )
+            faults[tasks[1].seed] = [Fault("kill")]
+        with faulted(SUITE_ID, faults, Path(tmp) / "attempts"):
+            chaos = run_experiment(
+                SUITE_ID, smoke=smoke, jobs=jobs, results_dir=chaos_dir, retry_backoff=0.01
+            )
         clean_bytes = (clean_dir / SUITE_ID / "manifest.json").read_bytes()
         chaos_bytes = (chaos_dir / SUITE_ID / "manifest.json").read_bytes()
     assert chaos_bytes == clean_bytes, "chaos manifest diverged from clean serial run"

@@ -5,12 +5,10 @@ expansion from :mod:`repro.workloads.scenarios` sweep grids, a deterministic
 fault-tolerant work-queue runner (:func:`run_tasks` / :func:`run_experiment`:
 streaming per-task persistence, worker-death recovery, bounded retries,
 timeouts, quarantine), the crash-safe content-addressed ``RESULTS/`` store
-with per-scenario manifests, the deterministic fault-injection harness
-(:mod:`repro.experiments.faults`), and the shared reporting helpers used by
-all ``benchmarks/bench_*.py`` scripts and ``python -m repro.cli run``.
+with per-scenario manifests, and the shared reporting helpers used by all
+``benchmarks/bench_*.py`` scripts and ``python -m repro.cli run``.
 """
 
-from .faults import Fault, FaultPlan, InjectedFault, active_fault_plan
 from .manifest import ResultStore, TaskRecord, identity_view, json_safe, payload_sha256
 from .registry import (
     ExperimentSuite,
@@ -47,15 +45,11 @@ __all__ = [
     "DegradedSweepError",
     "ExperimentResult",
     "ExperimentSuite",
-    "Fault",
-    "FaultPlan",
-    "InjectedFault",
     "ResultStore",
     "RunReport",
     "Task",
     "TaskRecord",
     "TaskTimeoutError",
-    "active_fault_plan",
     "available_experiments",
     "canonical_json",
     "derive_seed",

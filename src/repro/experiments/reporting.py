@@ -271,7 +271,9 @@ def experiment_bench_payload(result: ExperimentResult) -> Dict[str, object]:
         "resilience": resilience_summary(result.report),
         "timing": {
             "sweep_seconds": round(result.report.elapsed_seconds, 6),
-            "per_task": summarize_timings(list(result.record_timings.values())),
+            "per_task": summarize_timings(
+                [record.timing.get("seconds", 0.0) for record in result.records]
+            ),
             "peak_rss_kb": max(
                 (record.timing.get("peak_rss_kb", 0) for record in result.records),
                 default=0,

@@ -31,19 +31,18 @@ reset/snapshotted per task in the executing process, and records are
 reassembled in task-index order.  A retried or resumed task is therefore
 bit-identical to a first-run task *by construction*, so any fault schedule
 that ends without quarantines converges to the byte-identical manifest of a
-clean serial run (the chaos suite pins this).
-
-Fault injection for tests and chaos CI lives in
-:mod:`repro.experiments.faults`; plans arrive via the ``fault_plan`` argument
-or the ``REPRO_FAULTS`` environment variable.
+clean serial run.  The chaos suite pins this by re-registering a suite whose
+``run_point`` fails on scheduled attempts; the runner has no injection hook.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import multiprocessing.connection
 import resource
 import signal
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -52,7 +51,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from ..topology.compiled import KERNEL_COUNTERS
-from .faults import FaultPlan, active_fault_plan, apply_execution_fault, corrupt_record_file
 from .manifest import ResultStore, TaskRecord, json_safe
 from .registry import Tables, get_suite, load_builtin_suites
 from .task import Task
@@ -107,27 +105,21 @@ def peak_rss_kb() -> int:
     of the worker up to and including that task.
     """
     usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # Linux reports kilobytes; macOS reports bytes.
-    return int(usage if usage < 1 << 40 else usage // 1024)
+    # macOS reports bytes; Linux and the BSDs report kilobytes.
+    return int(usage // 1024 if sys.platform == "darwin" else usage)
 
 
-def execute_task(
-    task: Task, attempt: int = 1, fault_plan: Optional[FaultPlan] = None
-) -> TaskRecord:
+def execute_task(task: Task) -> TaskRecord:
     """Run one task in the current process and return its record.
 
     ``timing`` carries wall-clock seconds and the executing process's peak
     RSS; both live outside the record's identity
     (:data:`~repro.experiments.manifest.TIMING_FIELDS`), so payload digests
     and manifests stay byte-identical across machines and memory profiles.
-    ``attempt`` exists only to index the fault-injection schedule — it never
-    enters the record, so a retried task is bit-identical to a first run.
     """
     suite = get_suite(task.scenario_id)
-    plan = fault_plan if fault_plan is not None else active_fault_plan()
     KERNEL_COUNTERS.reset()
     start = time.perf_counter()
-    apply_execution_fault(plan, task.digest, attempt)
     payload = json_safe(suite.run_point(task.point_dict, task.seed))
     elapsed = time.perf_counter() - start
     counters = KERNEL_COUNTERS.snapshot()
@@ -148,7 +140,7 @@ def _error_text(error: BaseException) -> str:
     return f"{type(error).__name__}: {error}"
 
 
-def _worker_loop(conn, fault_plan: Optional[FaultPlan]) -> None:
+def _worker_loop(conn) -> None:
     """Worker entry point (module-level so it is picklable under spawn).
 
     Messages are ``("ok", digest, attempt, record)`` or ``("error", digest,
@@ -167,7 +159,7 @@ def _worker_loop(conn, fault_plan: Optional[FaultPlan]) -> None:
             return
         task, attempt = item
         try:
-            record = execute_task(task, attempt=attempt, fault_plan=fault_plan)
+            record = execute_task(task)
         except Exception as error:  # recoverable: the parent retries/quarantines
             conn.send(("error", task.digest, attempt, _error_text(error)))
         else:
@@ -188,11 +180,9 @@ class _WorkerHandle:
     worker death.
     """
 
-    def __init__(self, context, fault_plan: Optional[FaultPlan]) -> None:
+    def __init__(self, context) -> None:
         self.conn, child_conn = context.Pipe(duplex=True)
-        self.process = context.Process(
-            target=_worker_loop, args=(child_conn, fault_plan), daemon=True
-        )
+        self.process = context.Process(target=_worker_loop, args=(child_conn,), daemon=True)
         self.process.start()
         child_conn.close()  # parent's copy of the child end
         self.digest: Optional[str] = None
@@ -273,14 +263,12 @@ class _SweepExecutor:
     def __init__(
         self,
         store: Optional[ResultStore],
-        plan: Optional[FaultPlan],
         max_retries: int,
         task_timeout: Optional[float],
         retry_backoff: float,
         report: RunReport,
     ) -> None:
         self.store = store
-        self.plan = plan
         self.max_retries = max_retries
         self.task_timeout = task_timeout
         self.retry_backoff = retry_backoff
@@ -291,15 +279,11 @@ class _SweepExecutor:
         """Exponential backoff before retry number ``attempts`` (1-based)."""
         return self.retry_backoff * (2 ** max(0, attempts - 1))
 
-    def persist(self, record: TaskRecord, attempt: int) -> None:
-        """Stream one completed record into the store (+ injected corruption)."""
+    def persist(self, record: TaskRecord) -> None:
+        """Stream one completed record into the store."""
         self.completed[record.digest] = record
-        if self.store is None:
-            return
-        path = self.store.store(record)
-        fault = self.plan.fault_for(record.digest, attempt) if self.plan is not None else None
-        if fault is not None and fault.kind == "corrupt":
-            corrupt_record_file(path, fault.keep_bytes)
+        if self.store is not None:
+            self.store.store(record)
 
     def quarantine(self, task: Task, error: str) -> None:
         """Give up on a task: record it and write its marker file."""
@@ -326,8 +310,8 @@ def _serial_deadline(seconds: Optional[float]):
         raise TaskTimeoutError()
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
@@ -347,14 +331,14 @@ def _run_serial(executor: _SweepExecutor, pending: Sequence[Task]) -> None:
             attempt += 1
             try:
                 with _serial_deadline(executor.task_timeout):
-                    record = execute_task(task, attempt=attempt, fault_plan=executor.plan)
+                    record = execute_task(task)
             except TaskTimeoutError:
                 executor.report.timeouts += 1
                 failure = f"timeout after {executor.task_timeout}s (attempt {attempt})"
             except Exception as error:
                 failure = _error_text(error)
             else:
-                executor.persist(record, attempt)
+                executor.persist(record)
                 break
             if attempt > executor.max_retries:
                 executor.quarantine(task, failure)
@@ -371,7 +355,7 @@ def _run_work_queue(executor: _SweepExecutor, pending: Sequence[Task], jobs: int
     # the tail once their backoff expires.
     waiting: List[str] = [task.digest for task in sorted(pending, key=lambda t: t.index)]
     report = executor.report
-    workers = [_WorkerHandle(context, executor.plan) for _ in range(min(jobs, len(pending)))]
+    workers = [_WorkerHandle(context) for _ in range(min(jobs, len(pending)))]
 
     def _fail_attempt(digest: str, reason: str) -> None:
         state = states[digest]
@@ -386,7 +370,7 @@ def _run_work_queue(executor: _SweepExecutor, pending: Sequence[Task], jobs: int
         """Hard-stop a worker, respawn its slot, and retry its task (if any)."""
         digest = worker.digest
         worker.kill()
-        workers[workers.index(worker)] = _WorkerHandle(context, executor.plan)
+        workers[workers.index(worker)] = _WorkerHandle(context)
         if digest is not None:
             _fail_attempt(digest, reason)
 
@@ -396,7 +380,7 @@ def _run_work_queue(executor: _SweepExecutor, pending: Sequence[Task], jobs: int
         if digest not in states or digest in executor.completed or digest in report.quarantined:
             return  # duplicate/stale result from a superseded attempt
         if kind == "ok":
-            executor.persist(payload, attempt)
+            executor.persist(payload)
         else:
             _fail_attempt(digest, str(payload))
 
@@ -476,7 +460,6 @@ def run_tasks(
     max_retries: int = DEFAULT_MAX_RETRIES,
     task_timeout: Optional[float] = None,
     retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-    fault_plan: Optional[FaultPlan] = None,
     resume: bool = False,
 ) -> RunReport:
     """Execute a task list fault-tolerantly, using the cache and ``jobs`` workers.
@@ -487,11 +470,13 @@ def run_tasks(
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-    if task_timeout is not None and task_timeout <= 0:
-        raise ValueError("task_timeout must be positive")
-    plan = fault_plan if fault_plan is not None else active_fault_plan()
+    # Chained comparisons, so NaN fails them too.
+    if not 0 <= max_retries < math.inf:
+        raise ValueError(f"max_retries must be finite and >= 0, got {max_retries}")
+    if task_timeout is not None and not 0 < task_timeout < math.inf:
+        raise ValueError(f"task_timeout must be finite and > 0, got {task_timeout}")
+    if not 0 <= retry_backoff < math.inf:
+        raise ValueError(f"retry_backoff must be finite and >= 0, got {retry_backoff}")
     start = time.perf_counter()
     scenario_id = tasks[0].scenario_id if tasks else ""
     corrupt_before = store.corrupt_count if store is not None else 0
@@ -518,7 +503,7 @@ def run_tasks(
         resumed=(len(tasks) - len(pending)) if resume else 0,
     )
     if pending:
-        executor = _SweepExecutor(store, plan, max_retries, task_timeout, retry_backoff, report)
+        executor = _SweepExecutor(store, max_retries, task_timeout, retry_backoff, report)
         if jobs == 1 or len(pending) == 1:
             _run_serial(executor, pending)
         else:
@@ -550,7 +535,6 @@ class ExperimentResult:
     report: RunReport
     manifest_path: Optional[Path] = None
     gates_checked: bool = False
-    record_timings: Dict[int, float] = field(default_factory=dict)
 
     @property
     def records(self) -> List[TaskRecord]:
@@ -573,7 +557,6 @@ def run_experiment(
     max_retries: int = DEFAULT_MAX_RETRIES,
     task_timeout: Optional[float] = None,
     retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-    fault_plan: Optional[FaultPlan] = None,
     resume: bool = False,
     strict: bool = True,
 ) -> ExperimentResult:
@@ -599,7 +582,6 @@ def run_experiment(
         max_retries=max_retries,
         task_timeout=task_timeout,
         retry_backoff=retry_backoff,
-        fault_plan=fault_plan,
         resume=resume,
     )
     manifest_path = None
@@ -630,7 +612,6 @@ def run_experiment(
         report=report,
         manifest_path=manifest_path,
         gates_checked=False,
-        record_timings={r.index: r.timing.get("seconds", 0.0) for r in report.records},
     )
     if report.degraded:
         # Aggregates and gates assume the full grid; a partial sweep reports

@@ -1,4 +1,4 @@
-"""Chaos suite for the fault-tolerant runner (repro.experiments.runner/faults).
+"""Chaos suite for the fault-tolerant runner (repro.experiments.runner).
 
 The convergence contract under test: because every task carries its own
 SHA-256-derived seed, a retried or resumed task is bit-identical to a
@@ -6,6 +6,10 @@ first-run task, so *any* injected fault schedule that ends without
 quarantines must converge to the byte-identical manifest of a clean serial
 run — and a quarantining schedule must flag the manifest degraded while
 keeping the surviving entries byte-identical.
+
+Faults come from ``tests/chaos.py``: each test re-registers the suite with a
+``run_point`` that fails on scheduled attempts, runs the sweep, and restores
+the clean suite before it computes the reference manifest.
 """
 
 import json
@@ -17,16 +21,14 @@ import pytest
 from repro.experiments import (
     DegradedSweepError,
     ExperimentSuite,
-    Fault,
-    FaultPlan,
-    InjectedFault,
     ResultStore,
     register_suite,
     run_experiment,
     run_tasks,
 )
-from repro.experiments.faults import FAULTS_ENV, active_fault_plan
 from repro.experiments.task import expand_grid
+
+from chaos import Fault, InjectedFault, faulted, faulty
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="parallel workers need fork start method")
@@ -61,6 +63,13 @@ register_suite(
 )
 
 TASKS = _expand(False)
+KILL = Fault("kill")
+RAISE = Fault("raise")
+
+
+def _faulted(tmp_path, schedule):
+    """Fault the chaos suite with ``schedule`` (task seed -> per-attempt faults)."""
+    return faulted(SUITE_ID, schedule, tmp_path / "attempts")
 
 
 def _clean_manifest(tmp_path):
@@ -71,41 +80,23 @@ def _clean_manifest(tmp_path):
 
 
 class TestFaultPlan:
-    def test_schedule_indexed_by_attempt(self):
-        plan = FaultPlan({"d": [Fault("raise"), None, Fault("sleep", seconds=1.0)]})
-        assert plan.fault_for("d", 1).kind == "raise"
-        assert plan.fault_for("d", 2) is None
-        assert plan.fault_for("d", 3).kind == "sleep"
-        assert plan.fault_for("d", 4) is None
-        assert plan.fault_for("other", 1) is None
-        with pytest.raises(ValueError):
-            plan.fault_for("d", 0)
-
-    def test_json_round_trip(self):
-        plan = FaultPlan({"a": [Fault("kill"), None], "b": [Fault("corrupt", keep_bytes=3)]})
-        rebuilt = FaultPlan.from_json(plan.to_json())
-        assert rebuilt.to_json() == plan.to_json()
+    def test_schedule_indexed_by_attempt(self, tmp_path):
+        # Attempt n takes the schedule's n-th entry; None entries, attempts
+        # past the end and seeds outside the schedule run the real point.
+        task, other = TASKS[0], TASKS[1]
+        run = faulty(_run_point, {task.seed: [RAISE, None, RAISE]}, tmp_path)
+        clean = _run_point(task.point_dict, task.seed)
+        with pytest.raises(InjectedFault, match="attempt 1"):
+            run(task.point_dict, task.seed)
+        assert run(task.point_dict, task.seed) == clean
+        with pytest.raises(InjectedFault, match="attempt 3"):
+            run(task.point_dict, task.seed)
+        assert run(task.point_dict, task.seed) == clean
+        assert run(other.point_dict, other.seed) == _run_point(other.point_dict, other.seed)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Fault("explode")
-
-    def test_env_activation_inline_json(self, monkeypatch):
-        plan = FaultPlan({"d": [Fault("raise", message="from env")]})
-        monkeypatch.setenv(FAULTS_ENV, json.dumps(plan.to_json()))
-        active = active_fault_plan()
-        assert active is not None and active.fault_for("d", 1).message == "from env"
-
-    def test_env_activation_plan_file(self, monkeypatch, tmp_path):
-        plan_file = tmp_path / "plan.json"
-        plan_file.write_text(json.dumps(FaultPlan({"d": [Fault("kill")]}).to_json()))
-        monkeypatch.setenv(FAULTS_ENV, str(plan_file))
-        active = active_fault_plan()
-        assert active is not None and active.fault_for("d", 1).kind == "kill"
-
-    def test_no_env_no_plan(self, monkeypatch):
-        monkeypatch.delenv(FAULTS_ENV, raising=False)
-        assert active_fault_plan() is None
 
 
 class TestWorkerDeath:
@@ -113,13 +104,9 @@ class TestWorkerDeath:
     def test_sigkill_mid_sweep_converges(self, tmp_path):
         # Two workers die mid-task; their tasks are re-dispatched to fresh
         # workers and the manifest is byte-identical to the clean serial run.
-        plan = FaultPlan(
-            {TASKS[1].digest: [Fault("kill")], TASKS[4].digest: [Fault("kill")]}
-        )
         chaos_dir = tmp_path / "chaos"
-        result = run_experiment(
-            SUITE_ID, jobs=3, results_dir=chaos_dir, fault_plan=plan, **FAST
-        )
+        with _faulted(tmp_path, {TASKS[1].seed: [KILL], TASKS[4].seed: [KILL]}):
+            result = run_experiment(SUITE_ID, jobs=3, results_dir=chaos_dir, **FAST)
         assert result.report.retries >= 2
         assert not result.report.quarantined
         chaos = (chaos_dir / SUITE_ID / "manifest.json").read_bytes()
@@ -131,17 +118,11 @@ class TestWorkerDeath:
         # sweep still completes, flagged degraded, with the surviving entries
         # byte-identical to the clean manifest's.
         victim = TASKS[2]
-        plan = FaultPlan({victim.digest: [Fault("kill")] * 3})
         chaos_dir = tmp_path / "chaos"
-        result = run_experiment(
-            SUITE_ID,
-            jobs=2,
-            results_dir=chaos_dir,
-            fault_plan=plan,
-            max_retries=2,
-            strict=False,
-            **FAST,
-        )
+        with _faulted(tmp_path, {victim.seed: [KILL] * 3}):
+            result = run_experiment(
+                SUITE_ID, jobs=2, results_dir=chaos_dir, max_retries=2, strict=False, **FAST
+            )
         assert result.degraded and set(result.report.quarantined) == {victim.digest}
         assert "worker died" in result.report.quarantined[victim.digest]
         assert result.tables == {} and not result.gates_checked
@@ -161,12 +142,11 @@ class TestRetries:
     def test_flaky_task_retries_until_success(self, tmp_path, jobs):
         # Fails twice, succeeds on the third attempt — within the default
         # retry budget, so the sweep converges with no quarantine.
-        flaky = TASKS[3]
-        plan = FaultPlan({flaky.digest: [Fault("raise"), Fault("raise")]})
         chaos_dir = tmp_path / "chaos"
-        result = run_experiment(
-            SUITE_ID, jobs=jobs, results_dir=chaos_dir, fault_plan=plan, max_retries=2, **FAST
-        )
+        with _faulted(tmp_path, {TASKS[3].seed: [RAISE, RAISE]}):
+            result = run_experiment(
+                SUITE_ID, jobs=jobs, results_dir=chaos_dir, max_retries=2, **FAST
+            )
         assert result.report.retries == 2
         assert not result.report.quarantined
         chaos = (chaos_dir / SUITE_ID / "manifest.json").read_bytes()
@@ -174,10 +154,8 @@ class TestRetries:
 
     def test_exhausted_retries_quarantine_serial(self, tmp_path):
         always = TASKS[0]
-        plan = FaultPlan({always.digest: [Fault("raise", message="still broken")] * 3})
-        report = run_tasks(
-            TASKS, store=ResultStore(tmp_path), fault_plan=plan, max_retries=2, **FAST
-        )
+        with _faulted(tmp_path, {always.seed: [Fault("raise", message="still broken")] * 3}):
+            report = run_tasks(TASKS, store=ResultStore(tmp_path), max_retries=2, **FAST)
         assert report.degraded
         assert report.quarantined[always.digest] == "InjectedFault: still broken"
         assert report.retries == 2
@@ -191,11 +169,9 @@ class TestRetries:
         assert not store.quarantine_marker_path(SUITE_ID, always.digest).exists()
 
     def test_strict_run_experiment_raises_degraded(self, tmp_path):
-        plan = FaultPlan({TASKS[5].digest: [Fault("raise")] * 2})
-        with pytest.raises(DegradedSweepError) as excinfo:
-            run_experiment(
-                SUITE_ID, results_dir=tmp_path, fault_plan=plan, max_retries=1, **FAST
-            )
+        with _faulted(tmp_path, {TASKS[5].seed: [RAISE] * 2}):
+            with pytest.raises(DegradedSweepError) as excinfo:
+                run_experiment(SUITE_ID, results_dir=tmp_path, max_retries=1, **FAST)
         # The partial manifest was written before the raise.
         result = excinfo.value.result
         assert result.manifest_path is not None and result.manifest_path.exists()
@@ -206,41 +182,35 @@ class TestTimeouts:
     @needs_fork
     def test_timeout_quarantine_degraded_parallel(self, tmp_path):
         sleeper = TASKS[2]
-        plan = FaultPlan({sleeper.digest: [Fault("sleep", seconds=30.0)] * 2})
-        result = run_experiment(
-            SUITE_ID,
-            jobs=2,
-            results_dir=tmp_path,
-            fault_plan=plan,
-            max_retries=1,
-            task_timeout=0.4,
-            strict=False,
-            **FAST,
-        )
+        with _faulted(tmp_path, {sleeper.seed: [Fault("sleep", seconds=30.0)] * 2}):
+            result = run_experiment(
+                SUITE_ID,
+                jobs=2,
+                results_dir=tmp_path,
+                max_retries=1,
+                task_timeout=0.4,
+                strict=False,
+                **FAST,
+            )
         assert result.report.timeouts == 2
         assert set(result.report.quarantined) == {sleeper.digest}
         assert "timeout after 0.4s" in result.report.quarantined[sleeper.digest]
 
     def test_timeout_serial_via_sigalrm(self, tmp_path):
         sleeper = TASKS[1]
-        plan = FaultPlan({sleeper.digest: [Fault("sleep", seconds=30.0)] * 2})
-        report = run_tasks(
-            TASKS,
-            store=ResultStore(tmp_path),
-            fault_plan=plan,
-            max_retries=1,
-            task_timeout=0.3,
-            **FAST,
-        )
+        with _faulted(tmp_path, {sleeper.seed: [Fault("sleep", seconds=30.0)] * 2}):
+            report = run_tasks(
+                TASKS, store=ResultStore(tmp_path), max_retries=1, task_timeout=0.3, **FAST
+            )
         assert report.timeouts == 2
         assert set(report.quarantined) == {sleeper.digest}
 
     @needs_fork
     def test_slow_task_within_budget_completes(self, tmp_path):
-        plan = FaultPlan({TASKS[0].digest: [Fault("sleep", seconds=0.1)]})
-        result = run_experiment(
-            SUITE_ID, jobs=2, results_dir=tmp_path, fault_plan=plan, task_timeout=10.0, **FAST
-        )
+        with _faulted(tmp_path, {TASKS[0].seed: [Fault("sleep", seconds=0.1)]}):
+            result = run_experiment(
+                SUITE_ID, jobs=2, results_dir=tmp_path, task_timeout=10.0, **FAST
+            )
         assert result.report.timeouts == 0 and not result.report.quarantined
 
 
@@ -258,16 +228,6 @@ class TestStoreCorruption:
         assert corrupt.exists() and victim.exists()  # quarantined + recomputed
         assert (store_dir / SUITE_ID / "manifest.json").read_bytes() == clean
 
-    def test_corrupt_fault_kind_truncates_store_file(self, tmp_path):
-        plan = FaultPlan({TASKS[0].digest: [Fault("corrupt", keep_bytes=9)]})
-        report = run_tasks(TASKS, store=ResultStore(tmp_path), fault_plan=plan)
-        assert not report.degraded  # execution itself is clean
-        path = ResultStore(tmp_path).record_path(SUITE_ID, TASKS[0].digest)
-        assert path.stat().st_size == 9
-        # The next run quarantines the torn file and recomputes the point.
-        rerun = run_tasks(TASKS, store=ResultStore(tmp_path))
-        assert rerun.corrupt_quarantined == 1 and rerun.executed == 1
-
 
 class TestInterruptResume:
     def test_interrupted_serial_sweep_resumes_to_identical_manifest(self, tmp_path):
@@ -276,10 +236,10 @@ class TestInterruptResume:
         # the store per task, so the resumed sweep is 3 cache hits + 3 fresh
         # tasks and its manifest is byte-identical to a clean serial run.
         clean = _clean_manifest(tmp_path)
-        plan = FaultPlan({TASKS[3].digest: [Fault("interrupt")]})
         interrupted_dir = tmp_path / "interrupted"
-        with pytest.raises(KeyboardInterrupt):
-            run_experiment(SUITE_ID, jobs=1, results_dir=interrupted_dir, fault_plan=plan)
+        with _faulted(tmp_path, {TASKS[3].seed: [Fault("interrupt")]}):
+            with pytest.raises(KeyboardInterrupt):
+                run_experiment(SUITE_ID, jobs=1, results_dir=interrupted_dir)
         store = ResultStore(interrupted_dir)
         stored = [p for p in store.scenario_dir(SUITE_ID).glob("*.json")]
         assert len(stored) == 3  # streamed per task, no manifest yet
@@ -291,10 +251,10 @@ class TestInterruptResume:
     def test_interrupted_parallel_resume_with_more_jobs(self, tmp_path):
         # Resuming under a different job count must not change a byte either.
         clean = _clean_manifest(tmp_path)
-        plan = FaultPlan({TASKS[5].digest: [Fault("interrupt")]})
         interrupted_dir = tmp_path / "interrupted"
-        with pytest.raises(KeyboardInterrupt):
-            run_experiment(SUITE_ID, jobs=1, results_dir=interrupted_dir, fault_plan=plan)
+        with _faulted(tmp_path, {TASKS[5].seed: [Fault("interrupt")]}):
+            with pytest.raises(KeyboardInterrupt):
+                run_experiment(SUITE_ID, jobs=1, results_dir=interrupted_dir)
         result = run_experiment(SUITE_ID, jobs=3, results_dir=interrupted_dir, resume=True)
         assert result.report.resumed == 5 and result.report.executed == 1
         assert (interrupted_dir / SUITE_ID / "manifest.json").read_bytes() == clean
@@ -305,27 +265,19 @@ class TestInterruptResume:
 
 
 class TestCliDegraded:
-    def test_cli_reports_degraded_exit_code(self, tmp_path, monkeypatch, capsys):
-        # End-to-end through REPRO_FAULTS: an E1 smoke point that always
-        # raises exhausts its (zero) retries and the CLI exits with the
+    def test_cli_reports_degraded_exit_code(self, tmp_path, capsys):
+        # End to end through the in-process CLI: a faulted E1 smoke point
+        # raises, exhausts its (zero) retries, and the CLI exits with the
         # distinct degraded code 3.
         from repro.cli import main
         from repro.experiments import get_suite
 
         victim = get_suite("E1").expand(True)[0]
-        plan = FaultPlan({victim.digest: [Fault("raise", message="chaos")]})
-        monkeypatch.setenv(FAULTS_ENV, json.dumps(plan.to_json()))
-        code = main(
-            [
-                "run",
-                "E1",
-                "--smoke",
-                "--max-retries",
-                "0",
-                "--results-dir",
-                str(tmp_path),
-            ]
-        )
+        schedule = {victim.seed: [Fault("raise", message="chaos")]}
+        with faulted("E1", schedule, tmp_path / "attempts"):
+            code = main(
+                ["run", "E1", "--smoke", "--max-retries", "0", "--results-dir", str(tmp_path)]
+            )
         assert code == 3
         err = capsys.readouterr().err
         assert "DEGRADED" in err and "chaos" in err
@@ -336,14 +288,3 @@ class TestCliDegraded:
         from repro.cli import main
 
         assert main(["run", "E1", "--resume", "--force"]) == 2
-
-
-class TestInjectedFaultKinds:
-    def test_raise_fault_is_injected_fault(self):
-        from repro.experiments.faults import apply_execution_fault
-
-        plan = FaultPlan({"d": [Fault("raise", message="boom")]})
-        with pytest.raises(InjectedFault, match="boom"):
-            apply_execution_fault(plan, "d", 1)
-        apply_execution_fault(plan, "d", 2)  # clean attempt: no-op
-        apply_execution_fault(None, "d", 1)  # no plan: no-op

@@ -5,8 +5,13 @@ module-level function so worker processes (fork start method) can execute it.
 """
 
 import json
+import math
 import multiprocessing
 import random
+import resource
+import signal
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +24,8 @@ from repro.experiments import (
     run_tasks,
 )
 from repro.experiments.manifest import ResultStore
+from repro.experiments.reporting import experiment_bench_payload
+from repro.experiments.runner import _serial_deadline, peak_rss_kb
 from repro.experiments.task import expand_grid
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -119,6 +126,54 @@ class TestRunTasks:
     def test_rejects_invalid_jobs(self):
         with pytest.raises(ValueError):
             run_tasks(_expand(True), jobs=0)
+
+    def test_rejects_a_retry_budget_that_cannot_run_out(self):
+        # NaN compared false against every attempt, so a failing task was
+        # retried forever.
+        for retries in (math.nan, math.inf, -1):
+            with pytest.raises(ValueError, match="max_retries"):
+                run_tasks(_expand(True), max_retries=retries)
+
+    def test_rejects_a_timeout_that_cannot_fire(self):
+        # A NaN or infinite budget used to fail every serial attempt inside
+        # setitimer, so the sweep quarantined every task instead of raising.
+        for timeout in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="task_timeout"):
+                run_tasks(_expand(True), task_timeout=timeout)
+
+    def test_rejects_a_backoff_that_cannot_sleep(self):
+        for backoff in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="retry_backoff"):
+                run_tasks(_expand(True), retry_backoff=backoff)
+            with pytest.raises(ValueError, match="retry_backoff"):
+                run_experiment(SUITE_ID, results_dir=None, retry_backoff=backoff)
+
+    def test_failed_timer_arm_restores_the_alarm_handler(self):
+        previous = signal.getsignal(signal.SIGALRM)
+        with pytest.raises(ValueError):
+            with _serial_deadline(math.nan):
+                pass
+        assert signal.getsignal(signal.SIGALRM) is previous
+
+
+class TestPeakRss:
+    def test_unit_follows_the_platform(self, monkeypatch):
+        # macOS reports ru_maxrss in bytes, Linux in kilobytes.
+        usage = SimpleNamespace(ru_maxrss=300 * 1024 * 1024)
+        monkeypatch.setattr(resource, "getrusage", lambda who: usage)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert peak_rss_kb() == 300 * 1024
+        monkeypatch.setattr(sys, "platform", "linux")
+        assert peak_rss_kb() == 300 * 1024 * 1024
+
+
+class TestBenchPayload:
+    def test_per_task_timings_come_from_the_records(self):
+        result = run_experiment(SUITE_ID, results_dir=None)
+        seconds = [record.timing["seconds"] for record in result.records]
+        per_task = experiment_bench_payload(result)["timing"]["per_task"]
+        assert per_task["total"] == round(sum(seconds), 6)
+        assert per_task["max"] == round(max(seconds), 6)
 
 
 class TestBuiltinSuites:

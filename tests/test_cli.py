@@ -129,6 +129,14 @@ class TestAnalysisCommands:
             with pytest.raises(ValueError, match="alpha"):
                 main(["generate", "fkp", "--nodes", "20", "--alpha", alpha, "-o", output])
 
+    def test_non_finite_task_timeout_rejected(self, tmp_path):
+        for timeout in ("nan", "inf"):
+            with pytest.raises(ValueError, match="task_timeout"):
+                main(
+                    ["run", "E1", "--smoke", "--task-timeout", timeout,
+                     "--results-dir", str(tmp_path)]
+                )
+
     def test_nan_growth_budget_rejected(self):
         with pytest.raises(ValueError, match="budget_per_period"):
             main(["growth", "--periods", "1", "--budget", "nan"])
