@@ -144,7 +144,7 @@ def check_ecmp_conservation(num_nodes: int, seed: int, sample_pairs: int):
     """Route single pairs in ECMP mode; volumes must be conserved per pair."""
     topology, demand, endpoint_map = build_instance(num_nodes, 2, seed + 1)
     graph = topology.compiled()
-    weights = graph.edge_weights(lambda link: 1.0)
+    weights = graph.edge_weight_column("hops")
     rng = random.Random(seed)
     pairs = list(demand.pairs())
     checked = 0

@@ -37,7 +37,6 @@ from .buyatbulk import (
     solve_greedy_aggregation,
     solve_mst_routing,
 )
-from .constraints import ConstraintSet, default_router_constraints
 from .fkp import generate_fkp_tree
 from .isp import ISPDesign, generate_isp
 from .meyerson import best_of_runs, solve_meyerson
@@ -60,13 +59,11 @@ class HOTGenerator:
 
     Attributes:
         catalog: Cable catalog shared by all cost-aware formulations.
-        constraints: Technical constraints consulted by the ISP designer.
         objective: Objective used when one is not implied by the method.
         seed: Default random seed applied when a call does not override it.
     """
 
     catalog: CableCatalog = field(default_factory=default_catalog)
-    constraints: ConstraintSet = field(default_factory=default_router_constraints)
     objective: Objective = field(default_factory=CostObjective)
     seed: Optional[int] = None
 

@@ -60,7 +60,10 @@ class TaskRecord:
         seed: The derived per-task seed actually used.
         digest: Content address (also the file name).
         payload: The experiment measurement — deterministic given the seed.
-        counters: ``KERNEL_COUNTERS`` snapshot for the task (deterministic).
+        counters: The task's non-zero ``KERNEL_COUNTERS`` (deterministic).
+            Zero counts are dropped, from fresh and stored records alike, so
+            adding or deleting a counter changes only the records of the
+            suites that increment it.
         timing: Wall-clock fields; excluded from identity.
         cached: True when the record was loaded from the store, not computed.
     """
@@ -74,6 +77,9 @@ class TaskRecord:
     counters: Dict[str, int] = field(default_factory=dict)
     timing: Dict[str, float] = field(default_factory=dict)
     cached: bool = False
+
+    def __post_init__(self) -> None:
+        self.counters = {key: count for key, count in self.counters.items() if count}
 
     def to_json(self) -> Dict[str, object]:
         """JSON form written to the store (``cached`` is runtime-only state)."""
@@ -103,7 +109,7 @@ class TaskRecord:
             seed=data["seed"],
             digest=data["digest"],
             payload=data["payload"],
-            counters=dict(data.get("counters", {})),
+            counters=data.get("counters", {}),
             timing=dict(data.get("timing", {})),
         )
 

@@ -122,7 +122,7 @@ def execute_task(task: Task) -> TaskRecord:
     start = time.perf_counter()
     payload = json_safe(suite.run_point(task.point_dict, task.seed))
     elapsed = time.perf_counter() - start
-    counters = KERNEL_COUNTERS.snapshot()
+    counters = KERNEL_COUNTERS.snapshot()  # TaskRecord keeps the non-zero ones
     return TaskRecord(
         scenario_id=task.scenario_id,
         index=task.index,
@@ -130,7 +130,7 @@ def execute_task(task: Task) -> TaskRecord:
         seed=task.seed,
         digest=task.digest,
         payload=payload,
-        counters=dict(counters),
+        counters=counters,
         timing={"seconds": round(elapsed, 6), "peak_rss_kb": peak_rss_kb()},
     )
 

@@ -62,7 +62,6 @@ from ...geography.demand import gravity_demand
 from ...geography.population import City
 from ...routing.engine import route_demand
 from ...routing.hierarchical import overlay_for
-from ...routing.paths import resolve_weight
 from ...routing.utilization import utilization_report
 from ...topology.compiled import KERNEL_COUNTERS, have_numpy_backend
 from ...topology.hierarchy import summarize_hierarchy
@@ -212,12 +211,7 @@ def run_point(point: Mapping[str, object], seed: int) -> Dict[str, object]:
                 "hier_joins": after["hier_table_joins"] - before["hier_table_joins"],
             }
         )
-        overlay = overlay_for(
-            graph,
-            None,
-            graph.edge_weight_column(None, resolve_weight(None)),
-            backend=backend,
-        )
+        overlay = overlay_for(graph, None, backend=backend)
         payload.update({f"overlay_{key}": value for key, value in overlay.stats().items()})
     return payload
 

@@ -49,7 +49,6 @@ from ...economics.cables import default_catalog
 from ...economics.provisioning import provision_topology
 from ...geography.demand import DemandMatrix
 from ...routing.engine import route_demand
-from ...routing.paths import resolve_weight
 from ...routing.temporal import (
     compile_series,
     diurnal_series,
@@ -163,7 +162,7 @@ def _run_diurnal(point: Mapping[str, object]) -> Dict[str, object]:
     result = route_series(compiled, weight="hops", backend="python")
     after = KERNEL_COUNTERS.snapshot()
     graph = compiled.graph
-    weights = graph.edge_weight_column("hops", resolve_weight("hops"))
+    weights = graph.edge_weight_column("hops")
     hop_dist = {
         source: dijkstra_indices(graph, source, weights)[0]
         for source in set(compiled.sources)

@@ -3,9 +3,8 @@
 The hot path is the vectorized traffic engine (:mod:`repro.routing.engine`):
 demand compiles to int-indexed arrays, routing batches one search per unique
 source, and loads live in per-edge columns until a single flush annotates the
-object graph.  :mod:`repro.routing.paths` maps weight names (``"length"``,
-``"hops"``, ``"inverse-capacity"``) to the link-weight functions the kernels
-evaluate.
+object graph.  A route weighs each link by physical length (the default) or
+by hop count, named ``"length"`` or ``"hops"`` (:data:`ROUTING_WEIGHTS`).
 
 :func:`route_demand` (flat or ``method="hierarchical"``) is the façade for
 one demand snapshot; :mod:`repro.routing.temporal` extends it along the time
@@ -20,11 +19,8 @@ from .options import (
     ROUTING_BACKENDS,
     ROUTING_METHODS,
     ROUTING_MODES,
+    ROUTING_WEIGHTS,
     RoutingOptions,
-)
-from .paths import (
-    WEIGHT_FUNCTIONS,
-    resolve_weight,
 )
 from .engine import (
     CompiledDemand,
@@ -62,6 +58,7 @@ __all__ = [
     "ROUTING_BACKENDS",
     "ROUTING_METHODS",
     "ROUTING_MODES",
+    "ROUTING_WEIGHTS",
     "RoutingOptions",
     "CascadeResult",
     "CascadeRound",
@@ -74,8 +71,6 @@ __all__ = [
     "failure_cascade",
     "flash_crowd",
     "route_series",
-    "WEIGHT_FUNCTIONS",
-    "resolve_weight",
     "CompiledDemand",
     "FlowResult",
     "compile_demand",

@@ -51,13 +51,8 @@ array programs:
 * **ECMP**: the equal-distance DAG is extracted edge-wise over all
   half-edges at once (``dist[u] + w == dist[v]``, exact float equality);
   path counts and flow shares are accumulated level-by-level over the sorted
-  unique distance values (strictly positive weights mean equal-distance
-  nodes are never DAG-ordered).
-
-The numpy backend requires strictly positive weights (csgraph's sparse
-representation is ambiguous about explicit zeros); under ``backend="auto"``
-nonpositive weight columns fall back to the Python path, while an explicit
-``backend="numpy"`` raises instead of silently falling back.
+  unique distance values (both weight columns are strictly positive, so
+  equal-distance nodes are never DAG-ordered).
 
 Backend equivalence: distances are backend-identical, so *which* pairs route
 and the per-source search plan agree exactly.  Each source's routed volume is
@@ -116,14 +111,12 @@ from ..topology.compiled import (
     CompiledGraph,
     KERNEL_COUNTERS,
     _batch_chunks,
-    _column_min,
     dijkstra_indices,
     have_numpy_backend,
     resolve_backend,
 )
 from ..topology.graph import Topology, TopologyError
 from .options import RoutingOptions
-from .paths import resolve_weight
 
 if have_numpy_backend():
     import numpy as _np
@@ -340,20 +333,20 @@ def route_demand(
     :class:`~repro.routing.options.RoutingOptions` (an error names the bad
     field):
 
-    * ``weight``: named weight function for path selection (default length).
+    * ``weight``: ``"length"`` (the default, also ``None``) or ``"hops"``.
     * ``mode``: ``"single"`` routes each pair over one canonical shortest
       path (the predecessor tree of the shared per-source search; identical
       to the per-pair reference on unique-shortest-path instances — see the
       module docstring for the tie caveat); ``"ecmp"`` splits each pair's
       volume equally over all tied shortest paths.
     * ``backend``: ``"python"`` (canonical reference), ``"numpy"`` (batched
-      ``csgraph`` searches + vectorized scatter; requires scipy and strictly
-      positive weights), or ``"auto"``.  See the module docstring for the
-      backend equivalence contract.
+      ``csgraph`` searches + vectorized scatter; requires scipy), or
+      ``"auto"``.  See the module docstring for the backend equivalence
+      contract.
     * ``method``: ``"flat"`` (one search per unique source — the engine in
       this module), ``"hierarchical"`` (overlay table joins — see
-      :mod:`repro.routing.hierarchical`; single-path mode and strictly
-      positive weights only), or ``"auto"``, which picks hierarchical for
+      :mod:`repro.routing.hierarchical`; single-path mode only), or
+      ``"auto"``, which picks hierarchical for
       many-source single-path demand on large graphs whose overlay mesh fits
       the budget, and flat otherwise.
 
@@ -433,20 +426,19 @@ def _route_compiled(demand: CompiledDemand, opts: RoutingOptions) -> FlowResult:
 
         return _route_hierarchical(demand, opts)
     graph = demand.graph
-    weights = graph.edge_weight_column(opts.weight, resolve_weight(opts.weight))
-    if method == "auto" and mode == "single" and _auto_hierarchical(demand, weights):
+    if method == "auto" and mode == "single" and _auto_hierarchical(demand):
         from .hierarchical import AUTO_MESH_CELLS, OverlayTooLarge, _route_hierarchical
 
         try:
             return _route_hierarchical(demand, opts, mesh_cap=AUTO_MESH_CELLS)
         except OverlayTooLarge:
             pass  # mesh over budget: flat batched routing wins this shape
-    use_numpy = _select_backend(graph, weights, opts)
+    use_numpy = _select_backend(graph, opts)
     edge_loads = _zero_column(graph.num_edges, use_numpy)
     groups = _source_groups(demand.sources)
     flows = _route_sources(
         graph,
-        weights,
+        graph.edge_weight_column(opts.weight),
         mode,
         use_numpy,
         groups,
@@ -467,41 +459,27 @@ def _route_compiled(demand: CompiledDemand, opts: RoutingOptions) -> FlowResult:
     )
 
 
-def _auto_hierarchical(demand: CompiledDemand, weights: Any) -> bool:
+def _auto_hierarchical(demand: CompiledDemand) -> bool:
     """Whether ``method="auto"`` should even consider the overlay path.
 
     Hierarchical routing pays an overlay build; it wins when many unique
-    sources would each cost a full-graph search on a large graph with
-    strictly positive weights.  Thresholds live in
-    :mod:`repro.routing.hierarchical` (imported lazily — the engine is also
-    the overlay's scatter substrate).
+    sources would each cost a full-graph search on a large graph.
+    Thresholds live in :mod:`repro.routing.hierarchical` (imported lazily —
+    the engine is also the overlay's scatter substrate).
     """
-    graph = demand.graph
-    if graph.num_edges == 0:
-        return False
     from .hierarchical import AUTO_MIN_NODES, AUTO_MIN_UNIQUE_SOURCES
 
-    if graph.num_nodes < AUTO_MIN_NODES or _column_min(weights) <= 0:
-        return False
-    return len(set(demand.sources)) >= AUTO_MIN_UNIQUE_SOURCES
+    graph = demand.graph
+    return (
+        graph.num_edges > 0
+        and graph.num_nodes >= AUTO_MIN_NODES
+        and len(set(demand.sources)) >= AUTO_MIN_UNIQUE_SOURCES
+    )
 
 
-def _select_backend(graph: CompiledGraph, weights: Any, opts: RoutingOptions) -> bool:
-    """The flat engine's backend dispatch: True for the numpy path.
-
-    ECMP and the numpy path require strictly positive weights;
-    ``backend="auto"`` falls back to Python on a nonpositive column while an
-    explicit ``backend="numpy"`` raises.
-    """
-    positive = graph.num_edges == 0 or _column_min(weights) > 0
-    if opts.mode == "ecmp" and not positive:
-        raise ValueError("ECMP routing requires strictly positive weights")
-    if resolve_backend(opts.backend) == "numpy" and graph.num_edges > 0:
-        if positive:
-            return True
-        if opts.backend == "numpy":
-            raise ValueError("backend='numpy' routing requires strictly positive weights")
-    return False
+def _select_backend(graph: CompiledGraph, opts: RoutingOptions) -> bool:
+    """The flat engine's backend dispatch: True for the numpy path."""
+    return resolve_backend(opts.backend) == "numpy" and graph.num_edges > 0
 
 
 # ----------------------------------------------------------------------
@@ -796,8 +774,8 @@ def _scatter_ecmp_numpy(
     same exact float predicate as the Python reference
     (``dist[u] + w == dist[v]``).  Path counts (``sigma``) accumulate over
     ascending unique distance levels and flow shares distribute over
-    descending levels — valid orderings because strictly positive weights
-    mean equal-distance nodes can never precede each other in the DAG.
+    descending levels — valid orderings because the weights are strictly
+    positive, so equal-distance nodes can never precede each other in the DAG.
     Shares are accumulated column-wise with ``np.add.at`` per level.
     """
     n = graph.num_nodes

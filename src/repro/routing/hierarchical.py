@@ -48,7 +48,7 @@ exactly like the flat numpy-vs-python contract.  ECMP mode is not supported
 hierarchically; ``route_demand(..., method="auto")`` falls back to flat.
 
 The overlay is built lazily and cached on the compiled snapshot keyed by
-weight-column name (the same invalidation contract as
+weight name and backend (the same invalidation contract as
 ``CompiledGraph.scipy_csr``): any structural mutation bumps
 ``Topology.version``, the next ``topology.compiled()`` produces a fresh
 snapshot, and the stale overlay dies with the old one.  Counters:
@@ -74,7 +74,6 @@ from ..topology.compiled import (
     BATCH_CHUNK_CELLS,
     CompiledGraph,
     KERNEL_COUNTERS,
-    _column_min,
     _column_values,
     have_numpy_backend,
     multi_source_bfs_indices,
@@ -84,7 +83,6 @@ from ..topology.hierarchy import LEVEL_RANKS
 from ..topology.hierarchy import compiled_level_ranks as _compiled_level_ranks
 from .engine import CompiledDemand, FlowResult
 from .options import RoutingOptions
-from .paths import resolve_weight
 
 if have_numpy_backend():
     import numpy as _np
@@ -580,8 +578,7 @@ def _build_mesh(
 # ----------------------------------------------------------------------
 def build_overlay(
     graph: CompiledGraph,
-    weights: Any,
-    weight_name: str,
+    weight: Optional[str] = None,
     backend: Optional[str] = None,
     mesh_cap: Optional[int] = None,
 ) -> HierarchicalOverlay:
@@ -589,15 +586,17 @@ def build_overlay(
 
     Args:
         graph: The compiled snapshot to partition.
-        weights: Per-edge weight column (strictly positive).
-        weight_name: Cache/reporting label for the column.
+        weight: ``"length"`` (the default, also ``None``) or ``"hops"``; the
+            overlay reads the snapshot's column
+            (:meth:`~repro.topology.compiled.CompiledGraph.edge_weight_column`).
         backend: Library-wide backend switch (see module docstring).
         mesh_cap: Optional ceiling on ``overlay_nodes**2``; exceeded caps
             raise :class:`OverlayTooLarge` *before* any sweep runs, which is
             how ``method="auto"`` declines unfavourable instances cheaply.
     """
     resolved = resolve_backend(backend)
-    overlay = HierarchicalOverlay(graph, weight_name, resolved, weights)
+    name = "length" if weight is None else weight
+    overlay = HierarchicalOverlay(graph, name, resolved, graph.edge_weight_column(name))
     KERNEL_COUNTERS.hier_overlay_builds += 1
     n = graph.num_nodes
 
@@ -622,8 +621,8 @@ def build_overlay(
     # edges appear here.
     border_sets: List[set] = [set() for _ in range(num_regions + 1)]
     real_edges: List[Tuple[int, int, int]] = []
-    edge_u = graph.edge_u.tolist() if hasattr(graph.edge_u, "tolist") else list(graph.edge_u)
-    edge_v = graph.edge_v.tolist() if hasattr(graph.edge_v, "tolist") else list(graph.edge_v)
+    edge_u = graph.edge_u.tolist()
+    edge_v = graph.edge_v.tolist()
     for e in range(graph.num_edges):
         u = edge_u[e]
         v = edge_v[e]
@@ -702,29 +701,21 @@ def build_overlay(
 
 def overlay_for(
     graph: CompiledGraph,
-    weight: Optional[str],
-    weights: Any,
+    weight: Optional[str] = None,
     backend: Optional[str] = None,
     mesh_cap: Optional[int] = None,
 ) -> HierarchicalOverlay:
-    """The (lazily built) overlay for a snapshot and named weight column.
+    """The (lazily built) overlay for a snapshot and weight name.
 
-    Overlays for the *named structural* columns
-    (:data:`CompiledGraph.CACHEABLE_WEIGHT_NAMES`) are cached on the
-    snapshot and die with it on the next ``Topology.version`` bump — the
-    same invalidation contract as ``scipy_csr``.  Annotation-dependent
-    weight names rebuild per call, mirroring ``edge_weight_column``.
+    Cached on the snapshot per (weight name, backend); it dies with the
+    snapshot on the next ``Topology.version`` bump — the same invalidation
+    contract as ``scipy_csr``.
     """
     resolved = resolve_backend(backend)
-    name = "length" if weight is None else weight
-    cacheable = name in CompiledGraph.CACHEABLE_WEIGHT_NAMES
-    key = (name, resolved)
-    if cacheable:
-        cached = graph._overlay_cache.get(key)
-        if cached is not None:
-            return cached
-    overlay = build_overlay(graph, weights, name, resolved, mesh_cap)
-    if cacheable:
+    key = ("length" if weight is None else weight, resolved)
+    overlay = graph._overlay_cache.get(key)
+    if overlay is None:
+        overlay = build_overlay(graph, weight, resolved, mesh_cap)
         graph._overlay_cache[key] = overlay
     return overlay
 
@@ -779,7 +770,7 @@ def _route_hierarchical(
 
     The ``route_demand(..., method="hierarchical")`` path, and the overlay
     attempt of ``method="auto"``; ``opts`` are the options the façade already
-    validated.  Single-path mode only; requires strictly positive weights.
+    validated.  Single-path mode only.
     See the module docstring for the partition, the exactness argument, and
     the flat-equivalence contract.  The overlay comes from :func:`overlay_for`
     (cached per snapshot and weight name); ``mesh_cap`` bounds the mesh for
@@ -787,13 +778,8 @@ def _route_hierarchical(
     """
     if opts.mode != "single":
         raise ValueError("hierarchical routing supports single-path mode only")
-    graph = demand.graph
-    weight = opts.weight
     resolved = resolve_backend(opts.backend)
-    weights = graph.edge_weight_column(weight, resolve_weight(weight))
-    if graph.num_edges and _column_min(weights) <= 0:
-        raise ValueError("hierarchical routing requires strictly positive weights")
-    overlay = overlay_for(graph, weight, weights, resolved, mesh_cap)
+    overlay = overlay_for(demand.graph, opts.weight, resolved, mesh_cap)
     return _route_over_overlay(demand, overlay, resolved)
 
 

@@ -1,12 +1,12 @@
 """Routing options: one vocabulary for every routing entry point.
 
 ``route_demand`` (flat or hierarchical), ``route_series`` and
-``failure_cascade`` take the same keyword switches — ``mode`` (flow
-splitting), ``backend`` (python vs numpy), ``method`` (flat vs hierarchical;
-``route_demand`` only) — plus a named ``weight``.  Each entry point builds a
-frozen :class:`RoutingOptions` from its keywords, so this class is the
-single place the vocabulary is defined and validated, and every error names
-the offending field.
+``failure_cascade`` take the same keyword switches — ``weight`` (the link
+metric, ``"length"`` or ``"hops"``), ``mode`` (flow splitting), ``backend``
+(python vs numpy), ``method`` (flat vs hierarchical; ``route_demand``
+only).  Each entry point builds a frozen :class:`RoutingOptions` from its
+keywords, so this class is the single place the vocabulary is defined and
+validated, and every error names the offending field.
 """
 
 from __future__ import annotations
@@ -14,7 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["RoutingOptions", "ROUTING_MODES", "ROUTING_METHODS", "ROUTING_BACKENDS"]
+__all__ = [
+    "RoutingOptions",
+    "ROUTING_WEIGHTS",
+    "ROUTING_MODES",
+    "ROUTING_METHODS",
+    "ROUTING_BACKENDS",
+]
+
+#: Link metrics for path selection: physical length (the default; 1.0 for a
+#: zero-length link) or hop count.  See
+#: :meth:`~repro.topology.compiled.CompiledGraph.edge_weight_column`.
+ROUTING_WEIGHTS = ("length", "hops")
 
 #: Flow-splitting modes: one canonical shortest path vs equal-cost multipath.
 ROUTING_MODES = ("single", "ecmp")
@@ -32,8 +43,8 @@ class RoutingOptions:
     """Validated routing switches shared by every routing entry point.
 
     Attributes:
-        weight: Named weight function for path selection (``None`` = the
-            library default, physical length).
+        weight: ``"length"`` or ``"hops"`` (``None`` = the library
+            default, ``"length"``).
         mode: ``"single"`` or ``"ecmp"`` flow splitting.
         method: ``"auto"``, ``"flat"``, or ``"hierarchical"``.
         backend: ``"auto"``, ``"python"``, or ``"numpy"``.
@@ -48,9 +59,10 @@ class RoutingOptions:
     backend: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.weight is not None and not isinstance(self.weight, str):
+        if self.weight is not None and self.weight not in ROUTING_WEIGHTS:
             raise ValueError(
-                f"RoutingOptions.weight must be a weight name or None, got {self.weight!r}"
+                f"unknown routing weight {self.weight!r}: RoutingOptions.weight "
+                f"must be None or one of {ROUTING_WEIGHTS}"
             )
         if self.mode not in ROUTING_MODES:
             raise ValueError(

@@ -99,7 +99,6 @@ from .engine import (
     compile_demand,
 )
 from .options import RoutingOptions
-from .paths import resolve_weight
 
 if have_numpy_backend():
     import numpy as _np
@@ -494,8 +493,8 @@ def route_series(
         "route_series", topology, series, endpoint_map, compile_series, CompiledSeries, DemandSeries
     )
     graph = compiled.graph
-    weights = graph.edge_weight_column(opts.weight, resolve_weight(opts.weight))
-    use_numpy = _select_backend(graph, weights, opts)
+    weights = graph.edge_weight_column(opts.weight)
+    use_numpy = _select_backend(graph, opts)
     sources = compiled.sources
     groups = _source_groups(sources)
     flows: Dict[int, _SourceFlow] = {}
@@ -654,8 +653,8 @@ def failure_cascade(
     fixed_point = True
     try:
         while True:
-            weights = graph.edge_weight_column(opts.weight, resolve_weight(opts.weight))
-            use_numpy = _select_backend(graph, weights, opts)
+            weights = graph.edge_weight_column(opts.weight)
+            use_numpy = _select_backend(graph, opts)
             KERNEL_COUNTERS.temporal_steps += 1
             KERNEL_COUNTERS.temporal_resolved_sources += len(to_resolve)
             flows.update(

@@ -9,12 +9,13 @@ traces walk it one ``Link`` object at a time.
 
 :class:`CompiledGraph` snapshots a topology into flat, int-indexed CSR
 buffers (``indptr``/``indices`` plus per-edge weight columns) that the
-kernels in this module run against.  When numpy is importable the buffers are
-**native contiguous numpy arrays** (int32 CSR topology, int64 edge ids,
-float64 weight columns) — not per-call conversions — and the batch kernels
-dispatch to ``scipy.sparse.csgraph`` over a ``csr_matrix`` built zero-copy
-from (and cached next to) those buffers.  Without numpy the same attributes
-are ``array('q')``/``array('d')`` buffers and every kernel runs pure Python.
+kernels in this module run against.  When numpy and scipy are importable the
+buffers are **native contiguous numpy arrays** (int32 CSR topology, int64
+edge ids, float64 weight columns) — not per-call conversions — and the batch
+kernels dispatch to ``scipy.sparse.csgraph`` over a ``csr_matrix`` built
+zero-copy from (and cached next to) those buffers.  Without them the same
+attributes are ``array('q')``/``array('d')`` buffers and every kernel runs
+pure Python.
 
 The contract between the two layers:
 
@@ -24,16 +25,12 @@ The contract between the two layers:
   it only when ``version`` changed since the last build.
 * Kernels accept and return **int node indices**; public APIs in the
   optimization/routing/metrics layers translate ids at the boundary.
-* Link *annotation* mutations (e.g. ``link.load``) do not bump the version;
-  weight columns are recomputed from the live ``Link`` objects on each
-  ``edge_weights`` call, so each public kernel entry sees current annotations.
-  The exception is the *named* columns cached by
-  :meth:`CompiledGraph.edge_weight_column` (``"length"``/``"hops"``), built
-  once per snapshot.  ``Link.length`` is writable, and a length written after
-  the snapshot was built stays invisible to the cached ``"length"`` column:
-  the column is stale until ``Topology.touch()`` (or any structural
-  mutation) forces a rebuild.  Code that mutates annotations and holds a
-  long-lived weight array must call ``Topology.touch()`` the same way.
+* Link *annotation* mutations (e.g. ``link.load``) do not bump the version.
+  A routing weight is named, ``"length"`` or ``"hops"``, and
+  :meth:`CompiledGraph.edge_weight_column` builds each column once per
+  snapshot.  ``Link.length`` is writable, and a length written after the
+  ``"length"`` column was built stays invisible to it: the column is stale
+  until ``Topology.touch()`` (or any structural mutation) forces a rebuild.
 
 Backend selection
 -----------------
@@ -51,8 +48,8 @@ Every batch kernel takes a ``backend=`` switch:
   importable, else ``"python"``.
 
 Setting the environment variable ``REPRO_BACKEND=python`` masks numpy/scipy
-entirely (the no-scipy CI leg runs the whole test suite this way), while
-``REPRO_BACKEND=numpy`` makes missing scipy a hard import error.
+entirely (the no-scipy CI leg runs the whole test suite this way).  The
+buffers are numpy arrays exactly when the numpy backend is available.
 
 :func:`components_indices` and :func:`multi_source_bfs_indices` take an
 optional ``mask`` (a ``bytearray`` with one truthy byte per *active* node
@@ -68,44 +65,31 @@ import heapq
 import os
 from array import array
 from math import inf
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .link import Link
 
 _ENV_BACKEND = os.environ.get("REPRO_BACKEND", "auto").strip().lower() or "auto"
-if _ENV_BACKEND not in ("auto", "python", "numpy"):
-    raise ValueError(
-        f"REPRO_BACKEND={_ENV_BACKEND!r} is not one of 'auto', 'python', 'numpy'"
-    )
+if _ENV_BACKEND not in ("auto", "python"):
+    raise ValueError(f"REPRO_BACKEND={_ENV_BACKEND!r} is not one of 'auto', 'python'")
 
 _np = None
 _csr_matrix = None
 _scipy_dijkstra = None
 _scipy_connected_components = None
-_HAVE_NUMPY = False
 _HAVE_SCIPY = False
 if _ENV_BACKEND != "python":
     try:
         import numpy as _np
+        from scipy.sparse import csr_matrix as _csr_matrix
+        from scipy.sparse.csgraph import (
+            connected_components as _scipy_connected_components,
+        )
+        from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
-        _HAVE_NUMPY = True
-    except ImportError:  # pragma: no cover - exercised only without numpy
+        _HAVE_SCIPY = True
+    except ImportError:  # pragma: no cover - exercised only without numpy/scipy
         _np = None
-    if _HAVE_NUMPY:
-        try:
-            from scipy.sparse import csr_matrix as _csr_matrix
-            from scipy.sparse.csgraph import (
-                connected_components as _scipy_connected_components,
-            )
-            from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
-
-            _HAVE_SCIPY = True
-        except ImportError:  # pragma: no cover - exercised only without scipy
-            pass
-if _ENV_BACKEND == "numpy" and not _HAVE_SCIPY:
-    raise RuntimeError(
-        "REPRO_BACKEND=numpy requires numpy and scipy to be importable"
-    )
 
 #: Backend used by ``backend=None``/``"auto"`` calls.
 DEFAULT_BACKEND = "numpy" if _HAVE_SCIPY else "python"
@@ -197,11 +181,8 @@ class KernelCounters:
     connectivity engine (:mod:`repro.topology.dynconn`) records every
     Euler-tour link/cut as ``dynconn_tree_ops`` and every tree-edge
     deletion's replacement hunt as ``dynconn_replacement_searches``.
-    Nothing increments ``reachability_rebuilds`` or ``multi_source``, so both
-    always read 0.  ``reachability_rebuilds`` stays because the repository
-    benchmark (``perfbench/``) reads it by key; ``multi_source`` stays because
-    experiment task records store every counter key, so dropping it would
-    change every record and every smoke manifest.
+    Nothing increments ``reachability_rebuilds``, so it always reads 0; it
+    stays because the repository benchmark (``perfbench/``) reads it by key.
 
     Algorithm-count counters (``single_source``/``bfs``/``components``) are
     **backend-independent**: a batch scipy call records the same logical
@@ -214,7 +195,6 @@ class KernelCounters:
 
     __slots__ = (
         "single_source",
-        "multi_source",
         "bfs",
         "components",
         "compilations",
@@ -278,13 +258,6 @@ def default_link_weight(link: Link) -> float:
     raise ValueError(
         f"link length must be finite and non-negative, got {length} on {link.key}"
     )
-
-
-def _column_min(weights: Any) -> float:
-    """Minimum of a weight column (numpy-aware; 0.0 for an empty column)."""
-    if _HAVE_NUMPY and isinstance(weights, _np.ndarray):
-        return float(weights.min()) if len(weights) else 0.0
-    return min(weights) if len(weights) else 0.0
 
 
 def _column_values(weights: Any) -> List[float]:
@@ -360,7 +333,7 @@ class CompiledGraph:
         n = len(ids)
         m = len(links)
         adjacency = topology._adjacency  # same-package structural access
-        if _HAVE_NUMPY:
+        if _HAVE_SCIPY:
             indptr = _np.zeros(n + 1, dtype=_np.int32)
             _np.cumsum(
                 _np.fromiter(
@@ -438,7 +411,7 @@ class CompiledGraph:
 
     def degrees(self) -> Any:
         """Degree per node index as an int column (numpy array or ``array``)."""
-        if _HAVE_NUMPY:
+        if _HAVE_SCIPY:
             return _np.diff(_np.asarray(self.indptr, dtype=_np.int64))
         out = array("q", [0]) * self.num_nodes
         indptr = self.indptr
@@ -446,84 +419,37 @@ class CompiledGraph:
             out[i] = indptr[i + 1] - indptr[i]
         return out
 
-    def edge_weights(self, weight: Optional[Callable[[Link], float]] = None) -> Any:
-        """Per-edge weight column computed from the live :class:`Link` objects.
+    def edge_weight_column(self, name: Optional[str]) -> Any:
+        """The routing weight column ``name``, built once per snapshot.
 
-        ``None`` selects the library default (physical length, falling back to
-        1.0 for zero-length links; see :func:`default_link_weight`).  Raises
-        :class:`ValueError` naming the link on a negative, NaN or infinite
-        length or weight.
-        Returns a float64 numpy array when numpy is available, else
-        ``array('d')`` — always freshly computed, so annotation mutations are
-        visible (see :meth:`edge_weight_column` for the cached named columns).
+        ``"length"`` (also ``None``, the library default) is
+        :func:`default_link_weight` per link, which raises :class:`ValueError`
+        naming the link on a negative, NaN or infinite length; ``"hops"`` is
+        1.0 per link.  Both are strictly positive.  Any other name raises
+        :class:`ValueError`.  The column is shared by every caller on this
+        snapshot (and so is its ``csr_matrix``: :meth:`scipy_csr` caches by
+        column identity).  A float64 numpy array when the numpy backend is
+        available, else ``array('d')``.
         """
+        key = "length" if name is None else name
+        column = self._weight_columns.get(key)
+        if column is not None:
+            return column
         m = self.num_edges
-        if _HAVE_NUMPY:
-            if weight is None:
-                return _np.fromiter(
+        if key == "length":
+            if _HAVE_SCIPY:
+                column = _np.fromiter(
                     (default_link_weight(link) for link in self.links),
                     dtype=_np.float64,
                     count=m,
                 )
-            out = _np.fromiter(
-                (weight(link) for link in self.links), dtype=_np.float64, count=m
-            )
-            # Written so that NaN fails: min() and max() propagate it.
-            if m and not (0 <= out.min() and out.max() < inf):
-                e = int(_np.flatnonzero(~((out >= 0) & (out < inf)))[0])
-                raise ValueError(
-                    f"link weight must be finite and non-negative, got {out[e]} "
-                    f"on {self.links[e].key}"
-                )
-            return out
-        out = array("d", [0.0]) * m
-        if weight is None:
-            for e, link in enumerate(self.links):
-                out[e] = default_link_weight(link)
-        else:
-            for e, link in enumerate(self.links):
-                w = weight(link)
-                if not 0 <= w < inf:
-                    raise ValueError(
-                        f"link weight must be finite and non-negative, got {w} on {link.key}"
-                    )
-                out[e] = w
-        return out
-
-    #: Names whose weight columns are cached on the snapshot.  Hop counts
-    #: never change; a ``Link.length`` written after the snapshot was built
-    #: leaves the cached ``"length"`` column stale until ``Topology.touch()``.
-    #: Annotation-dependent weights (e.g. ``"inverse-capacity"``) bypass the
-    #: cache so provisioning updates stay visible without a touch.
-    CACHEABLE_WEIGHT_NAMES = frozenset({"length", "hops"})
-
-    def edge_weight_column(
-        self, name: Optional[str], weight: Optional[Callable[[Link], float]] = None
-    ) -> Any:
-        """The weight column for a *named* weight, cached per snapshot.
-
-        ``name=None`` aliases ``"length"`` (the library default).  Columns in
-        :data:`CACHEABLE_WEIGHT_NAMES` are materialized once per snapshot and
-        shared by every caller — repeat routing/metric calls stop re-building
-        the same float64 column (and, transitively, the same
-        ``csr_matrix``, since :meth:`scipy_csr` caches by column identity).
-        Other names fall through to a fresh :meth:`edge_weights` computation.
-        """
-        key = "length" if name is None else name
-        if key not in self.CACHEABLE_WEIGHT_NAMES:
-            return self.edge_weights(weight)
-        column = self._weight_columns.get(key)
-        if column is None:
-            if key == "hops":
-                if _HAVE_NUMPY:
-                    column = _np.ones(self.num_edges, dtype=_np.float64)
-                else:
-                    column = array("d", [1.0]) * self.num_edges
             else:
-                column = self.edge_weights(
-                    weight if name is not None else None
-                )
-            self._weight_columns[key] = column
+                column = array("d", map(default_link_weight, self.links))
+        elif key == "hops":
+            column = _np.ones(m, dtype=_np.float64) if _HAVE_SCIPY else array("d", [1.0]) * m
+        else:
+            raise ValueError(f"unknown weight {name!r}; expected 'length' or 'hops'")
+        self._weight_columns[key] = column
         return column
 
     def adjacency_rows(self) -> List[List[Tuple[int, int]]]:
@@ -571,9 +497,9 @@ class CompiledGraph:
         """The snapshot as a ``scipy.sparse.csr_matrix`` (``None`` w/o scipy).
 
         Built zero-copy from the native numpy CSR buffers and cached per
-        weight-column object (a small FIFO keyed by column identity), so the
-        named columns from :meth:`edge_weight_column` get one matrix per
-        snapshot instead of one per call.
+        weight-column object (a small FIFO keyed by column identity), so each
+        column from :meth:`edge_weight_column` gets one matrix per snapshot
+        instead of one per call.
         """
         if not _HAVE_SCIPY:
             return None
@@ -592,7 +518,7 @@ class CompiledGraph:
             shape=(self.num_nodes, self.num_nodes),
         )
         self._csr_cache.append((weights, matrix))
-        if len(self._csr_cache) > 4:  # bound transient (unnamed) columns
+        if len(self._csr_cache) > 4:  # bound columns a caller built itself
             self._csr_cache.pop(0)
         return matrix
 

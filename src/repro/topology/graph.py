@@ -92,10 +92,10 @@ class Topology:
     def touch(self) -> None:
         """Manually bump :attr:`version`.
 
-        Call after mutating link/node *annotations* in place (e.g. lengths or
-        capacities used as routing weights) so the cached compiled view and
-        its cached weight columns rebuild; structural mutations bump
-        automatically.
+        Call after mutating link/node *annotations* in place (e.g. a link
+        length, which the cached ``"length"`` routing column reads) so the
+        cached compiled view and its weight columns rebuild; structural
+        mutations bump automatically.
         """
         self._bump_version()
 

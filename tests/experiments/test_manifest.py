@@ -1,6 +1,7 @@
 """Tests for repro.experiments.manifest — records, store, manifests."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -42,6 +43,17 @@ class TestRecordRoundTrip:
         data["schema"] = SCHEMA_VERSION + 1
         with pytest.raises(ValueError):
             TaskRecord.from_json(data)
+
+    def test_zero_counters_are_not_stored(self):
+        record = replace(make_record(), counters={"bfs": 0, "sampler_draws": 4, "cascade_trips": 0})
+        assert record.counters == {"sampler_draws": 4}
+        assert record.to_json()["counters"] == {"sampler_draws": 4}
+
+    def test_stored_record_with_zero_counters_loads_without_them(self):
+        # Records stored before zero counts were dropped carry every key.
+        data = make_record().to_json()
+        data["counters"] = {"bfs": 0, "multi_source": 0, "sampler_draws": 4}
+        assert TaskRecord.from_json(data).counters == {"sampler_draws": 4}
 
     def test_identity_view_strips_timing_only(self):
         data = make_record(seconds=1.0).to_json()

@@ -33,7 +33,6 @@ from repro.generators.base import ensure_connected
 from repro.geography.demand import DemandMatrix
 from repro.geography.points import euclidean
 from repro.geography.regions import Region, unit_square
-from repro.routing.paths import resolve_weight
 from repro.topology.compiled import dijkstra_indices
 from repro.topology.graph import Topology
 
@@ -79,7 +78,7 @@ def per_pair_assign(
         for link in topology.links():
             link.load = 0.0
     graph = topology.compiled()
-    weights = graph.edge_weights(resolve_weight(weight))
+    weights = graph.edge_weight_column(weight)
     searches: Dict[int, tuple] = {}
 
     result = PerPairResult()

@@ -32,7 +32,6 @@ import pytest
 
 from repro.geography.demand import DemandMatrix
 from repro.routing.engine import compile_demand, route_demand
-from repro.routing.paths import WEIGHT_FUNCTIONS
 from repro.topology.compiled import KERNEL_COUNTERS, have_numpy_backend
 from repro.topology.graph import Topology
 
@@ -207,16 +206,6 @@ class TestEngineCounters:
 
 
 class TestExplicitBackendGuards:
-    @requires_numpy
-    def test_numpy_rejects_nonpositive_weights(self, monkeypatch):
-        monkeypatch.setitem(WEIGHT_FUNCTIONS, "zero-test", lambda link: 0.0)
-        _, compiled = build_instance(num_nodes=30, num_hubs=2)
-        with pytest.raises(ValueError, match="strictly positive"):
-            route_demand(compiled, weight="zero-test", backend="numpy")
-        # auto mode falls back to the reference kernel instead of raising.
-        flow = route_demand(compiled, weight="zero-test")
-        assert flow.routed_pairs > 0
-
     @pytest.mark.skipif(
         have_numpy_backend(), reason="covered only when scipy is masked"
     )

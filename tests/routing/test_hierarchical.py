@@ -13,8 +13,8 @@ The ``repro.routing.hierarchical`` contract (see its module docstring):
   served stale tables;
 * counters: one ``hier_overlay_builds`` per construction, one
   ``hier_table_joins`` per pair, ``hier_region_sweeps`` backend-independent;
-* guards: single-path mode only, strictly positive weights only, unknown
-  ``method`` values rejected, ``OverlayTooLarge`` under a mesh cap;
+* guards: single-path mode only, unknown ``method`` values rejected,
+  ``OverlayTooLarge`` under a mesh cap;
 * ``method="auto"`` engages the overlay only past the size/unique-source
   thresholds, and falls back to flat when the mesh exceeds its budget.
 
@@ -34,7 +34,6 @@ from repro.routing.hierarchical import (
     build_overlay,
     overlay_for,
 )
-from repro.routing.paths import WEIGHT_FUNCTIONS, resolve_weight
 from repro.topology.compiled import KERNEL_COUNTERS, have_numpy_backend
 from repro.topology.graph import Topology
 from repro.topology.node import NodeRole
@@ -118,19 +117,17 @@ class TestFlatEquivalence:
         ) <= 1e-9 * scale
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_bit_identical_loads_on_integral_weights(self, backend, monkeypatch):
-        # Tie-free *integral* weights: huge random integers make exact ties
+    def test_bit_identical_loads_on_integral_weights(self, backend):
+        # Tie-free *integral* lengths: huge random integers make exact ties
         # vanishingly unlikely and every distance sum exact, so loads must be
-        # bitwise equal, not merely close.
+        # bitwise equal, not merely close.  The lengths are written before
+        # any route builds the snapshot's length column.
         topo, compiled = build_instance(seed=41)
         rng = random.Random(97)
         for link in topo.links():
-            link.attributes["int-weight"] = float(rng.randint(1, 2**40))
-        monkeypatch.setitem(
-            WEIGHT_FUNCTIONS, "int-test", lambda link: link.attributes["int-weight"]
-        )
-        flat = route_demand(compiled, weight="int-test", backend=backend, method="flat")
-        hier = route_demand(compiled, method="hierarchical", weight="int-test", backend=backend)
+            link.length = float(rng.randint(1, 2**40))
+        flat = route_demand(compiled, backend=backend, method="flat")
+        hier = route_demand(compiled, method="hierarchical", backend=backend)
         assert hier.loads_list() == flat.loads_list()
 
     @pytest.mark.parametrize("seed", [3, 11, 47])
@@ -197,16 +194,13 @@ class TestOverlayCache:
     def test_overlay_for_returns_same_object(self):
         topo, _ = build_instance(num_nodes=80, num_hubs=2)
         graph = topo.compiled()
-        weights = graph.edge_weight_column(None, resolve_weight(None))
-        first = overlay_for(graph, None, weights)
-        second = overlay_for(graph, None, weights)
-        assert first is second
+        first = overlay_for(graph, None)
+        assert overlay_for(graph, "length") is first
+        assert overlay_for(graph, "hops") is not first
 
     def test_overlay_stats_shape(self):
         topo, _ = build_instance(num_nodes=80, num_hubs=2)
-        graph = topo.compiled()
-        weights = graph.edge_weight_column(None, resolve_weight(None))
-        stats = overlay_for(graph, None, weights).stats()
+        stats = overlay_for(topo.compiled(), None).stats()
         assert stats["core_nodes"] >= 1
         assert stats["regions"] >= 1
         assert stats["overlay_nodes"] == stats["core_nodes"] + stats["border_nodes"]
@@ -245,12 +239,6 @@ class TestGuards:
         with pytest.raises(ValueError, match="single-path"):
             route_demand(compiled, method="hierarchical", mode="ecmp")
 
-    def test_nonpositive_weights_rejected(self, monkeypatch):
-        monkeypatch.setitem(WEIGHT_FUNCTIONS, "zero-test", lambda link: 0.0)
-        _, compiled = build_instance(num_nodes=40, num_hubs=2)
-        with pytest.raises(ValueError, match="strictly positive"):
-            route_demand(compiled, method="hierarchical", weight="zero-test")
-
     def test_unknown_method_rejected(self):
         _, compiled = build_instance(num_nodes=40, num_hubs=2)
         with pytest.raises(ValueError, match="unknown routing method"):
@@ -258,10 +246,8 @@ class TestGuards:
 
     def test_mesh_cap_raises_overlay_too_large(self):
         topo, _ = build_instance(num_nodes=60, num_hubs=2)
-        graph = topo.compiled()
-        weights = graph.edge_weight_column(None, resolve_weight(None))
         with pytest.raises(OverlayTooLarge):
-            build_overlay(graph, weights, "length", mesh_cap=1)
+            build_overlay(topo.compiled(), "length", mesh_cap=1)
 
 
 class TestAutoDispatch:

@@ -1,10 +1,11 @@
-"""Tests for repro.routing.paths and per-pair searches with its named weights."""
+"""Tests for the named routing weights and per-pair searches over them."""
 
 from math import inf
 
 import pytest
 
-from repro.routing.paths import WEIGHT_FUNCTIONS, resolve_weight
+from repro.geography.demand import DemandMatrix
+from repro.routing import ROUTING_WEIGHTS, route_demand
 from repro.topology.compiled import dijkstra_indices
 from repro.topology.graph import Topology
 
@@ -29,7 +30,7 @@ def route(topo: Topology, source, target, weight="length"):
     ``target`` is unreachable; links and keys come from the predecessor edges.
     """
     graph = topo.compiled()
-    weights = graph.edge_weights(resolve_weight(weight))
+    weights = graph.edge_weight_column(weight)
     source_index, target_index = graph.index_of[source], graph.index_of[target]
     dist, pred, pred_edge = dijkstra_indices(graph, source_index, weights)
     if dist[target_index] == inf:
@@ -45,17 +46,55 @@ def route(topo: Topology, source, target, weight="length"):
     return dist[target_index], nodes[::-1], links[::-1], keys[::-1]
 
 
-class TestWeights:
-    def test_named_weights_resolve(self):
-        for name in WEIGHT_FUNCTIONS:
-            assert callable(resolve_weight(name))
+def diamond_demand() -> DemandMatrix:
+    demand = DemandMatrix(endpoints=["a", "d"])
+    demand.set_demand("a", "d", 3.0)
+    return demand
 
+
+class TestWeights:
     def test_default_weight_is_length(self):
-        assert resolve_weight(None) is WEIGHT_FUNCTIONS["length"]
+        topo = diamond()
+        topo.add_node("e")
+        topo.add_link("d", "e", length=0.0)  # a zero length weighs one hop
+        graph = topo.compiled()
+        assert graph.edge_weight_column(None) is graph.edge_weight_column("length")
+        assert list(graph.edge_weight_column(None)) == [1.0, 1.0, 1.0, 1.0, 10.0, 1.0]
+        assert list(graph.edge_weight_column("hops")) == [1.0] * 6
+        default = route_demand(topo, diamond_demand())
+        length = route_demand(topo, diamond_demand(), weight="length")
+        assert default.link_loads() == length.link_loads()
+        assert ("a", "d") not in default.link_loads()
+        hops = route_demand(topo, diamond_demand(), weight="hops")
+        assert hops.link_loads() == {("a", "d"): 3.0}
 
     def test_unknown_weight_raises(self):
-        with pytest.raises(KeyError):
-            resolve_weight("congestion")
+        # Rejected by name at the options boundary, and by the column
+        # builder, instead of routing on lengths.
+        assert ROUTING_WEIGHTS == ("length", "hops")
+        with pytest.raises(ValueError, match=r"RoutingOptions\.weight"):
+            route_demand(diamond(), diamond_demand(), weight="congestion")
+        graph = diamond().compiled()
+        for name in ("congestion", "bogus", "inverse-capacity"):
+            with pytest.raises(ValueError, match="unknown weight"):
+                graph.edge_weight_column(name)
+
+    def test_column_takes_a_name_only(self):
+        # No caller can hand in a function for a named column: on a unit
+        # square, a hop function cached as "length" once made 0->3 load the
+        # 5.24-long 0-2-3 instead of the 2.0-long 0-1-3.
+        topo = Topology()
+        for node, location in enumerate([(0, 0), (1, 0), (0, 3), (1, 1)]):
+            topo.add_node(node, location=location)
+        for u, v in [(0, 2), (0, 1), (2, 3), (1, 3)]:
+            topo.add_link(u, v)
+        graph = topo.compiled()
+        with pytest.raises(TypeError):
+            graph.edge_weight_column("length", lambda link: 1.0)
+        demand = DemandMatrix(endpoints=["0", "3"])
+        demand.set_demand("0", "3", 1.0)
+        flow = route_demand(topo, demand, endpoint_map={"0": 0, "3": 3})
+        assert flow.link_loads() == {(0, 1): 1.0, (1, 3): 1.0}
 
 
 class TestPathCache:

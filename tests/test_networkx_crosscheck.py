@@ -84,7 +84,7 @@ class TestAlgorithmAgreement:
         source = 0
         compiled = topology.compiled()
         dist, _, _ = dijkstra_indices(
-            compiled, compiled.index_of[source], compiled.edge_weights()
+            compiled, compiled.index_of[source], compiled.edge_weight_column("length")
         )
         ours = {compiled.ids[i]: d for i, d in enumerate(dist) if d != float("inf")}
         theirs = networkx.single_source_dijkstra_path_length(

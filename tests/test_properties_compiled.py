@@ -199,7 +199,8 @@ def dijkstra(topology, source):
     Unreachable nodes are absent from both maps; the source has no predecessor.
     """
     graph = topology.compiled()
-    dist, pred, _ = dijkstra_indices(graph, graph.index_of[source], graph.edge_weights())
+    weights = graph.edge_weight_column("length")
+    dist, pred, _ = dijkstra_indices(graph, graph.index_of[source], weights)
     ids = graph.ids
     distances = {ids[i]: d for i, d in enumerate(dist) if d != float("inf")}
     predecessors = {ids[i]: ids[p] for i, p in enumerate(pred) if p >= 0}

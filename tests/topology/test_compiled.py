@@ -89,17 +89,20 @@ class TestCompiledStructure:
     def test_edge_weights_default_and_negative(self):
         topo = diamond()
         graph = topo.compiled()
-        weights = graph.edge_weights()
+        weights = graph.edge_weight_column(None)
         assert sorted(weights) == [1.0, 1.0, 2.0, 2.0]
-        with pytest.raises(ValueError):
-            graph.edge_weights(lambda link: -1.0)
+        # A negative length written after construction fails the next build.
+        next(iter(topo.links())).length = -1.0
+        topo.touch()
+        with pytest.raises(ValueError, match="link length must be finite"):
+            topo.compiled().edge_weight_column(None)
 
 
 class TestKernels:
     def test_dijkstra_distances_and_predecessor_edges(self):
         topo = diamond()
         graph = topo.compiled()
-        weights = graph.edge_weights()
+        weights = graph.edge_weight_column("length")
         dist, pred, pred_edge = dijkstra_indices(graph, graph.index_of["a"], weights)
         assert dist[graph.index_of["d"]] == pytest.approx(2.0)
         d = graph.index_of["d"]
@@ -138,14 +141,12 @@ class TestCounters:
         topo = diamond()
         KERNEL_COUNTERS.reset()
         graph = topo.compiled()
-        weights = graph.edge_weights()
+        weights = graph.edge_weight_column("length")
         dijkstra_indices(graph, 0, weights)
         bfs_indices(graph, 0)
         components_indices(graph)
         snapshot = KERNEL_COUNTERS.snapshot()
         assert snapshot["compilations"] == 1
         assert snapshot["single_source"] == 1
-        # Nothing increments multi_source; records keep the key.
-        assert snapshot["multi_source"] == 0
         assert snapshot["bfs"] == 1
         assert snapshot["components"] == 1
