@@ -79,7 +79,7 @@ register_suite(
         expand=_expand,
         run_point=_run_point,
         aggregate=_aggregate,
-        base_seed=BASE_SEED,
+        parameters={"seed": BASE_SEED},
     )
 )
 

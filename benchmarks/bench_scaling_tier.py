@@ -40,6 +40,7 @@ import sys
 from repro.core.fkp import generate_fkp_tree
 from repro.economics.cables import default_catalog
 from repro.economics.provisioning import provision_topology
+from repro.experiments import get_suite
 from repro.experiments.reporting import (
     emit_rows,
     experiment_bench_payload,
@@ -53,7 +54,6 @@ from repro.geography.demand import DemandMatrix
 from repro.routing.engine import route_demand
 from repro.routing.hierarchical import overlay_for
 from repro.topology.compiled import KERNEL_COUNTERS, have_numpy_backend
-from repro.workloads.scenarios import scenario_for
 
 SEED = 61
 ALPHA = 10.0
@@ -228,7 +228,7 @@ def time_scale_phases(sizes, num_endpoints: int, total_volume: float, seed: int)
 
 
 def run_benchmark(smoke: bool = False):
-    params = scenario_for("E12", smoke).parameters
+    params = get_suite("E12").grid(smoke)
     scale = time_scale_phases(
         params["sizes"], params["num_endpoints"], params["total_volume"], SEED
     )

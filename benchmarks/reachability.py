@@ -6,8 +6,8 @@ a call tracer that records every code object executed under ``src/repro``:
 
 * every command-line subcommand: each ``generate`` model, every access
   algorithm and baseline generator, ``metrics --spectrum``, ``validate`` for
-  each target, ``growth``, ``render`` with and without ``--ccdf``,
-  ``scenarios`` and ``run --list``;
+  each target, ``growth``, ``render`` with and without ``--ccdf``, and
+  ``scenarios``;
 * ``run all --smoke --jobs 2`` under both kernel backends;
 * every ``bench-smoke`` row of ``.github/workflows/ci.yml``;
 * every script under ``examples/``;
@@ -212,7 +212,6 @@ def other_runs() -> List[Run]:
         Run("render", cli("render", "access-meyerson.json", "-o", "layout.svg")),
         Run("render --ccdf", cli("render", "glp.json", "--ccdf", "-o", "ccdf.svg")),
         Run("scenarios", cli("scenarios")),
-        Run("run --list", cli("run", "--list")),
     ]
     for target in ("as-graph", "backbone", "router-access"):
         # A FAIL verdict exits 1; only a crash is a failed run.

@@ -13,16 +13,23 @@ Usage::
     python examples/quickstart.py
 """
 
-from repro import HOTGenerator
-from repro.core import random_instance, solve_direct_star
+from repro.core import (
+    best_of_runs,
+    generate_fkp_tree,
+    generate_isp,
+    random_instance,
+    solve_direct_star,
+)
 from repro.metrics import classify_tail, degree_statistics, evaluate_topology
 from repro.topology import summarize_hierarchy
 
+SEED = 7
 
-def fkp_demo(generator: HOTGenerator) -> None:
+
+def fkp_demo() -> None:
     print("=== 1. FKP heuristically-optimized-tradeoff tree (paper §3.1) ===")
     for alpha, label in [(0.5, "star regime"), (4.0, "power-law regime"), (60.0, "exponential regime")]:
-        tree = generator.generate_fkp_tree(num_nodes=400, alpha=alpha)
+        tree = generate_fkp_tree(num_nodes=400, alpha=alpha, seed=SEED)
         stats = degree_statistics(tree)
         verdict = classify_tail(tree.degree_sequence()).verdict
         print(
@@ -33,10 +40,10 @@ def fkp_demo(generator: HOTGenerator) -> None:
     print()
 
 
-def buy_at_bulk_demo(generator: HOTGenerator) -> None:
+def buy_at_bulk_demo() -> None:
     print("=== 2. Buy-at-bulk access design (paper §4.1-4.2) ===")
-    instance = random_instance(200, seed=generator.seed, catalog=generator.catalog)
-    meyerson = generator.solve_buy_at_bulk(instance, algorithm="meyerson", best_of=3)
+    instance = random_instance(200, seed=SEED)
+    meyerson = best_of_runs(instance, num_runs=3, seed=SEED)
     star = solve_direct_star(instance)
     verdict = classify_tail(meyerson.topology.degree_sequence()).verdict
     print(f"  customers: {len(instance.customers)}, total demand: {instance.total_demand:.1f}")
@@ -46,9 +53,9 @@ def buy_at_bulk_demo(generator: HOTGenerator) -> None:
     print()
 
 
-def isp_demo(generator: HOTGenerator) -> None:
+def isp_demo() -> None:
     print("=== 3. Single-ISP design (paper §2.2) ===")
-    design = generator.generate_isp(num_cities=10, customers_per_city_scale=3.0)
+    design = generate_isp(num_cities=10, seed=SEED, customers_per_city_scale=3.0)
     topo = design.topology
     summary = summarize_hierarchy(topo)
     print(f"  PoP cities: {design.pop_count()} of {len(design.population.cities)} candidate cities")
@@ -62,10 +69,9 @@ def isp_demo(generator: HOTGenerator) -> None:
 
 
 def main() -> None:
-    generator = HOTGenerator(seed=7)
-    fkp_demo(generator)
-    buy_at_bulk_demo(generator)
-    isp_demo(generator)
+    fkp_demo()
+    buy_at_bulk_demo()
+    isp_demo()
     print("Done. See examples/ for deeper, experiment-specific walkthroughs.")
 
 

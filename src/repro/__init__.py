@@ -8,7 +8,7 @@ Subpackages:
 
 * :mod:`repro.core` — the paper's contribution: FKP tradeoff model,
   buy-at-bulk access design (Meyerson-style incremental + baselines), single-
-  ISP generator, peering / AS-graph construction, unified :class:`HOTGenerator`.
+  ISP generator, peering / AS-graph construction.
 * :mod:`repro.topology` — annotated topology substrate.
 * :mod:`repro.geography` — regions, population centers, gravity demand.
 * :mod:`repro.economics` — cable catalogs, cost and profit models, provisioning.
@@ -19,10 +19,11 @@ Subpackages:
 * :mod:`repro.metrics` — degree/tail/clustering/hierarchy/expansion/
   resilience/distortion/spectrum metrics and the comparison harness.
 * :mod:`repro.routing` — shortest-path demand routing, utilization.
-* :mod:`repro.workloads` — reference cities, demand matrices, experiment scenarios.
+* :mod:`repro.workloads` — reference cities and demand matrices.
+* :mod:`repro.experiments` — the experiments (E1–E13): each suite's claim,
+  sweep grid and gates, and the runner that executes them.
 """
 
-from .core.framework import HOTGenerator
 from .core.fkp import generate_fkp_tree
 from .core.buyatbulk import random_instance
 from .core.meyerson import solve_meyerson
@@ -33,7 +34,6 @@ from .topology import Topology, NodeRole
 __version__ = "0.1.0"
 
 __all__ = [
-    "HOTGenerator",
     "generate_fkp_tree",
     "random_instance",
     "solve_meyerson",

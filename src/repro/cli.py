@@ -23,12 +23,18 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from .core.framework import BUY_AT_BULK_SOLVERS, HOTGenerator
+from .core import (
+    BUY_AT_BULK_ALGORITHMS,
+    generate_fkp_tree,
+    generate_internet,
+    generate_isp,
+    random_instance,
+    solve_buy_at_bulk,
+)
 from .generators import available_generators, make_generator
 from .metrics.comparison import compare_topologies, report_table
 from .metrics.validation import BUILTIN_TARGETS, validate_topology
 from .topology.serialization import load_json, save_json
-from .workloads.scenarios import all_scenarios
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     access = generate_sub.add_parser("access", help="buy-at-bulk access tree (paper §4)")
     access.add_argument("--customers", type=int, default=200)
-    access.add_argument("--algorithm", choices=sorted(BUY_AT_BULK_SOLVERS), default="meyerson")
+    access.add_argument("--algorithm", choices=BUY_AT_BULK_ALGORITHMS, default="meyerson")
     access.add_argument("--clustered", action="store_true")
     access.add_argument("--seed", type=int, default=None)
     access.add_argument("-o", "--output", required=True)
@@ -114,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments",
         nargs="*",
         metavar="EXPERIMENT",
-        help="experiment ids (E1..E13) or 'all' (required unless --list)",
+        help="experiment ids (E1..E13) or 'all'",
     )
     run.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     run.add_argument(
@@ -154,29 +160,25 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--no-check", action="store_true", help="skip the experiment acceptance gates"
     )
-    run.add_argument(
-        "--list", action="store_true", help="list runnable experiments and exit"
-    )
     return parser
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    generator = HOTGenerator(seed=getattr(args, "seed", None))
     if args.model == "fkp":
-        topology = generator.generate_fkp_tree(args.nodes, args.alpha)
+        topology = generate_fkp_tree(args.nodes, args.alpha, seed=args.seed)
     elif args.model == "access":
-        topology = generator.generate_access_tree(
-            args.customers, algorithm=args.algorithm, clustered=args.clustered
-        ).topology
+        instance = random_instance(args.customers, seed=args.seed, clustered=args.clustered)
+        topology = solve_buy_at_bulk(instance, args.algorithm, seed=args.seed).topology
     elif args.model == "isp":
-        topology = generator.generate_isp(
+        topology = generate_isp(
             num_cities=args.cities,
+            seed=args.seed,
             objective=args.objective,
             customers_per_city_scale=args.customers_per_city,
         ).topology
     elif args.model == "internet":
-        topology = generator.generate_internet(
-            num_isps=args.isps, num_cities=args.cities
+        topology = generate_internet(
+            num_isps=args.isps, num_cities=args.cities, seed=args.seed
         ).as_graph
     elif args.model == "baseline":
         topology = make_generator(args.generator).generate(args.nodes, seed=args.seed)
@@ -246,12 +248,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .experiments.reporting import print_experiment
 
     known = available_experiments()
-    if args.list:
-        for experiment_id in known:
-            print(f"{experiment_id}: {get_suite(experiment_id).title}")
-        return 0
     if not args.experiments:
-        print("no experiments given (try 'all' or --list)", file=sys.stderr)
+        print("no experiments given (try 'all', or 'scenarios' to list them)", file=sys.stderr)
         return 2
     if args.resume and args.force:
         print("--resume and --force are mutually exclusive", file=sys.stderr)
@@ -323,10 +321,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios() -> int:
-    for scenario in all_scenarios():
-        print(f"{scenario.experiment_id}: {scenario.title}")
-        print(f"    claim: {scenario.paper_claim}")
-        print(f"    parameters: {scenario.parameters}")
+    from .experiments import available_experiments, get_suite
+
+    for experiment_id in available_experiments():
+        suite = get_suite(experiment_id)
+        print(f"{experiment_id}: {suite.title}")
+        print(f"    claim: {suite.claim}")
+        print(f"    parameters: {suite.parameters}")
     return 0
 
 

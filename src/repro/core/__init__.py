@@ -1,4 +1,19 @@
-"""The paper's contribution: optimization-driven topology generation (HOT)."""
+"""The paper's contribution: optimization-driven topology generation (HOT).
+
+Each formulation states an objective, its constraints and its problem data
+(demand, geography, cable economics), solves approximately, and reads the
+graph statistics off the solution instead of imposing them:
+
+* :func:`generate_fkp_tree` — the FKP distance/centrality tradeoff (§3.1);
+* :func:`solve_buy_at_bulk` — single-sink buy-at-bulk access design, by the
+  Meyerson-style incremental algorithm or a deterministic baseline (§4.1–4.2);
+* :func:`generate_isp` — the WAN/MAN/LAN single-ISP design (§2.2);
+* :func:`generate_internet` — interconnected ISPs and their AS graph (§2.3).
+
+Each returns an annotated :class:`~repro.topology.graph.Topology` (or a
+result record holding one), so one metric suite applies to HOT and baseline
+topologies alike.
+"""
 
 from .fkp import (
     FKPModel,
@@ -22,9 +37,11 @@ from .buyatbulk import (
     trivial_lower_bound,
 )
 from .meyerson import (
+    BUY_AT_BULK_ALGORITHMS,
     MeyersonBuyAtBulk,
     MeyersonParameters,
     best_of_runs,
+    solve_buy_at_bulk,
     solve_meyerson,
 )
 from .access_design import (
@@ -63,7 +80,6 @@ from .peering import (
     PeeringPolicy,
     generate_internet,
 )
-from .framework import BUY_AT_BULK_SOLVERS, HOTGenerator
 
 __all__ = [
     "FKPModel",
@@ -83,9 +99,11 @@ __all__ = [
     "solve_greedy_aggregation",
     "solve_mst_routing",
     "trivial_lower_bound",
+    "BUY_AT_BULK_ALGORITHMS",
     "MeyersonBuyAtBulk",
     "MeyersonParameters",
     "best_of_runs",
+    "solve_buy_at_bulk",
     "solve_meyerson",
     "AccessDesignParameters",
     "AccessDesignResult",
@@ -116,6 +134,4 @@ __all__ = [
     "ISPProfile",
     "PeeringPolicy",
     "generate_internet",
-    "BUY_AT_BULK_SOLVERS",
-    "HOTGenerator",
 ]

@@ -25,6 +25,7 @@ the robustness experiment E7.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -38,16 +39,8 @@ from ..optimization.facility_location import (
 )
 from ..topology.graph import Topology
 from ..topology.node import NodeRole
-from .buyatbulk import (
-    BuyAtBulkInstance,
-    Customer,
-    core_node_id,
-    provision_solution,
-    solve_direct_star,
-    solve_greedy_aggregation,
-    solve_mst_routing,
-)
-from .meyerson import solve_meyerson
+from .buyatbulk import BuyAtBulkInstance, Customer, core_node_id, provision_solution
+from .meyerson import BUY_AT_BULK_ALGORITHMS, solve_buy_at_bulk
 
 
 @dataclass
@@ -58,8 +51,8 @@ class AccessDesignParameters:
         concentrator_cost: Equipment cost of installing one concentrator.
         clients_per_concentrator: Sizing rule for the number of concentrators.
         feeder_algorithm: Which buy-at-bulk solver connects customers within a
-            concentrator cluster: ``"meyerson"``, ``"greedy"``, ``"mst"``, or
-            ``"star"``.
+            concentrator cluster, one of
+            :data:`~repro.core.meyerson.BUY_AT_BULK_ALGORITHMS`.
         redundancy: If True, add a backup uplink from every concentrator to its
             second-closest peer or core (footnote 7 variant).
         seed: Random seed for the randomized components.
@@ -72,13 +65,16 @@ class AccessDesignParameters:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.concentrator_cost < 0:
-            raise ValueError("concentrator_cost must be non-negative")
+        if not 0 <= self.concentrator_cost < math.inf:
+            raise ValueError(
+                f"concentrator_cost must be non-negative and finite, got {self.concentrator_cost}"
+            )
         if self.clients_per_concentrator < 1:
             raise ValueError("clients_per_concentrator must be >= 1")
-        if self.feeder_algorithm not in ("meyerson", "greedy", "mst", "star"):
+        if self.feeder_algorithm not in BUY_AT_BULK_ALGORITHMS:
             raise ValueError(
-                "feeder_algorithm must be one of 'meyerson', 'greedy', 'mst', 'star'"
+                f"feeder_algorithm must be one of {BUY_AT_BULK_ALGORITHMS}, "
+                f"got {self.feeder_algorithm!r}"
             )
 
 
@@ -221,15 +217,10 @@ class AccessNetworkDesigner:
             catalog=self.catalog,
             region=self.region,
         )
-        if params.feeder_algorithm == "meyerson":
-            solution = solve_meyerson(instance, seed=rng.randrange(1 << 30))
-        elif params.feeder_algorithm == "greedy":
-            solution = solve_greedy_aggregation(instance)
-        elif params.feeder_algorithm == "mst":
-            solution = solve_mst_routing(instance)
-        else:
-            solution = solve_direct_star(instance)
-        return solution.topology
+        # Only the randomized solver draws a seed: a draw for every solver
+        # would move the stream of a design with deterministic feeders.
+        seed = rng.randrange(1 << 30) if params.feeder_algorithm == "meyerson" else None
+        return solve_buy_at_bulk(instance, params.feeder_algorithm, seed=seed).topology
 
     def _graft_feeder(
         self, topology: Topology, feeder: Topology, cluster_index: int

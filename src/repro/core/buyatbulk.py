@@ -21,6 +21,7 @@ This module defines:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -48,8 +49,8 @@ class Customer:
     demand: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.demand < 0:
-            raise ValueError(f"customer demand must be non-negative, got {self.demand}")
+        if not 0 <= self.demand < math.inf:
+            raise ValueError(f"customer demand must be non-negative and finite, got {self.demand}")
 
 
 @dataclass
@@ -118,8 +119,8 @@ def random_instance(
     if num_customers < 1:
         raise ValueError("num_customers must be >= 1")
     low, high = demand_range
-    if low < 0 or high < low:
-        raise ValueError("demand_range must satisfy 0 <= low <= high")
+    if not 0 <= low <= high < math.inf:
+        raise ValueError(f"demand_range must satisfy 0 <= low <= high < inf, got {demand_range}")
     rng = random.Random(seed)
     region = region or metro_region()
     catalog = catalog or default_catalog()
@@ -324,9 +325,7 @@ def solve_mst_routing(instance: BuyAtBulkInstance) -> BuyAtBulkSolution:
     return BuyAtBulkSolution(instance=instance, topology=topology, algorithm="mst-routing")
 
 
-def solve_greedy_aggregation(
-    instance: BuyAtBulkInstance, seed: Optional[int] = None
-) -> BuyAtBulkSolution:
+def solve_greedy_aggregation(instance: BuyAtBulkInstance) -> BuyAtBulkSolution:
     """Greedy incremental aggregation heuristic.
 
     Customers are processed in decreasing order of demand; each attaches to

@@ -27,6 +27,7 @@ hierarchy, degree distribution, and cost structure the experiments analyse.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
@@ -45,6 +46,12 @@ from .buyatbulk import Customer
 from .constraints import ConstraintSet, default_router_constraints
 from .objectives import CostObjective, Objective, ProfitObjective
 
+#: Traffic demand per customer.
+PER_CAPITA_DEMAND = 2.0
+#: Extra shortcut links added to the backbone skeleton (beyond the spanning
+#: tree), chosen by demand.
+BACKBONE_REDUNDANCY = 2
+
 
 @dataclass
 class ISPParameters:
@@ -55,9 +62,6 @@ class ISPParameters:
         coverage_fraction: Fraction of the largest cities actually entered
             (PoPs built); the profit formulation may shrink this further.
         customers_per_city_scale: Expected customers per million inhabitants.
-        per_capita_demand: Traffic demand per customer-population unit.
-        backbone_redundancy: Number of extra shortcut links added to the
-            backbone skeleton (beyond the spanning tree), chosen by demand.
         objective: ``"cost"`` or ``"profit"`` formulation.
         feeder_algorithm: Buy-at-bulk algorithm for the metro feeders.
         refine_iterations: Design-refinement iterations after the initial
@@ -70,8 +74,6 @@ class ISPParameters:
     num_cities: int = 40
     coverage_fraction: float = 0.6
     customers_per_city_scale: float = 12.0
-    per_capita_demand: float = 2.0
-    backbone_redundancy: int = 2
     objective: str = "cost"
     feeder_algorithm: str = "meyerson"
     refine_iterations: int = 0
@@ -82,12 +84,11 @@ class ISPParameters:
             raise ValueError("num_cities must be >= 2")
         if not 0 < self.coverage_fraction <= 1:
             raise ValueError("coverage_fraction must be in (0, 1]")
-        if self.customers_per_city_scale < 0:
-            raise ValueError("customers_per_city_scale must be non-negative")
-        if self.per_capita_demand < 0:
-            raise ValueError("per_capita_demand must be non-negative")
-        if self.backbone_redundancy < 0:
-            raise ValueError("backbone_redundancy must be non-negative")
+        if not 0 <= self.customers_per_city_scale < math.inf:
+            raise ValueError(
+                "customers_per_city_scale must be non-negative and finite, "
+                f"got {self.customers_per_city_scale}"
+            )
         if self.objective not in ("cost", "profit"):
             raise ValueError("objective must be 'cost' or 'profit'")
         if self.refine_iterations < 0:
@@ -216,7 +217,7 @@ class ISPGenerator:
         kept: List[City] = candidates[:2]
         for city in candidates[2:]:
             expected_customers = self._expected_customers(city)
-            expected_demand = params.per_capita_demand
+            expected_demand = PER_CAPITA_DEMAND
             expected_revenue = expected_customers * revenue_model.revenue_for_demand(
                 expected_demand
             )
@@ -242,7 +243,6 @@ class ISPGenerator:
         rng: random.Random,
     ) -> Dict[str, Any]:
         """Backbone: one core router per PoP, MST skeleton + demand shortcuts."""
-        params = self.parameters
         core_ids: Dict[str, Any] = {}
         for city in pop_cities:
             node_id = f"core:{city.name}"
@@ -261,7 +261,7 @@ class ISPGenerator:
         # Add the highest-demand city pairs as shortcut links, if allowed.
         added = 0
         for a_name, b_name, _volume in demand.top_pairs(len(pop_cities) * 2):
-            if added >= params.backbone_redundancy:
+            if added >= BACKBONE_REDUNDANCY:
                 break
             a, b = core_ids[a_name], core_ids[b_name]
             if topology.has_link(a, b):
@@ -299,7 +299,7 @@ class ISPGenerator:
                 Customer(
                     customer_id=f"{city.name}:cust{i}",
                     location=locations[i],
-                    demand=params.per_capita_demand,
+                    demand=PER_CAPITA_DEMAND,
                 )
                 for i in range(num_customers)
             ]

@@ -34,7 +34,6 @@ behaviour reported in the paper.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -50,6 +49,9 @@ from .buyatbulk import (
     _base_topology,
     core_node_id,
     provision_solution,
+    solve_direct_star,
+    solve_greedy_aggregation,
+    solve_mst_routing,
 )
 
 
@@ -59,22 +61,14 @@ class MeyersonParameters:
 
     Attributes:
         seed: Random seed controlling both arrival order and hub sampling.
-        hub_probability_scale: Multiplier applied to the hub-promotion
-            probability ``demand / u_k`` (1.0 reproduces the standard rule).
         arrival_order: ``"random"`` (default, as in the algorithm), or
             ``"demand"`` (largest demand first) / ``"given"`` for ablations.
     """
 
     seed: Optional[int] = None
-    hub_probability_scale: float = 1.0
     arrival_order: str = "random"
 
     def __post_init__(self) -> None:
-        if not 0 < self.hub_probability_scale < math.inf:
-            raise ValueError(
-                "hub_probability_scale must be positive and finite, "
-                f"got {self.hub_probability_scale}"
-            )
         if self.arrival_order not in ("random", "demand", "given"):
             raise ValueError(
                 f"arrival_order must be 'random', 'demand', or 'given', got {self.arrival_order!r}"
@@ -188,14 +182,13 @@ class MeyersonBuyAtBulk:
 
         Layer 0 (the smallest cable) always accepts the customer.  For each
         larger layer ``k`` the customer is promoted with probability
-        ``min(1, scale * demand / u_k)``; promotion stops at the first failure,
+        ``min(1, demand / u_k)``; promotion stops at the first failure,
         mirroring the nested random sampling of the original algorithm.
         """
-        scale = self.parameters.hub_probability_scale
         layer = 0
         for k in range(1, len(catalog)):
             capacity = catalog.cables[k].capacity
-            probability = min(1.0, scale * customer.demand / capacity)
+            probability = min(1.0, customer.demand / capacity)
             if rng.random() < probability:
                 layer = k
             else:
@@ -226,22 +219,34 @@ class MeyersonBuyAtBulk:
         topology.add_link(customer.customer_id, target)
 
 
-def solve_meyerson(
-    instance: BuyAtBulkInstance,
-    seed: Optional[int] = None,
-    hub_probability_scale: float = 1.0,
-    arrival_order: str = "random",
-) -> BuyAtBulkSolution:
+def solve_meyerson(instance: BuyAtBulkInstance, seed: Optional[int] = None) -> BuyAtBulkSolution:
     """Convenience wrapper around :class:`MeyersonBuyAtBulk`."""
-    solver = MeyersonBuyAtBulk(
-        instance,
-        MeyersonParameters(
-            seed=seed,
-            hub_probability_scale=hub_probability_scale,
-            arrival_order=arrival_order,
-        ),
+    return MeyersonBuyAtBulk(instance, MeyersonParameters(seed=seed)).solve()
+
+
+#: The buy-at-bulk solvers by name: the randomized incremental algorithm and
+#: the three deterministic baselines of :mod:`repro.core.buyatbulk`.
+BUY_AT_BULK_ALGORITHMS = ("meyerson", "greedy", "mst", "star")
+
+
+def solve_buy_at_bulk(
+    instance: BuyAtBulkInstance, algorithm: str, seed: Optional[int] = None
+) -> BuyAtBulkSolution:
+    """Solve ``instance`` with the named algorithm of :data:`BUY_AT_BULK_ALGORITHMS`.
+
+    Only ``"meyerson"`` is randomized and reads ``seed``.
+    """
+    if algorithm == "meyerson":
+        return solve_meyerson(instance, seed=seed)
+    if algorithm == "greedy":
+        return solve_greedy_aggregation(instance)
+    if algorithm == "mst":
+        return solve_mst_routing(instance)
+    if algorithm == "star":
+        return solve_direct_star(instance)
+    raise ValueError(
+        f"unknown buy-at-bulk algorithm {algorithm!r}; expected one of {BUY_AT_BULK_ALGORITHMS}"
     )
-    return solver.solve()
 
 
 def best_of_runs(

@@ -1,7 +1,8 @@
 """Experiment orchestration engine.
 
-The layer every workload plugs into: :class:`~repro.experiments.task.Task`
-expansion from :mod:`repro.workloads.scenarios` sweep grids, a deterministic
+The layer every workload plugs into: the experiment suites (each one's claim,
+sweep grid, smoke values and gates, in :mod:`repro.experiments.suites`),
+:class:`~repro.experiments.task.Task` expansion of those grids, a deterministic
 fault-tolerant work-queue runner (:func:`run_tasks` / :func:`run_experiment`:
 streaming per-task persistence, worker-death recovery, bounded retries,
 timeouts, quarantine), the crash-safe content-addressed ``RESULTS/`` store

@@ -1,10 +1,13 @@
 """Registry of experiment suites.
 
-An :class:`ExperimentSuite` packages everything the runner needs to execute
-one of the paper's experiments end to end:
+An :class:`ExperimentSuite` defines one of the paper's experiments: its claim,
+its sweep grid, and everything the runner needs to execute it end to end:
 
-* ``expand(smoke)`` turns the suite's :class:`~repro.workloads.scenarios.
-  Scenario` sweep grid into :class:`~repro.experiments.task.Task`s;
+* ``parameters`` is the full-size grid, including the sweep ``seed``, and
+  ``smoke`` holds the values a smoke run replaces; ``grid(smoke)`` merges
+  them;
+* ``expand(smoke)`` turns ``grid(smoke)`` into
+  :class:`~repro.experiments.task.Task`s;
 * ``run_point(point, seed)`` computes one point — a **pure** function of its
   arguments (module-level, so worker processes can resolve it by scenario id);
 * ``aggregate(records)`` folds the per-task payloads into named report tables;
@@ -18,7 +21,7 @@ under both ``fork`` and ``spawn`` start methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
 from .manifest import TaskRecord
@@ -38,7 +41,22 @@ class ExperimentSuite:
     run_point: Callable[[Mapping[str, object], int], Dict[str, object]]
     aggregate: Callable[[List[TaskRecord]], Tables]
     check: Optional[Callable[[Tables, bool], None]] = None
-    base_seed: int = 0
+    #: The claim from the paper the experiment reproduces.
+    claim: str = ""
+    #: The full-size sweep grid; ``seed`` is the sweep-level seed.
+    parameters: Mapping[str, object] = field(default_factory=dict)
+    #: Smaller values for the grid's size axes, so a smoke run finishes in
+    #: seconds while still exercising the experiment's full code path.
+    smoke: Mapping[str, object] = field(default_factory=dict)
+
+    @property
+    def base_seed(self) -> int:
+        """The sweep-level seed every task seed is derived from."""
+        return self.parameters["seed"]
+
+    def grid(self, smoke: bool) -> Dict[str, object]:
+        """The sweep grid, with the smoke values in place when ``smoke``."""
+        return {**self.parameters, **self.smoke} if smoke else dict(self.parameters)
 
 
 _SUITES: Dict[str, ExperimentSuite] = {}

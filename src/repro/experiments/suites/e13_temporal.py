@@ -61,7 +61,6 @@ from ...topology.compiled import (
     dijkstra_indices,
     have_numpy_backend,
 )
-from ...workloads.scenarios import scenario_for
 from ..manifest import TaskRecord
 from ..registry import ExperimentSuite, Tables, register_suite
 from ..task import Task, expand_points
@@ -99,8 +98,7 @@ def _column_digest(column) -> str:
 
 
 def expand(smoke: bool) -> List[Task]:
-    scenario = scenario_for(SCENARIO_ID, smoke)
-    params = scenario.parameters
+    params = SUITE.grid(smoke)
     shared = {
         "num_cities": params["num_cities"],
         "shortcuts": params["backbone_shortcuts"],
@@ -352,10 +350,34 @@ SUITE = register_suite(
     ExperimentSuite(
         scenario_id=SCENARIO_ID,
         title="Temporal traffic: diurnal series, flash crowds, cascades",
+        claim=(
+            "Supplementary: the paper evaluates a design by the traffic it "
+            "carries — real carrier traffic is a time series with diurnal "
+            "swings, flash crowds, and failures, so the evaluation pipeline "
+            "must route demand *sequences* and degrade deterministically "
+            "under overload-driven link failures."
+        ),
+        parameters={
+            "seed": 67,
+            "num_cities": 30,
+            "total_volume": 10_000.0,
+            "backbone_shortcuts": 12,
+            "diurnal_steps": 12,
+            "diurnal_amplitude": 0.4,
+            "flash_steps": 16,
+            "flash_hotspots": 3,
+            "flash_spike": 6.0,
+            "flash_duration": 4,
+            # headroom >= surge - 1 is provably trip-free (provisioned
+            # capacity covers the base load), so the sweep's loosest point
+            # pins a surviving network against the degrading ones.
+            "cascade_surge": 3.0,
+            "headrooms": [0.0, 0.25, 0.5, 1.0, 2.0],
+        },
+        smoke={"num_cities": 14, "diurnal_steps": 6, "flash_steps": 8},
         expand=expand,
         run_point=run_point,
         aggregate=aggregate,
         check=check,
-        base_seed=scenario_for(SCENARIO_ID).parameters["seed"],
     )
 )

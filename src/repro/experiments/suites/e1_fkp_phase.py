@@ -7,6 +7,7 @@ gates on.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping
 
 from ...core import alpha_regime, generate_fkp_tree
@@ -16,7 +17,6 @@ from ...metrics import (
     max_degree_share,
     topology_degree_ccdf,
 )
-from ...workloads.scenarios import scenario_for
 from ..manifest import TaskRecord
 from ..registry import ExperimentSuite, Tables, register_suite
 from ..task import Task, expand_points
@@ -24,14 +24,17 @@ from ..task import Task, expand_points
 SCENARIO_ID = "E1"
 
 
+def alphas(num_nodes: int) -> List[float]:
+    """The alpha sweep for ``num_nodes``, across the star, power-law and exponential regimes."""
+    sqrt_n = math.sqrt(num_nodes)
+    return [0.1, 4.0, 10.0, sqrt_n / 2.0, 2.0 * sqrt_n, float(num_nodes)]
+
+
 def expand(smoke: bool) -> List[Task]:
-    scenario = scenario_for(SCENARIO_ID, smoke)
-    num_nodes = scenario.parameters["num_nodes"]
-    points = [
-        {"alpha": float(alpha), "num_nodes": num_nodes}
-        for alpha in scenario.parameters["alphas"]
-    ]
-    return expand_points(SCENARIO_ID, scenario.parameters["seed"], points)
+    grid = SUITE.grid(smoke)
+    num_nodes = grid["num_nodes"]
+    points = [{"alpha": float(alpha), "num_nodes": num_nodes} for alpha in alphas(num_nodes)]
+    return expand_points(SCENARIO_ID, grid["seed"], points)
 
 
 def run_point(point: Mapping[str, object], seed: int) -> Dict[str, object]:
@@ -80,10 +83,15 @@ SUITE = register_suite(
     ExperimentSuite(
         scenario_id=SCENARIO_ID,
         title="FKP tradeoff phase diagram",
+        claim=(
+            "Tuning the relative importance of distance vs centrality moves the "
+            "degree distribution from star to power law to exponential (Section 3.1)."
+        ),
+        parameters={"num_nodes": 1000, "seed": 7},
+        smoke={"num_nodes": 500},
         expand=expand,
         run_point=run_point,
         aggregate=aggregate,
         check=check,
-        base_seed=scenario_for(SCENARIO_ID).parameters["seed"],
     )
 )

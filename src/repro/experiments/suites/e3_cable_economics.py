@@ -10,41 +10,33 @@ from __future__ import annotations
 from typing import Dict, List, Mapping
 
 from ...core import (
+    BUY_AT_BULK_ALGORITHMS,
     random_instance,
+    solve_buy_at_bulk,
     solve_direct_star,
     solve_greedy_aggregation,
-    solve_meyerson,
-    solve_mst_routing,
     trivial_lower_bound,
 )
 from ...economics import default_catalog, linear_catalog
 from ...routing import load_concentration
-from ...workloads.scenarios import scenario_for
 from ..manifest import TaskRecord
 from ..registry import ExperimentSuite, Tables, register_suite
 from ..task import Task, expand_points
 
 SCENARIO_ID = "E3"
 
-_SOLVERS = {
-    "meyerson": None,  # seeded; handled separately in run_point
-    "greedy": solve_greedy_aggregation,
-    "mst": solve_mst_routing,
-    "star": solve_direct_star,
-}
-
 
 def expand(smoke: bool) -> List[Task]:
-    scenario = scenario_for(SCENARIO_ID, smoke)
-    counts = scenario.parameters["customer_counts"]
+    grid = SUITE.grid(smoke)
+    counts = grid["customer_counts"]
     points: List[Dict[str, object]] = [
         {"table": "algorithms", "customers": count} for count in counts
     ]
     ablation_counts = counts[-2:]  # the two largest sizes of the sweep
-    for catalog in scenario.parameters["catalogs"]:
+    for catalog in grid["catalogs"]:
         for count in ablation_counts:
             points.append({"table": "economies_of_scale", "catalog": catalog, "customers": count})
-    return expand_points(SCENARIO_ID, scenario.parameters["seed"], points)
+    return expand_points(SCENARIO_ID, grid["seed"], points)
 
 
 def _run_algorithms(point: Mapping[str, object], seed: int) -> Dict[str, object]:
@@ -52,8 +44,8 @@ def _run_algorithms(point: Mapping[str, object], seed: int) -> Dict[str, object]
     instance = random_instance(count, seed=seed, catalog=default_catalog())
     bound = trivial_lower_bound(instance)
     row: Dict[str, object] = {"customers": count, "lower_bound": round(bound, 1)}
-    for name, solver in _SOLVERS.items():
-        solution = solve_meyerson(instance, seed=seed) if solver is None else solver(instance)
+    for name in BUY_AT_BULK_ALGORITHMS:
+        solution = solve_buy_at_bulk(instance, name, seed=seed)
         row[f"{name}_cost"] = round(solution.total_cost(), 1)
         row[f"{name}_ratio"] = round(solution.total_cost() / bound, 2)
     return row
@@ -112,10 +104,20 @@ SUITE = register_suite(
     ExperimentSuite(
         scenario_id=SCENARIO_ID,
         title="Economies of scale and algorithm comparison",
+        claim=(
+            "Buy-at-bulk solutions aggregate traffic onto high-capacity cables and beat "
+            "naive per-customer provisioning; economies of scale drive tree formation "
+            "(Section 4.1)."
+        ),
+        parameters={
+            "customer_counts": [50, 100, 200, 400],
+            "seed": 13,
+            "catalogs": ["default", "linear"],
+        },
+        smoke={"customer_counts": [50, 100]},
         expand=expand,
         run_point=run_point,
         aggregate=aggregate,
         check=check,
-        base_seed=scenario_for(SCENARIO_ID).parameters["seed"],
     )
 )

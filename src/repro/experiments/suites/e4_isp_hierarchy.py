@@ -19,7 +19,6 @@ from ...geography import gravity_demand, uniform_demand
 from ...routing import route_demand
 from ...topology import summarize_hierarchy
 from ...workloads import scaled_population
-from ...workloads.scenarios import scenario_for
 from ..manifest import TaskRecord
 from ..registry import ExperimentSuite, Tables, register_suite
 from ..task import Task, expand_points
@@ -28,8 +27,7 @@ SCENARIO_ID = "E4"
 
 
 def expand(smoke: bool) -> List[Task]:
-    scenario = scenario_for(SCENARIO_ID, smoke)
-    params = scenario.parameters
+    params = SUITE.grid(smoke)
     points: List[Dict[str, object]] = [
         {
             "table": "hierarchy",
@@ -147,10 +145,21 @@ SUITE = register_suite(
     ExperimentSuite(
         scenario_id=SCENARIO_ID,
         title="Single-ISP WAN/MAN/LAN hierarchy",
+        claim=(
+            "The size, location and connectivity of the ISP depend on the number and "
+            "location of its customers; hierarchy emerges as backbone/distribution/"
+            "customer levels (Section 2.2)."
+        ),
+        parameters={
+            "city_counts": [10, 20, 30],
+            "seed": 17,
+            "objectives": ["cost", "profit"],
+            "customers_per_city_scale": 6.0,
+        },
+        smoke={"city_counts": [10, 20]},
         expand=expand,
         run_point=run_point,
         aggregate=aggregate,
         check=check,
-        base_seed=scenario_for(SCENARIO_ID).parameters["seed"],
     )
 )

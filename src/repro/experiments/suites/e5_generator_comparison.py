@@ -14,7 +14,6 @@ from typing import Dict, List, Mapping
 from ...core import generate_fkp_tree, random_instance, solve_meyerson
 from ...generators import available_generators, make_generator
 from ...metrics import evaluate_topology
-from ...workloads.scenarios import scenario_for
 from ..manifest import TaskRecord
 from ..registry import ExperimentSuite, Tables, register_suite
 from ..task import Task, expand_points
@@ -36,20 +35,14 @@ REPORT_COLUMNS = [
 
 
 def expand(smoke: bool) -> List[Task]:
-    scenario = scenario_for(SCENARIO_ID, smoke)
-    num_nodes = scenario.parameters["num_nodes"]
-    sample_size = 30 if smoke else 40
-    models = [f"hot:{name}" for name in scenario.parameters["hot_models"]]
-    models += [
-        f"desc:{name}"
-        for name in scenario.parameters["baselines"]
-        if name in available_generators()
-    ]
+    grid = SUITE.grid(smoke)
+    models = [f"hot:{name}" for name in grid["hot_models"]]
+    models += [f"desc:{name}" for name in grid["baselines"] if name in available_generators()]
     points = [
-        {"model": model, "num_nodes": num_nodes, "sample_size": sample_size}
+        {"model": model, "num_nodes": grid["num_nodes"], "sample_size": grid["sample_size"]}
         for model in models
     ]
-    return expand_points(SCENARIO_ID, scenario.parameters["seed"], points)
+    return expand_points(SCENARIO_ID, grid["seed"], points)
 
 
 def _build_topology(model: str, num_nodes: int, seed: int):
@@ -119,10 +112,29 @@ SUITE = register_suite(
     ExperimentSuite(
         scenario_id=SCENARIO_ID,
         title="Optimization-driven vs descriptive generators",
+        claim=(
+            "Generators matching the chosen metric (degree distribution) look very "
+            "dissimilar on others (clustering, hierarchy, distortion) (Sections 1, 3.2)."
+        ),
+        parameters={
+            "num_nodes": 600,
+            "seed": 19,
+            "baselines": [
+                "barabasi-albert",
+                "glp",
+                "plrg",
+                "inet",
+                "waxman",
+                "transit-stub",
+                "erdos-renyi",
+            ],
+            "hot_models": ["fkp-powerlaw", "fkp-exponential", "buy-at-bulk"],
+            "sample_size": 40,
+        },
+        smoke={"num_nodes": 300, "sample_size": 30},
         expand=expand,
         run_point=run_point,
         aggregate=aggregate,
         check=check,
-        base_seed=scenario_for(SCENARIO_ID).parameters["seed"],
     )
 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Dict, List, Mapping
 
 from ...core import best_of_runs, random_instance, solve_meyerson, trivial_lower_bound
-from ...workloads.scenarios import scenario_for
 from ..manifest import TaskRecord
 from ..registry import ExperimentSuite, Tables, register_suite
 from ..task import Task, expand_grid
@@ -19,12 +18,12 @@ SCENARIO_ID = "E8"
 
 
 def expand(smoke: bool) -> List[Task]:
-    scenario = scenario_for(SCENARIO_ID, smoke)
+    grid = SUITE.grid(smoke)
     return expand_grid(
         SCENARIO_ID,
-        scenario.parameters["seed"],
-        {"customers": scenario.parameters["customer_counts"]},
-        constants={"best_of": scenario.parameters["best_of"]},
+        grid["seed"],
+        {"customers": grid["customer_counts"]},
+        constants={"best_of": grid["best_of"]},
     )
 
 
@@ -63,10 +62,15 @@ SUITE = register_suite(
     ExperimentSuite(
         scenario_id=SCENARIO_ID,
         title="Approximation quality and scaling",
+        claim=(
+            "The randomized incremental algorithm achieves constant-factor quality "
+            "independent of problem size (Section 4.1)."
+        ),
+        parameters={"customer_counts": [50, 100, 200, 400, 800], "seed": 31, "best_of": 3},
+        smoke={"customer_counts": [50, 100, 200]},
         expand=expand,
         run_point=run_point,
         aggregate=aggregate,
         check=check,
-        base_seed=scenario_for(SCENARIO_ID).parameters["seed"],
     )
 )

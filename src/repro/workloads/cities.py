@@ -9,6 +9,7 @@ download, plus helpers to derive metro customer sets from a city.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Optional, Tuple
 
@@ -84,8 +85,8 @@ def metro_customers(
     if num_customers < 1:
         raise ValueError("num_customers must be >= 1")
     low, high = demand_range
-    if low < 0 or high < low:
-        raise ValueError("demand_range must satisfy 0 <= low <= high")
+    if not 0 <= low <= high < math.inf:
+        raise ValueError(f"demand_range must satisfy 0 <= low <= high < inf, got {demand_range}")
     rng = random.Random(seed)
     region = region or metro_region()
     if clustered:

@@ -1,5 +1,7 @@
 """Tests for repro.core.access_design — metro concentrator + feeder design."""
 
+import math
+
 import pytest
 
 from repro.core.access_design import (
@@ -20,6 +22,11 @@ class TestParameters:
             AccessDesignParameters(clients_per_concentrator=0)
         with pytest.raises(ValueError):
             AccessDesignParameters(feeder_algorithm="quantum")
+
+    def test_non_finite_concentrator_cost_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="concentrator_cost"):
+                AccessDesignParameters(concentrator_cost=bad)
 
 
 class TestDesigner:

@@ -1,5 +1,7 @@
 """Tests for repro.core.buyatbulk — problem definition and deterministic baselines."""
 
+import math
+
 import pytest
 
 from repro.core.buyatbulk import (
@@ -21,6 +23,14 @@ class TestCustomer:
     def test_negative_demand_rejected(self):
         with pytest.raises(ValueError):
             Customer("c", (0, 0), demand=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_demand_rejected_where_it_enters(self, bad):
+        with pytest.raises(ValueError, match="customer demand"):
+            Customer("c", (0, 0), demand=bad)
+        for demand_range in [(bad, 2.0), (1.0, bad)]:
+            with pytest.raises(ValueError, match="demand_range"):
+                random_instance(5, demand_range=demand_range)
 
 
 class TestInstance:

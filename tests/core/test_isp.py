@@ -1,5 +1,7 @@
 """Tests for repro.core.isp — the single-ISP generator (paper §2.2)."""
 
+import math
+
 import pytest
 
 from repro.core.isp import ISPGenerator, ISPParameters, generate_isp
@@ -27,6 +29,11 @@ class TestParameters:
             ISPParameters(customers_per_city_scale=-1.0)
         with pytest.raises(ValueError):
             ISPParameters(objective="fame")
+
+    def test_non_finite_customer_scale_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="customers_per_city_scale"):
+                ISPParameters(customers_per_city_scale=bad)
 
 
 class TestGeneratedTopology:

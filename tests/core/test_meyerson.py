@@ -8,9 +8,11 @@ import pytest
 from repro.core import meyerson
 from repro.core.buyatbulk import random_instance, solve_direct_star, trivial_lower_bound
 from repro.core.meyerson import (
+    BUY_AT_BULK_ALGORITHMS,
     MeyersonBuyAtBulk,
     MeyersonParameters,
     best_of_runs,
+    solve_buy_at_bulk,
     solve_meyerson,
 )
 from repro.metrics.fits import classify_tail
@@ -21,13 +23,7 @@ from oracles import ScanLayeredNetwork
 class TestParameters:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            MeyersonParameters(hub_probability_scale=0.0)
-        with pytest.raises(ValueError):
             MeyersonParameters(arrival_order="alphabetical")
-        with pytest.raises(ValueError, match="hub_probability_scale"):
-            MeyersonParameters(hub_probability_scale=math.nan)
-        with pytest.raises(ValueError, match="hub_probability_scale"):
-            MeyersonParameters(hub_probability_scale=math.inf)
 
 
 class TestSolve:
@@ -93,6 +89,16 @@ class TestPaperClaim:
         # Unlike the star baseline (degree 300), the incremental tree spreads
         # aggregation over many hubs.
         assert max(solution.topology.degree_sequence()) < 50
+
+
+class TestSolveBuyAtBulk:
+    @pytest.mark.parametrize("algorithm", BUY_AT_BULK_ALGORITHMS)
+    def test_every_algorithm_solves_feasibly(self, medium_instance, algorithm):
+        assert solve_buy_at_bulk(medium_instance, algorithm, seed=1).is_feasible()
+
+    def test_unknown_algorithm_rejected(self, medium_instance):
+        with pytest.raises(ValueError, match="oracle"):
+            solve_buy_at_bulk(medium_instance, "oracle")
 
 
 class TestBestOfRuns:

@@ -58,7 +58,7 @@ register_suite(
         expand=_expand,
         run_point=_run_point,
         aggregate=_aggregate,
-        base_seed=11,
+        parameters={"seed": 11},
     )
 )
 

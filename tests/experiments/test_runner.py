@@ -54,7 +54,7 @@ register_suite(
         expand=_expand,
         run_point=_run_point,
         aggregate=_aggregate,
-        base_seed=3,
+        parameters={"seed": 3},
     )
 )
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import get_suite
 from repro.topology.serialization import load_json
 
 
@@ -155,17 +156,24 @@ class TestAnalysisCommands:
 
     def test_scenarios_lists_all_experiments(self, capsys):
         assert main(["scenarios"]) == 0
-        out = capsys.readouterr().out
-        for experiment in (f"E{i}" for i in range(1, 9)):
-            assert experiment in out
+        lines = capsys.readouterr().out.splitlines()
+        headers = [i for i, line in enumerate(lines) if line.startswith("E")]
+        # Registry (lexicographic) order, each with its claim and its grid.
+        assert [lines[i].split(":")[0] for i in headers] == sorted(f"E{n}" for n in range(1, 14))
+        for i in headers:
+            claim, parameters = lines[i + 1], lines[i + 2]
+            assert claim.startswith("    claim: ") and claim.split(": ", 1)[1]
+            assert parameters.startswith("    parameters: {'")
+
+    def test_scenarios_titles_match_the_manifests(self, capsys):
+        assert main(["scenarios"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for experiment_id in (f"E{i}" for i in range(1, 14)):
+            # run_experiment records the suite's title in the manifest.
+            assert f"{experiment_id}: {get_suite(experiment_id).title}" in lines
 
 
 class TestRunCommand:
-    def test_run_list(self, capsys):
-        assert main(["run", "--list"]) == 0
-        out = capsys.readouterr().out
-        for experiment in (f"E{i}" for i in range(1, 10)):
-            assert experiment in out
 
     def test_run_unknown_experiment(self, capsys):
         assert main(["run", "E42"]) == 2

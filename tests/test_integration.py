@@ -7,12 +7,14 @@ evaluate with the metric suite, serialize, and compare against baselines.
 
 import pytest
 
-from repro import HOTGenerator
 from repro.core import (
+    BUY_AT_BULK_ALGORITHMS,
+    BuyAtBulkInstance,
     generate_fkp_tree,
     generate_internet,
     generate_isp,
     random_instance,
+    solve_buy_at_bulk,
     solve_direct_star,
     solve_meyerson,
 )
@@ -49,15 +51,10 @@ class TestAccessDesignPipeline:
 
     def test_metro_workload_roundtrip(self):
         customers, region = metro_customers(80, seed=4)
-        generator = HOTGenerator(seed=4)
-        from repro.core import BuyAtBulkInstance
-
-        instance = BuyAtBulkInstance(
-            customers=customers, core_locations=[region.center], catalog=generator.catalog
-        )
+        instance = BuyAtBulkInstance(customers=customers, core_locations=[region.center])
         costs = {
-            name: generator.solve_buy_at_bulk(instance, algorithm=name, seed=4).total_cost()
-            for name in ("meyerson", "greedy", "mst", "star")
+            name: solve_buy_at_bulk(instance, name, seed=4).total_cost()
+            for name in BUY_AT_BULK_ALGORITHMS
         }
         assert costs["star"] == max(costs.values())
 

@@ -1,7 +1,12 @@
-"""Tests for repro.workloads (cities, matrices, scenarios)."""
+"""Tests for repro.workloads (cities, matrices) and the experiment suites' grids."""
+
+import math
 
 import pytest
 
+from repro.core.fkp import alpha_regime
+from repro.experiments import available_experiments, get_suite
+from repro.experiments.suites.e1_fkp_phase import alphas
 from repro.geography.demand import gravity_demand, uniform_demand
 from repro.workloads.cities import (
     REFERENCE_CITIES,
@@ -10,7 +15,6 @@ from repro.workloads.cities import (
     scaled_population,
 )
 from repro.workloads.matrices import hub_and_spoke_matrix
-from repro.workloads.scenarios import all_scenarios, fkp_phase_scenario
 
 
 class TestReferenceCities:
@@ -61,6 +65,9 @@ class TestMetroCustomers:
             metro_customers(0)
         with pytest.raises(ValueError):
             metro_customers(5, demand_range=(4.0, 2.0))
+        for demand_range in [(math.nan, 2.0), (1.0, math.inf)]:
+            with pytest.raises(ValueError, match="demand_range"):
+                metro_customers(5, demand_range=demand_range)
 
 
 class TestMatrices:
@@ -110,50 +117,27 @@ class TestMatrices:
             hub_skewed_matrix(cities, cities[0].name, hub_fraction=1.5)
 
 
-class TestScenarios:
-    def test_all_scenarios_have_unique_ids(self):
-        scenarios = all_scenarios()
-        ids = [s.experiment_id for s in scenarios]
-        assert len(ids) == len(set(ids)) == 13
-        assert ids == [f"E{i}" for i in range(1, 14)]
+class TestSuiteGrids:
+    def test_every_suite_documents_a_claim_and_a_seeded_grid(self):
+        for experiment_id in (f"E{i}" for i in range(1, 14)):
+            suite = get_suite(experiment_id)
+            assert suite.claim, experiment_id
+            assert isinstance(suite.base_seed, int), experiment_id
+            # A smoke run replaces values of existing axes only.
+            assert set(suite.smoke) <= set(suite.parameters) - {"seed"}, experiment_id
 
-    def test_every_scenario_documents_a_claim(self):
-        for scenario in all_scenarios():
-            assert scenario.paper_claim
-            assert scenario.parameters
-
-    def test_fkp_scenario_alphas_cover_regimes(self):
-        from repro.core.fkp import alpha_regime
-
-        scenario = fkp_phase_scenario(num_nodes=1000)
-        regimes = {alpha_regime(a, 1000) for a in scenario.parameters["alphas"]}
+    def test_fkp_alphas_cover_regimes(self):
+        regimes = {alpha_regime(alpha, 1000) for alpha in alphas(1000)}
         assert regimes == {"star", "power-law", "exponential"}
 
-
-class TestScenarioFor:
-    def test_full_matches_factories(self):
-        from repro.workloads.scenarios import SCENARIO_FACTORIES, scenario_for
-
-        for experiment_id, factory in SCENARIO_FACTORIES.items():
-            assert scenario_for(experiment_id).parameters == factory().parameters
-
-    def test_smoke_variants_shrink_the_sweep(self):
-        from repro.workloads.scenarios import scenario_for
-
-        full = scenario_for("E1").parameters
-        smoke = scenario_for("E1", smoke=True).parameters
+    def test_smoke_grid_shrinks_the_sweep(self):
+        suite = get_suite("E1")
+        full, smoke = suite.grid(False), suite.grid(True)
         assert smoke["num_nodes"] < full["num_nodes"]
         assert smoke["seed"] == full["seed"]
+        assert len(suite.expand(True)) == len(suite.expand(False))
 
     def test_unknown_experiment_rejected(self):
-        from repro.workloads.scenarios import scenario_for
-
         with pytest.raises(KeyError):
-            scenario_for("E42")
-
-    def test_ablations_scenario_is_supplementary(self):
-        from repro.workloads.scenarios import ablations_scenario, all_scenarios
-
-        assert ablations_scenario().experiment_id == "E9"
-        # Supplementary scenarios (E9+) list alongside the paper's E1-E8.
-        assert sum(s.experiment_id == "E9" for s in all_scenarios()) == 1
+            get_suite("E42")
+        assert "E42" not in available_experiments()
