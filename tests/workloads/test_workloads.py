@@ -117,6 +117,18 @@ class TestMatrices:
             hub_skewed_matrix(cities, cities[0].name, hub_fraction=1.5)
 
 
+class TestScenarios:
+    def test_all_scenarios_have_unique_ids(self):
+        from repro.experiments import suites
+
+        modules = [getattr(suites, name) for name in suites.__all__]
+        ids = [module.SUITE.scenario_id for module in modules]
+        assert len(ids) == len(set(ids)) == 13
+        assert ids == [f"E{i}" for i in range(1, 14)]
+        # No suite module's registration is shadowed by another's.
+        assert all(get_suite(module.SUITE.scenario_id) is module.SUITE for module in modules)
+
+
 class TestSuiteGrids:
     def test_every_suite_documents_a_claim_and_a_seeded_grid(self):
         for experiment_id in (f"E{i}" for i in range(1, 14)):
