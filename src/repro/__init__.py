@@ -11,7 +11,7 @@ Subpackages:
   ISP generator, peering / AS-graph construction.
 * :mod:`repro.topology` — annotated topology substrate.
 * :mod:`repro.geography` — regions, population centers, gravity demand.
-* :mod:`repro.economics` — cable catalogs, cost and profit models, provisioning.
+* :mod:`repro.economics` — cable catalogs, provisioning.
 * :mod:`repro.optimization` — MST, facility location, local search,
   incremental moves.
 * :mod:`repro.generators` — descriptive baselines (BA, GLP, PLRG, Inet,

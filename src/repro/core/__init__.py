@@ -52,7 +52,6 @@ from .access_design import (
 )
 from .objectives import (
     CostObjective,
-    Objective,
     ProfitObjective,
     served_customers,
     unserved_demand,
@@ -110,7 +109,6 @@ __all__ = [
     "AccessNetworkDesigner",
     "design_access_network",
     "CostObjective",
-    "Objective",
     "ProfitObjective",
     "served_customers",
     "unserved_demand",

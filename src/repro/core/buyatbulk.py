@@ -262,14 +262,9 @@ def provision_solution(
     route_tree_flows(topology, instance)
     catalog = instance.catalog
     for link in topology.links():
-        if link.load > 0:
-            cable, copies = catalog.provision(link.load)
-        else:
-            cable, copies = catalog.smallest, 1
-        link.capacity = cable.capacity * copies
-        link.cable = cable.name
-        link.install_cost = cable.install_cost * copies * link.length
-        link.usage_cost = cable.usage_cost * link.length
+        link.cable, link.capacity, link.install_cost, link.usage_cost = catalog.installation(
+            link.load, link.length
+        )
 
 
 def _base_topology(instance: BuyAtBulkInstance, name: str) -> Topology:

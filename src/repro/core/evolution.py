@@ -269,15 +269,17 @@ class GrowthSimulator:
             )
             state.apply(AddLink(customer.customer_id, target))
             link = topology.link(customer.customer_id, target)
-            cable, copies = self.catalog.provision(customer.demand)
+            cable, capacity, install_cost, usage_cost = self.catalog.installation(
+                customer.demand, link.length
+            )
             state.apply(
                 UpgradeCable(
                     customer.customer_id,
                     target,
-                    cable=cable.name,
-                    capacity=cable.capacity * copies,
-                    install_cost=cable.install_cost * copies * link.length,
-                    usage_cost=cable.usage_cost * link.length,
+                    cable=cable,
+                    capacity=capacity,
+                    install_cost=install_cost,
+                    usage_cost=usage_cost,
                 )
             )
             spent += cost
@@ -382,14 +384,9 @@ class GrowthSimulator:
             old_cable, old_cost, old_load = previous.get(link.key, (None, 0.0, -1.0))
             if old_cable is not None and link.load == old_load:
                 continue  # unchanged load → identical provisioning, skip
-            if link.load > 0:
-                cable, copies = self.catalog.provision(link.load)
-            else:
-                cable, copies = self.catalog.smallest, 1
-            link.capacity = cable.capacity * copies
-            link.cable = cable.name
-            link.install_cost = cable.install_cost * copies * link.length
-            link.usage_cost = cable.usage_cost * link.length
+            link.cable, link.capacity, link.install_cost, link.usage_cost = (
+                self.catalog.installation(link.load, link.length)
+            )
             if old_cable is not None and link.cable != old_cable:
                 upgrades += 1
                 upgrade_cost += max(0.0, link.install_cost - old_cost)

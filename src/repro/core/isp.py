@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..economics.cables import CableCatalog, default_catalog
-from ..economics.profit_model import RevenueModel
 from ..geography.demand import DemandMatrix, gravity_demand
 from ..geography.points import euclidean
 from ..geography.population import City, PopulationModel, synthetic_population
@@ -44,7 +43,7 @@ from ..topology.node import NodeRole
 from .access_design import AccessDesignParameters, AccessNetworkDesigner
 from .buyatbulk import Customer
 from .constraints import ConstraintSet, default_router_constraints
-from .objectives import CostObjective, Objective, ProfitObjective
+from .objectives import CostObjective, ProfitObjective, revenue
 
 #: Traffic demand per customer.
 PER_CAPITA_DEMAND = 2.0
@@ -194,9 +193,9 @@ class ISPGenerator:
         )
 
     # ------------------------------------------------------------------
-    def _objective(self) -> Objective:
+    def _objective(self) -> CostObjective:
         if self.parameters.objective == "profit":
-            return ProfitObjective(catalog=self.catalog, revenue_model=RevenueModel())
+            return ProfitObjective(catalog=self.catalog)
         return CostObjective(catalog=self.catalog)
 
     def _select_pop_cities(self, rng: random.Random) -> List[City]:
@@ -213,14 +212,11 @@ class ISPGenerator:
         if params.objective != "profit" or len(candidates) <= 2:
             return candidates
 
-        revenue_model = RevenueModel()
         kept: List[City] = candidates[:2]
         for city in candidates[2:]:
             expected_customers = self._expected_customers(city)
             expected_demand = PER_CAPITA_DEMAND
-            expected_revenue = expected_customers * revenue_model.revenue_for_demand(
-                expected_demand
-            )
+            expected_revenue = expected_customers * revenue(expected_demand)
             nearest = min(kept, key=lambda c: euclidean(c.location, city.location))
             extension_length = euclidean(nearest.location, city.location)
             extension_cost = self.catalog.link_cost(
@@ -447,14 +443,9 @@ class ISPGenerator:
             link.load = loads.get(link.key, 0.0)
 
         for link in backbone_links:
-            if link.load > 0:
-                cable, copies = self.catalog.provision(link.load)
-            else:
-                cable, copies = self.catalog.smallest, 1
-            link.capacity = cable.capacity * copies
-            link.cable = cable.name
-            link.install_cost = cable.install_cost * copies * link.length
-            link.usage_cost = cable.usage_cost * link.length
+            link.cable, link.capacity, link.install_cost, link.usage_cost = (
+                self.catalog.installation(link.load, link.length)
+            )
 
 
 def generate_isp(

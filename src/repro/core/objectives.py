@@ -5,8 +5,10 @@ problem is to build a network that minimizes cost subject to satisfying
 traffic demand.  Alternatively, a profit-based formulation seeks to build a
 network that satisfies demand only up to the point of profitability."
 
-Objectives are first-class objects so that the ISP generator and the ablation
-benchmarks can swap them without touching the design algorithms.
+Both formulations price a design the same way: every link pays for its
+cable (:meth:`CostObjective.link_contribution`), every node pays the
+equipment cost of its role (:data:`NODE_COSTS`), and the profit formulation
+earns :func:`revenue` from every customer some core reaches.
 
 Every ``evaluate`` here is the *canonical* full recomputation — O(V + E) per
 call, counted in ``KERNEL_COUNTERS.objective_full_evals``.  The optimization
@@ -19,65 +21,89 @@ functions.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Tuple
 
 from ..economics.cables import CableCatalog, default_catalog
-from ..economics.cost_model import CostModel
-from ..economics.profit_model import RevenueModel
 from ..topology.compiled import KERNEL_COUNTERS, multi_source_bfs_indices
 from ..topology.graph import Topology
+from ..topology.link import Link
 from ..topology.node import NodeRole
 
+#: Equipment cost charged per node, by role (synthetic but ordered: core
+#: routers are the most expensive, customer equipment is not paid by the ISP).
+NODE_COSTS: Dict[NodeRole, float] = {
+    NodeRole.CORE: 500.0,
+    NodeRole.BACKBONE: 250.0,
+    NodeRole.PEERING: 250.0,
+    NodeRole.DISTRIBUTION: 80.0,
+    NodeRole.ACCESS: 25.0,
+    NodeRole.CUSTOMER: 0.0,
+    NodeRole.GENERIC: 0.0,
+}
+#: Cost per unit of demand of a customer that no core reaches.  It turns the
+#: cost formulation's "subject to satisfying traffic demand" into a soft
+#: penalty, so that partial designs can still be compared.
+UNSERVED_PENALTY = 1e6
+#: Flat revenue per served customer.
+SUBSCRIPTION = 10.0
+#: Revenue per unit of a served customer's demand.
+PRICE_PER_UNIT = 1.0
 
-class Objective(abc.ABC):
-    """Interface for objectives evaluated on candidate topologies.
 
-    Objectives are *minimized* by the design algorithms; profit-style
-    objectives therefore return the negated profit.
-    """
-
-    name: str = "objective"
-
-    @abc.abstractmethod
-    def evaluate(self, topology: Topology) -> float:
-        """Scalar score of a candidate topology (lower is better)."""
+def revenue(demand: float) -> float:
+    """Revenue earned by serving a customer with the given demand."""
+    if demand < 0:
+        raise ValueError(f"demand must be non-negative, got {demand}")
+    return SUBSCRIPTION + demand * PRICE_PER_UNIT
 
 
 @dataclass
-class CostObjective(Objective):
+class CostObjective:
     """Minimize total build-out cost (cable installation + usage + equipment).
+
+    Demand that no core reaches costs :data:`UNSERVED_PENALTY` per unit.
+    Objectives are *minimized* by the design algorithms.
 
     Attributes:
         catalog: Cable catalog used to price unannotated links.
-        cost_model: Full cost model; constructed from ``catalog`` when omitted.
-        demand_penalty: Penalty per unit of unserved demand, charged for
-            customer nodes that are disconnected from every core node.  This
-            turns the "subject to satisfying traffic demand" constraint into a
-            soft penalty so that partial designs can still be compared.
     """
 
     catalog: CableCatalog = field(default_factory=default_catalog)
-    cost_model: Optional[CostModel] = None
-    demand_penalty: float = 1e6
-    name: str = "cost"
 
-    def __post_init__(self) -> None:
-        if self.cost_model is None:
-            self.cost_model = CostModel(catalog=self.catalog)
-        if self.demand_penalty < 0:
-            raise ValueError("demand_penalty must be non-negative")
+    def link_contribution(self, link: Link) -> Tuple[float, float]:
+        """One link's ``(install, usage)`` cost.
+
+        A link that carries ``install_cost``/``usage_cost`` annotations is
+        charged exactly those; any other link is charged the catalog envelope
+        for its current load and length.  Both the full :meth:`evaluate` and
+        the incremental objective engine price links through this method, so
+        delta and full evaluations never disagree on a link's price.
+        """
+        if link.install_cost > 0 or link.usage_cost > 0:
+            return link.install_cost, link.usage_cost * link.load
+        return self.catalog.link_cost(link.load, link.length), 0.0
+
+    def cost(self, topology: Topology) -> float:
+        """Total build-out cost: link installation, link usage, node equipment."""
+        install = 0.0
+        usage = 0.0
+        for link in topology.links():
+            link_install, link_usage = self.link_contribution(link)
+            install += link_install
+            usage += link_usage
+        equipment = 0.0
+        for node in topology.nodes():
+            equipment += NODE_COSTS.get(node.role, 0.0)
+        return install + usage + equipment
 
     def evaluate(self, topology: Topology) -> float:
+        """Scalar score of a candidate topology (lower is better)."""
         KERNEL_COUNTERS.objective_full_evals += 1
-        cost = self.cost_model.total_cost(topology)
-        cost += self.demand_penalty * unserved_demand(topology)
-        return cost
+        return self.cost(topology) + UNSERVED_PENALTY * unserved_demand(topology)
 
 
-@dataclass
-class ProfitObjective(Objective):
+class ProfitObjective(CostObjective):
     """Maximize profit: revenue from served customers minus build-out cost.
 
     Returned values are negated profit so that the common "minimize" interface
@@ -86,24 +112,15 @@ class ProfitObjective(Objective):
     "build only up to the point of profitability" behaviour.
     """
 
-    catalog: CableCatalog = field(default_factory=default_catalog)
-    revenue_model: RevenueModel = field(default_factory=RevenueModel)
-    cost_model: Optional[CostModel] = None
-    name: str = "profit"
-
-    def __post_init__(self) -> None:
-        if self.cost_model is None:
-            self.cost_model = CostModel(catalog=self.catalog)
-
     def evaluate(self, topology: Topology) -> float:
         KERNEL_COUNTERS.objective_full_evals += 1
-        cost = self.cost_model.total_cost(topology)
-        revenue = 0.0
+        cost = self.cost(topology)
+        earned = 0.0
         served = served_customers(topology)
         for node in topology.nodes():
             if node.role == NodeRole.CUSTOMER and node.node_id in served:
-                revenue += self.revenue_model.revenue_for_demand(node.demand)
-        return cost - revenue
+                earned += revenue(node.demand)
+        return cost - earned
 
 
 def unserved_demand(topology: Topology) -> float:

@@ -1,4 +1,8 @@
-"""Economic substrate: cable catalogs, cost and profit models, provisioning."""
+"""Economic substrate: cable catalogs and provisioning.
+
+The cost and profit formulations that price a design from a catalog live in
+:mod:`repro.core.objectives`.
+"""
 
 from .cables import (
     CableCatalog,
@@ -6,22 +10,12 @@ from .cables import (
     default_catalog,
     linear_catalog,
 )
-from .cost_model import DEFAULT_NODE_COSTS, CostBreakdown, CostModel
-from .profit_model import RevenueModel
-from .provisioning import (
-    ProvisioningReport,
-    provision_topology,
-)
+from .provisioning import provision_topology
 
 __all__ = [
     "CableCatalog",
     "CableType",
     "default_catalog",
     "linear_catalog",
-    "DEFAULT_NODE_COSTS",
-    "CostBreakdown",
-    "CostModel",
-    "RevenueModel",
-    "ProvisioningReport",
     "provision_topology",
 ]

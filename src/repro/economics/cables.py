@@ -39,12 +39,17 @@ class CableType:
     usage_cost: float
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ValueError(f"cable capacity must be positive, got {self.capacity}")
-        if self.install_cost < 0:
-            raise ValueError(f"install cost must be non-negative, got {self.install_cost}")
-        if self.usage_cost < 0:
-            raise ValueError(f"usage cost must be non-negative, got {self.usage_cost}")
+        # Written so that NaN fails every check: a NaN compares false.
+        if not 0 < self.capacity < math.inf:
+            raise ValueError(f"cable capacity must be positive and finite, got {self.capacity}")
+        if not 0 <= self.install_cost < math.inf:
+            raise ValueError(
+                f"cable install_cost must be finite and non-negative, got {self.install_cost}"
+            )
+        if not 0 <= self.usage_cost < math.inf:
+            raise ValueError(
+                f"cable usage_cost must be finite and non-negative, got {self.usage_cost}"
+            )
 
     def cost_for_flow(self, flow: float) -> float:
         """Cost per unit length of carrying ``flow`` over enough copies of this cable.
@@ -64,24 +69,22 @@ class CableCatalog:
     """An ordered set of cable types exhibiting economies of scale.
 
     The catalog validates the paper's ordering constraints at construction
-    time (monotone capacities and installation costs, strictly decreasing
-    marginal costs) unless ``validate=False`` is passed — the unvalidated mode
-    exists only to support the "no economies of scale" ablation in E3.
+    time: monotone capacities and installation costs, strictly decreasing
+    marginal costs.
     """
 
-    def __init__(self, cable_types: Sequence[CableType], validate: bool = True) -> None:
+    def __init__(self, cable_types: Sequence[CableType]) -> None:
         if not cable_types:
             raise ValueError("catalog must contain at least one cable type")
         names = [c.name for c in cable_types]
         if len(names) != len(set(names)):
             raise ValueError("cable type names must be unique")
         self._cables = sorted(cable_types, key=lambda c: c.capacity)
-        if validate:
-            problems = self.validate_economies_of_scale()
-            if problems:
-                raise ValueError(
-                    "catalog violates economies-of-scale ordering: " + "; ".join(problems)
-                )
+        problems = self.validate_economies_of_scale()
+        if problems:
+            raise ValueError(
+                "catalog violates economies-of-scale ordering: " + "; ".join(problems)
+            )
 
     # ------------------------------------------------------------------
     def validate_economies_of_scale(self) -> List[str]:
@@ -157,11 +160,25 @@ class CableCatalog:
             raise ValueError(f"length must be non-negative, got {length}")
         return self.cost_per_unit_length(flow) * length
 
-    def provision(self, flow: float) -> Tuple[CableType, int]:
-        """Cheapest (cable type, number of parallel copies) carrying ``flow``."""
-        cable = self.best_cable_for_flow(flow)
-        copies = max(1, math.ceil(flow / cable.capacity)) if flow > 0 else 1
-        return cable, copies
+    def installation(self, flow: float, length: float) -> Tuple[str, float, float, float]:
+        """The cheapest cables carrying ``flow`` over a link of given ``length``.
+
+        Returns the link's four cable annotations: ``(cable, capacity,
+        install_cost, usage_cost)``, for parallel copies of the best cable
+        type.  An unloaded link (``flow <= 0``) gets one copy of the smallest
+        cable, so the topology stays connected.
+        """
+        if flow <= 0:
+            cable, copies = self.smallest, 1
+        else:
+            cable = self.best_cable_for_flow(flow)
+            copies = max(1, math.ceil(flow / cable.capacity))
+        return (
+            cable.name,
+            cable.capacity * copies,
+            cable.install_cost * copies * length,
+            cable.usage_cost * length,
+        )
 
     def is_subadditive(self, flows: Iterable[float]) -> bool:
         """Check sub-additivity of the cost envelope on a sample of flows.

@@ -4,7 +4,7 @@ Each annealing task runs the *same* simulated-annealing search twice over an
 access-network cable plan:
 
 * **copy-based baseline** (:func:`copy_based_annealing`): every candidate is
-  a full topology copy priced by a canonical ``Objective.evaluate`` (the
+  a full topology copy priced by a canonical ``objective.evaluate`` (the
   pre-engine behaviour);
 * **move-based**: one working topology, typed moves applied in O(Δ) through
   :class:`~repro.optimization.incremental.IncrementalState`, rejected moves
@@ -31,7 +31,7 @@ import random
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ...core.isp import ISPGenerator, ISPParameters
-from ...core.objectives import CostObjective, Objective, ProfitObjective
+from ...core.objectives import CostObjective, ProfitObjective
 from ...economics.cables import CableCatalog, default_catalog
 from ...optimization.incremental import (
     AddLink,
@@ -220,7 +220,7 @@ def apply_move_to_topology(topology: Topology, move: Move) -> None:
 
 def copy_based_annealing(
     topology: Topology,
-    objective: Objective,
+    objective: CostObjective,
     context: MoveContext,
     iterations: int,
     rng: random.Random,
@@ -259,7 +259,7 @@ def copy_based_annealing(
     )
 
 
-def make_objective(name: str) -> Objective:
+def make_objective(name: str) -> CostObjective:
     """The objective under test for one task point."""
     if name == "profit":
         return ProfitObjective()

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Tuple
 
+from ...core.objectives import PRICE_PER_UNIT, SUBSCRIPTION
 from ...economics.cables import default_catalog
-from ...economics.profit_model import RevenueModel
 from ...economics.provisioning import provision_topology
 from ...geography.demand import DemandMatrix, gravity_demand, uniform_demand
 from ...geography.population import City
@@ -130,9 +130,10 @@ def run_point(point: Mapping[str, object], seed: int) -> Dict[str, object]:
     flow = route_demand(compiled, weight=ROUTE_WEIGHT, mode=str(point["mode"]), backend="python")
     after = KERNEL_COUNTERS.snapshot()
 
-    report = provision_topology(topology, default_catalog(), flow=flow)
+    install_cost = provision_topology(topology, default_catalog(), flow=flow)
     utilization = utilization_report(topology, flow)
-    revenue = RevenueModel().revenue_for_demands(compiled.volumes)
+    volumes = compiled.volumes
+    revenue = len(volumes) * SUBSCRIPTION + sum(volumes) * PRICE_PER_UNIT
     return {
         "model": point["model"],
         "mode": point["mode"],
@@ -148,7 +149,7 @@ def run_point(point: Mapping[str, object], seed: int) -> Dict[str, object]:
         "mean_utilization": round(utilization.mean_utilization, 4),
         "peak_utilization": round(utilization.peak_utilization, 4),
         "overloaded_links": len(utilization.overloaded_links),
-        "install_cost": round(report.total_install_cost, 1),
+        "install_cost": round(install_cost, 1),
         "traffic_revenue": round(revenue, 1),
     }
 

@@ -167,7 +167,7 @@ def run_point(point: Mapping[str, object], seed: int) -> Dict[str, object]:
         reference_loads = reference.loads_list()
         parity_max_abs_diff = max((abs(a - b) for a, b in zip(loads, reference_loads)), default=0.0)
 
-    report = provision_topology(topology, default_catalog(), flow=flow)
+    install_cost = provision_topology(topology, default_catalog(), flow=flow)
     utilization = utilization_report(topology, flow)
     summary = summarize_hierarchy(topology)
     depth = summary.mean_customer_depth
@@ -190,7 +190,7 @@ def run_point(point: Mapping[str, object], seed: int) -> Dict[str, object]:
         "parity_max_abs_diff": float(parity_max_abs_diff),
         "mean_utilization": round(float(utilization.mean_utilization), 4),
         "overloaded_links": len(utilization.overloaded_links),
-        "install_cost": round(float(report.total_install_cost), 1),
+        "install_cost": round(float(install_cost), 1),
         # The hierarchy shape the row routes over (satellite of the overlay
         # engine: the scale tier documents its core/region structure).
         "level_counts": dict(summary.level_counts),

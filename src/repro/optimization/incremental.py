@@ -6,17 +6,17 @@ the hill climber and annealer in :mod:`repro.optimization.local_search`, the
 ISP design iterations in :mod:`repro.core.isp`, the growth simulator in
 :mod:`repro.core.evolution` — therefore spends its time asking "what would
 this topology cost if I changed one thing?".  Recomputing
-``Objective.evaluate`` from scratch makes each answer O(V + E) (and, before
+``CostObjective.evaluate`` from scratch makes each answer O(V + E) (and, before
 this engine, O(V·(V+E)) with the per-core BFS loops); this module answers it
 in O(Δ) for the common moves.
 
 :class:`IncrementalState` owns one *working* topology and maintains, move by
 move:
 
-* the running cost breakdown (per-link install/usage contributions priced
-  through :meth:`repro.economics.cost_model.CostModel.link_contribution`, the
-  same single source of truth the canonical ``evaluate`` uses, plus node
-  equipment costs);
+* the running cost (per-link install/usage contributions priced through
+  :meth:`repro.core.objectives.CostObjective.link_contribution`, the same
+  single source of truth the canonical ``evaluate`` uses, plus the node
+  equipment costs of :data:`repro.core.objectives.NODE_COSTS`);
 * the served-customer aggregates (served demand and served revenue) via the
   **fully-dynamic connectivity engine** of :mod:`repro.topology.dynconn` — a
   Holm–de Lichtenberg–Thorup level-structured spanning forest over Euler-tour
@@ -39,8 +39,8 @@ table: a rejected move costs what its forest operations cost.
 When the engine falls back to full recomputation
 ------------------------------------------------
 
-Only out-of-band topology edits (unknown objective types, node demands,
-roles or link annotations changed behind the engine's back) need
+Only out-of-band topology edits (node demands, roles or link annotations
+changed behind the engine's back) need
 :meth:`IncrementalState.rebuild`, which is exactly one canonical full
 evaluation.  When the structure did not change behind the engine's back
 (``Topology.version`` is the one the engine last synced to), the rebuild
@@ -60,6 +60,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.objectives import (
+    NODE_COSTS,
+    UNSERVED_PENALTY,
+    CostObjective,
+    ProfitObjective,
+    revenue,
+)
 from ..topology.compiled import KERNEL_COUNTERS
 from ..topology.dynconn import DynamicConnectivity
 from ..topology.graph import Topology, TopologyError
@@ -100,10 +107,11 @@ class AddLink(Move):
     """Install a new link between two existing nodes.
 
     ``length=None`` derives the Euclidean length from the endpoint locations
-    (the :meth:`Topology.add_link` rule).  Annotations follow the cost model's
-    charging convention: explicitly priced links are charged their
-    ``install_cost``/``usage_cost``; unannotated links fall back to the
-    catalog envelope for their load and length.
+    (the :meth:`Topology.add_link` rule).  Annotations follow
+    :meth:`~repro.core.objectives.CostObjective.link_contribution`:
+    explicitly priced links are charged their ``install_cost``/``usage_cost``;
+    unannotated links fall back to the catalog envelope for their load and
+    length.
     """
 
     u: Any
@@ -195,20 +203,19 @@ class AddNode(Move):
             self.node_id, role=self.role, location=self.location, demand=self.demand
         )
         record.structure_undo.append(lambda: topology.remove_node(self.node_id))
-        equipment = state._cost_model.node_contribution(node) if state._cost_model else 0.0
-        state._node_equipment += equipment
+        state._node_equipment += NODE_COSTS.get(node.role, 0.0)
         is_customer = self.role == NodeRole.CUSTOMER
-        revenue = state._revenue_of(node) if is_customer else 0.0
+        earned = state._revenue_of(node) if is_customer else 0.0
         state._dyn.add_vertex(
             self.node_id,
             is_core=self.role == NodeRole.CORE,
             demand=self.demand if is_customer else 0.0,
-            revenue=revenue,
+            revenue=earned,
         )
         record.structure_undo.append(lambda: state._dyn.remove_vertex(self.node_id))
         if is_customer:
             state._total_customer_demand += self.demand
-            state._total_customer_revenue += revenue
+            state._total_customer_revenue += earned
         try:
             for target in self.attach_to:
                 state._add_link_inner(record, self.node_id, target)
@@ -339,10 +346,15 @@ class IncrementalState:
     float accumulation order (property-tested to 1e-9 relative tolerance).
     """
 
-    def __init__(self, topology: Topology, objective: Any) -> None:
+    def __init__(self, topology: Topology, objective: CostObjective) -> None:
+        if not isinstance(objective, CostObjective):
+            raise TypeError(
+                f"IncrementalState prices CostObjective and ProfitObjective, got "
+                f"{type(objective).__name__}"
+            )
         self.topology = topology
         self.objective = objective
-        self._cost_model, self._demand_penalty, self._revenue_model = _objective_spec(objective)
+        self._profit = isinstance(objective, ProfitObjective)
         self._undo: List[_UndoRecord] = []
         self._dyn: Optional[DynamicConnectivity] = None
         # topology.version when the forest last mirrored the topology: after
@@ -354,7 +366,7 @@ class IncrementalState:
     def rebuild(self) -> None:
         """Resync every component with the topology (one canonical full eval).
 
-        The cost breakdown and the served aggregates are re-summed from the
+        The running cost and the served aggregates are re-summed from the
         topology, and the undo stack is cleared.  The connectivity forest is
         built afresh only when the structure changed behind the state's back
         (``topology.version`` moved since the last rebuild, apply or revert);
@@ -369,14 +381,14 @@ class IncrementalState:
         self._total_customer_demand = 0.0
         self._total_customer_revenue = 0.0
         self._link_contrib: Dict[Tuple[Any, Any], Tuple[float, float]] = {}
-        cost_model = self._cost_model
+        objective = self.objective
         for link in topology.links():
-            install, usage = cost_model.link_contribution(link)
+            install, usage = objective.link_contribution(link)
             self._link_contrib[link.key] = (install, usage)
             self._link_install += install
             self._link_usage += usage
         for node in topology.nodes():
-            self._node_equipment += cost_model.node_contribution(node)
+            self._node_equipment += NODE_COSTS.get(node.role, 0.0)
             if node.role == NodeRole.CUSTOMER:
                 self._total_customer_demand += node.demand
                 self._total_customer_revenue += self._revenue_of(node)
@@ -419,16 +431,16 @@ class IncrementalState:
         comp_core: Dict[Any, bool] = {}
         for root, members in dyn.components().items():
             demand = 0.0
-            revenue = 0.0
+            earned = 0.0
             has_core = False
             for node_id in members:
                 node = nodes[node_id]
                 if node.role == NodeRole.CUSTOMER:
                     demand += node.demand
-                    revenue += self._revenue_of(node)
+                    earned += self._revenue_of(node)
                 has_core = has_core or node.role == NodeRole.CORE
             comp_demand[root] = demand
-            comp_revenue[root] = revenue
+            comp_revenue[root] = earned
             comp_core[root] = has_core
         served_demand = 0.0
         served_revenue = 0.0
@@ -440,29 +452,23 @@ class IncrementalState:
         self._served_revenue = served_revenue
 
     def _revenue_of(self, node: Any) -> float:
-        if self._revenue_model is None:
-            return 0.0
-        return self._revenue_model.revenue_for_demand(node.demand)
+        return revenue(node.demand) if self._profit else 0.0
 
     # -- scoring -------------------------------------------------------
     @property
     def score(self) -> float:
         """Current objective value of the working topology (lower is better)."""
         value = self._link_install + self._link_usage + self._node_equipment
-        if self._demand_penalty is not None:
-            value += self._demand_penalty * (
-                self._total_customer_demand - self._served_demand
-            )
-        if self._revenue_model is not None:
-            value -= self._served_revenue
-        return value
+        if self._profit:
+            return value - self._served_revenue
+        return value + UNSERVED_PENALTY * (self._total_customer_demand - self._served_demand)
 
     @property
     def install_cost(self) -> float:
         """Running total of per-link install contributions.
 
-        For fully annotated topologies (no fiber right-of-way surcharge) this
-        is ``topology.total_install_cost()`` maintained incrementally — the
+        For fully annotated topologies this is
+        ``topology.total_install_cost()`` maintained incrementally — the
         growth simulator reads it per period instead of re-summing links.
         """
         return self._link_install
@@ -578,7 +584,7 @@ class IncrementalState:
         record.structure_undo.append(lambda: topology.remove_link(u, v))
         key = link.key
         old_contrib = self._link_contrib.get(key)
-        install, usage = self._cost_model.link_contribution(link)
+        install, usage = self.objective.link_contribution(link)
         self._link_contrib[key] = (install, usage)
         record.structure_undo.append(
             lambda: self._restore_contrib(key, old_contrib)
@@ -670,27 +676,8 @@ class IncrementalState:
         if old_contrib is not None:
             self._link_install -= old_contrib[0]
             self._link_usage -= old_contrib[1]
-        install, usage = self._cost_model.link_contribution(link)
+        install, usage = self.objective.link_contribution(link)
         self._link_contrib[key] = (install, usage)
         record.structure_undo.append(lambda: self._restore_contrib(key, old_contrib))
         self._link_install += install
         self._link_usage += usage
-
-
-def _objective_spec(objective: Any):
-    """Extract ``(cost_model, demand_penalty, revenue_model)``.
-
-    Imported lazily to keep :mod:`repro.optimization` importable before
-    :mod:`repro.core` (which itself imports optimization submodules).
-    """
-    from ..core.objectives import CostObjective, ProfitObjective
-
-    if isinstance(objective, ProfitObjective):
-        return objective.cost_model, None, objective.revenue_model
-    if isinstance(objective, CostObjective):
-        return objective.cost_model, objective.demand_penalty, None
-    raise TypeError(
-        f"IncrementalState supports the built-in objective types, got "
-        f"{type(objective).__name__}; fall back to Objective.evaluate for "
-        f"custom objectives"
-    )

@@ -157,11 +157,12 @@ class KernelCounters:
     asserts that generator growth performs O(n log n) sampler operations
     (``sampler_draws``/``sampler_updates``) and a bounded number of spatial
     candidate evaluations (``spatial_queries``/``spatial_candidates``) instead
-    of the seed's O(n^2) scans.  The incremental objective engine
-    (:mod:`repro.optimization.incremental`) records every canonical
-    ``Objective.evaluate`` as ``objective_full_evals`` and every O(Δ)
-    move evaluation as ``objective_delta_evals``, so benchmarks can assert
-    that local search runs almost entirely on delta evaluations.  The traffic
+    of the seed's O(n^2) scans.  Every canonical objective ``evaluate``
+    (:mod:`repro.core.objectives`) and every rebuild of the incremental
+    objective engine (:mod:`repro.optimization.incremental`) counts as one
+    ``objective_full_evals``, and every O(Δ) move evaluation as
+    ``objective_delta_evals``, so benchmarks can assert that local search
+    runs almost entirely on delta evaluations.  The traffic
     engine (:mod:`repro.routing.engine`) records one ``traffic_batched_sources``
     per shortest-path search (E11 asserts exactly one per unique demand
     source), every routed pair as ``traffic_assigned_pairs``, and every

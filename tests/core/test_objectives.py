@@ -3,11 +3,17 @@
 import pytest
 
 from repro.core.objectives import (
+    NODE_COSTS,
+    PRICE_PER_UNIT,
+    SUBSCRIPTION,
+    UNSERVED_PENALTY,
     CostObjective,
     ProfitObjective,
+    revenue,
     served_customers,
     unserved_demand,
 )
+from repro.economics.cables import default_catalog
 from repro.topology.graph import Topology
 from repro.topology.node import NodeRole
 
@@ -39,19 +45,34 @@ class TestServedHelpers:
 
 class TestCostObjective:
     def test_counts_link_and_node_costs(self):
-        objective = CostObjective(demand_penalty=0.0)
-        value = objective.evaluate(served_star())
-        assert value > 15.0  # 3 links at 5.0 plus equipment
+        value = CostObjective().evaluate(served_star())
+        assert value == 3 * 5.0 + NODE_COSTS[NodeRole.CORE]  # customers cost nothing
 
     def test_unserved_demand_penalized(self):
-        objective = CostObjective(demand_penalty=1000.0)
+        objective = CostObjective()
         base = objective.evaluate(served_star())
         with_missing = objective.evaluate(with_orphan(served_star()))
-        assert with_missing >= base + 4000.0
+        assert with_missing == base + UNSERVED_PENALTY * 4.0
 
-    def test_negative_penalty_rejected(self):
-        with pytest.raises(ValueError):
-            CostObjective(demand_penalty=-1.0)
+    def test_annotated_links_use_their_costs(self):
+        topo = Topology()
+        topo.add_node("a", role=NodeRole.GENERIC)
+        topo.add_node("b", role=NodeRole.GENERIC)
+        link = topo.add_link("a", "b", install_cost=10.0, usage_cost=2.0, load=3.0)
+        objective = CostObjective()
+        assert objective.link_contribution(link) == (10.0, 6.0)
+        assert objective.cost(topo) == 16.0
+
+    def test_unannotated_links_priced_from_catalog(self):
+        topo = Topology()
+        topo.add_node("a", location=(0, 0), role=NodeRole.GENERIC)
+        topo.add_node("b", location=(2, 0), role=NodeRole.GENERIC)
+        link = topo.add_link("a", "b")
+        link.load = 50.0
+        catalog = default_catalog()
+        install, usage = CostObjective(catalog).link_contribution(link)
+        assert install == catalog.link_cost(50.0, 2.0)
+        assert usage == 0.0
 
 
 class TestProfitObjective:
@@ -71,3 +92,11 @@ class TestProfitObjective:
         # The orphan contributes no revenue and no cost, so profit is unchanged.
         assert -objective.evaluate(orphaned) == pytest.approx(-objective.evaluate(base))
 
+
+class TestRevenue:
+    def test_flat_plus_volume(self):
+        assert revenue(5.0) == SUBSCRIPTION + 5.0 * PRICE_PER_UNIT == 15.0
+
+    def test_negative_demand_rejected(self):
+        with pytest.raises(ValueError):
+            revenue(-1.0)

@@ -1,5 +1,7 @@
 """Tests for repro.economics.cables."""
 
+import math
+
 import pytest
 
 from repro.economics.cables import (
@@ -18,6 +20,16 @@ class TestCableType:
             CableType("x", capacity=1.0, install_cost=-1.0, usage_cost=0.1)
         with pytest.raises(ValueError):
             CableType("x", capacity=1.0, install_cost=1.0, usage_cost=-0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["capacity", "install_cost", "usage_cost"])
+    def test_non_finite_parameters_rejected(self, name, bad):
+        # An infinite capacity would install zero copies (no install cost),
+        # and a NaN anywhere makes every later price NaN or an error.
+        values = {"capacity": 100.0, "install_cost": 5.0, "usage_cost": 0.1}
+        values[name] = bad
+        with pytest.raises(ValueError, match=name):
+            CableType("x", **values)
 
     def test_cost_for_flow_single_copy(self):
         cable = CableType("x", capacity=100.0, install_cost=5.0, usage_cost=0.1)
@@ -55,14 +67,6 @@ class TestCableCatalog:
         ]
         with pytest.raises(ValueError):
             CableCatalog(bad)
-
-    def test_violating_catalog_allowed_without_validation(self):
-        bad = [
-            CableType("small", capacity=10.0, install_cost=5.0, usage_cost=0.1),
-            CableType("big", capacity=100.0, install_cost=1.0, usage_cost=0.2),
-        ]
-        catalog = CableCatalog(bad, validate=False)
-        assert len(catalog.validate_economies_of_scale()) > 0
 
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError):
@@ -118,12 +122,23 @@ class TestCableCatalog:
 
     def test_provision_returns_enough_capacity(self):
         catalog = default_catalog()
-        cable, copies = catalog.provision(700.0)
-        assert cable.capacity * copies >= 700.0
+        name, capacity, install_cost, usage_cost = catalog.installation(700.0, 2.0)
+        cable = catalog.best_cable_for_flow(700.0)
+        copies = math.ceil(700.0 / cable.capacity)
+        assert name == cable.name
+        assert capacity == cable.capacity * copies >= 700.0
+        assert install_cost == cable.install_cost * copies * 2.0
+        assert usage_cost == cable.usage_cost * 2.0
 
     def test_provision_zero_flow(self):
-        cable, copies = default_catalog().provision(0.0)
-        assert copies == 1
+        catalog = default_catalog()
+        smallest = catalog.smallest
+        assert catalog.installation(0.0, 3.0) == (
+            smallest.name,
+            smallest.capacity,
+            smallest.install_cost * 3.0,
+            smallest.usage_cost * 3.0,
+        )
 
 
 class TestSpecialCatalogs:

@@ -1,7 +1,7 @@
 """Property tests for repro.optimization.incremental.
 
 The central contract: after any sequence of applied/reverted moves, the
-incrementally maintained score equals a canonical ``Objective.evaluate`` of
+incrementally maintained score equals the objective's canonical ``evaluate`` of
 the working topology (to float accumulation order), and a full rollback
 restores the starting score *bit-exactly*.
 """
@@ -170,8 +170,7 @@ class TestMoves:
 
     def test_remove_link_disconnects_and_penalizes(self):
         topology = random_access_tree(5)
-        objective = CostObjective(demand_penalty=1000.0)
-        state = IncrementalState(topology, objective)
+        state = IncrementalState(topology, CostObjective())
         assert state.unserved_demand == pytest.approx(0.0)
         delta = state.apply(RemoveLink("c0", "core0"))
         assert state.unserved_demand > 0

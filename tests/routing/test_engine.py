@@ -201,20 +201,19 @@ class TestArrayBoundary:
         endpoint_map = {str(i): i for i in range(n)}
         flow = route_demand(compile_demand(topo, demand, endpoint_map))
 
-        column_report = provision_topology(topo, default_catalog(), flow=flow)
+        column_cost = provision_topology(topo, default_catalog(), flow=flow)
         column_state = [
             (link.load, link.capacity, link.cable, link.install_cost)
             for link in topo.links()
         ]
         flow.flush()
-        flushed_report = provision_topology(topo, default_catalog())
+        flushed_cost = provision_topology(topo, default_catalog())
         flushed_state = [
             (link.load, link.capacity, link.cable, link.install_cost)
             for link in topo.links()
         ]
         assert column_state == flushed_state
-        assert column_report.total_install_cost == flushed_report.total_install_cost
-        assert column_report.cable_counts == flushed_report.cable_counts
+        assert column_cost == flushed_cost
 
     def test_utilization_report_from_loads_column(self):
         topo = line_topology()

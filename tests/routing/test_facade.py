@@ -105,7 +105,7 @@ class TestFlowResultConsumers:
         with pytest.raises(TypeError, match="load_concentration"):
             load_concentration(topo, 0.1, column)
         with pytest.raises(TypeError, match="provision_topology"):
-            provision_topology(topo, default_catalog(), 1.0, 0.0, column)
+            provision_topology(topo, default_catalog(), column)
 
     def test_stale_flow_result_rejected(self):
         topo, demand = small_instance()

@@ -10,6 +10,7 @@ import pytest
 from repro.core import (
     BUY_AT_BULK_ALGORITHMS,
     BuyAtBulkInstance,
+    CostObjective,
     generate_fkp_tree,
     generate_internet,
     generate_isp,
@@ -19,7 +20,7 @@ from repro.core import (
     solve_meyerson,
 )
 from repro.core.constraints import CapacityConstraint, default_router_constraints
-from repro.economics import CostModel, default_catalog, provision_topology
+from repro.economics import default_catalog, provision_topology
 from repro.generators import BarabasiAlbertGenerator
 from repro.geography import DemandMatrix
 from repro.metrics import classify_tail, compare_topologies, evaluate_topology, report_table
@@ -75,7 +76,7 @@ class TestISPDesignPipeline:
         assert report.get("num_nodes") == topo.num_nodes
         assert report.get("mean_degree") > 1.0
 
-        cost = CostModel(catalog=default_catalog()).total_cost(topo)
+        cost = CostObjective(default_catalog()).cost(topo)
         assert cost > 0
 
     def test_access_traffic_fits_provisioned_capacity(self):

@@ -115,8 +115,8 @@ class TestCatalogProperties:
     @given(st.floats(min_value=0.1, max_value=20000.0, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_provision_covers_flow(self, flow):
-        cable, copies = default_catalog().provision(flow)
-        assert cable.capacity * copies >= flow - 1e-9
+        _, capacity, _, _ = default_catalog().installation(flow, 1.0)
+        assert capacity >= flow - 1e-9
 
     @given(
         st.lists(
@@ -127,15 +127,19 @@ class TestCatalogProperties:
             ),
             min_size=1,
             max_size=6,
+            unique_by=lambda triple: triple[2],
         )
     )
     @settings(max_examples=50, deadline=None)
     def test_unvalidated_catalog_envelope_still_monotone_flows(self, triples):
+        # Sorting each drawn column makes the catalog pass validation:
+        # capacities and install costs ascend, distinct usage costs descend.
+        capacities, installs, usages = (sorted(column) for column in zip(*triples))
         cables = [
             CableType(name=f"c{i}", capacity=cap, install_cost=inst, usage_cost=use)
-            for i, (cap, inst, use) in enumerate(triples)
+            for i, (cap, inst, use) in enumerate(zip(capacities, installs, reversed(usages)))
         ]
-        catalog = CableCatalog(cables, validate=False)
+        catalog = CableCatalog(cables)
         small = catalog.cost_per_unit_length(1.0)
         large = catalog.cost_per_unit_length(1.0 + 5000.0)
         assert large >= small - 1e-9
